@@ -158,9 +158,9 @@ def _skeleton_residency(handle) -> float:
 
 
 def _scan_residency(handle) -> float:
-    """Fraction of the tree's node rows already cached on this handle."""
-    stats = handle.cache_stats()
-    return min(1.0, stats["nodes"].size / max(1, handle.info.n_nodes))
+    """``1.0`` when the handle's engine has the tree's scan memoised
+    (a warm analytics scan runs no SQL), else ``0.0``."""
+    return 1.0 if handle.engine.scan_resident else 0.0
 
 
 def _walk_statements(handle) -> int:
@@ -283,19 +283,17 @@ def estimate_analytics(
 
     ``handles`` are the :class:`StoredTree` handles of
     ``request.trees`` in order.  Every analytics operation reads each
-    tree's full row set through the engine's batched scan, so the per
-    -tree cost is a cold full scan discounted by that handle's observed
-    node-row residency.
+    tree once through the engine's narrow range scan, so a tree costs
+    one statement and ``n_nodes`` rows cold, and nothing when its
+    handle has the scan memoised.
     """
     statements = 0.0
     rows = 0.0
     warm_total = 0.0
     for handle in handles:
-        n = handle.info.n_nodes
         scan = _scan_residency(handle)
-        cold = n * (1.0 - scan)
-        statements += _batches(cold)
-        rows += cold
+        statements += 1.0 - scan
+        rows += handle.info.n_nodes * (1.0 - scan)
         warm_total += scan
     warm = warm_total / len(handles) if handles else 1.0
 

@@ -2,9 +2,10 @@
 
 The layered/Dewey storage exists so whole *collections* of phylogenies
 can be queried in place; this package opens the compare-many-trees
-workload on top of it.  Everything here reads stored rows through the
-engine's cached, batched accessors — no input tree is ever rebuilt as
-a :class:`~repro.trees.tree.PhyloTree` (only a consensus *result* is
+workload on top of it.  Everything here reads each stored tree with
+one narrow range scan, memoised by the handle's engine when the tree
+fits its cache — no input tree is ever rebuilt as a
+:class:`~repro.trees.tree.PhyloTree` (only a consensus *result* is
 returned as one):
 
 * :mod:`repro.analytics.bipartitions` — rooted clusters and unrooted

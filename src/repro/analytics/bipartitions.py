@@ -9,10 +9,13 @@ the identical answer without ever materializing the tree: the stored
 ``nodes`` rows already carry each node's pre-order clade interval
 ``[node_id, pre_order_end]``, so
 
-1. one batched scan through the engine's row caches
-   (:meth:`~repro.storage.tree_repository.StoredTree.preorder_rows`)
-   yields every row — chunked ``IN (...)`` statements cold, **zero**
-   statements warm — and
+1. one narrow primary-key range scan
+   (:meth:`~repro.storage.tree_repository.StoredTree.scan_rows`)
+   yields the four columns needed of every row as plain tuples — one
+   statement cold, **zero** warm once the engine has memoised a tree
+   that fits its cache — without going through the row caches or
+   building a :class:`~repro.storage.tree_repository.NodeRow` per
+   row, and
 2. the cluster of an interior node is simply the (pre-order-sorted)
    leaves whose ids fall inside its interval, found with two binary
    searches per interior node.
@@ -96,24 +99,26 @@ class TreeScan:
 
 
 def scan_tree(stored: StoredTree) -> TreeScan:
-    """One engine-cached pass over a stored tree's rows.
+    """One narrow range scan over a stored tree's rows.
 
     Raises
     ------
     QueryError
         If the tree has unnamed leaves.
+    StorageError
+        If the tree was deleted out from under the handle.
     """
     leaf_ids: list[int] = []
     leaf_names: list[str] = []
     intervals: list[tuple[int, int]] = []
-    for row in stored.preorder_rows():
-        if row.is_leaf:
-            if row.name is None:
+    for node_id, end, is_leaf, name in stored.scan_rows():
+        if is_leaf:
+            if name is None:
                 raise QueryError("tree has unnamed leaves")
-            leaf_ids.append(row.node_id)
-            leaf_names.append(row.name)
+            leaf_ids.append(node_id)
+            leaf_names.append(name)
         else:
-            intervals.append((row.node_id, row.pre_order_end))
+            intervals.append((node_id, end))
     return TreeScan(
         leaf_ids=tuple(leaf_ids),
         leaf_names=tuple(leaf_names),

@@ -4,8 +4,8 @@ The in-memory reference (:mod:`repro.benchmark.consensus`, after the
 linear-time majority-rule line of Amenta et al.) needs every input
 tree materialized at once.  This version streams instead: trees are
 visited one at a time, each contributing its rooted cluster set
-(extracted straight from stored rows,
-:func:`~repro.analytics.bipartitions.stored_clusters`) to a running
+(extracted from one narrow range scan of its stored rows,
+:func:`~repro.analytics.bipartitions.scan_tree`) to a running
 counter, so peak memory is one cluster table plus the counter — never
 N trees.  Tree assembly is shared with the in-memory path
 (:func:`repro.benchmark.consensus.build_tree_from_clusters`), so the

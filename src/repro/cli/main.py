@@ -88,14 +88,22 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _port_number(text: str) -> int:
+def _port_number(text: str, allow_zero: bool = False) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if not 1 <= value <= 65535:
-        raise argparse.ArgumentTypeError("must be a port between 1 and 65535")
+    if not (1 <= value <= 65535 or (allow_zero and value == 0)):
+        hint = " (or 0 for a free one)" if allow_zero else ""
+        raise argparse.ArgumentTypeError(
+            f"must be a port between 1 and 65535{hint}"
+        )
     return value
+
+
+def _listen_port(text: str) -> int:
+    """A port to listen on; 0 lets the OS pick a free one."""
+    return _port_number(text, allow_zero=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,9 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--port",
-        type=_port_number,
+        type=_listen_port,
         default=2006,
-        help="listen port (default: 2006)",
+        help="listen port (default: 2006; 0 picks a free port, which "
+        "the banner prints)",
     )
     serve.add_argument(
         "--max-cost",

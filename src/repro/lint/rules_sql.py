@@ -17,7 +17,8 @@ Second, each resolved statement is parsed with
 in ``storage/schema.py`` — the ``TABLE_COLUMNS`` literal, itself
 cross-checked against the DDL tuples by :class:`SqlSchemaSync`:
 
-* ``sql-schema``        — referenced tables and columns must exist;
+* ``sql-schema``        — referenced tables and columns must exist,
+  and every ``INDEXED BY`` index must be created on its table;
 * ``sql-placeholders``  — ``?`` counts must match statically-known
   argument tuple lengths;
 * ``sql-interpolation`` — no runtime value (parameter, attribute) may
@@ -52,6 +53,7 @@ from repro.lint.framework import (
 )
 from repro.lint.sqlgrammar import (
     normalize_sql,
+    parse_create_index,
     parse_create_table,
     parse_statement,
 )
@@ -112,15 +114,13 @@ def _dict_of_string_tuples(
     return None
 
 
-def _ddl_tables(
-    module: Module, constant: str
-) -> dict[str, tuple[str, ...]] | None:
-    """Tables defined by the CREATE TABLE statements in ``constant``."""
+def _ddl_texts(module: Module, constant: str) -> list[str] | None:
+    """The statement texts of the DDL tuple ``constant``."""
     scope = module_scope(module)
     values = scope._name_values(constant, 0)
     if values is None:
         return None
-    tables: dict[str, tuple[str, ...]] = {}
+    texts: list[str] = []
     for value in values:
         if not isinstance(value, AbstractTuple):
             return None
@@ -133,10 +133,34 @@ def _ddl_tables(
                 text = statement.render()
                 if text is None:
                     return None
-                parsed = parse_create_table(text)
-                if parsed is not None:
-                    tables[parsed[0]] = parsed[1]
-    return tables
+                texts.append(text)
+    return texts
+
+
+def _ddl_tables(
+    module: Module, constant: str
+) -> dict[str, tuple[str, ...]] | None:
+    """Tables defined by the CREATE TABLE statements in ``constant``."""
+    texts = _ddl_texts(module, constant)
+    if texts is None:
+        return None
+    return dict(
+        parsed for text in texts if (parsed := parse_create_table(text))
+    )
+
+
+def _ddl_indexes(module: Module) -> dict[str, str] | None:
+    """Index name -> table over both DDL tuples (primary and shard);
+    ``None`` when either cannot be resolved, so hints go unchecked."""
+    indexes: dict[str, str] = {}
+    for constant in ("DDL_STATEMENTS", "SHARD_DDL_STATEMENTS"):
+        texts = _ddl_texts(module, constant)
+        if texts is None:
+            return None
+        indexes.update(
+            parsed for text in texts if (parsed := parse_create_index(text))
+        )
+    return indexes
 
 
 @dataclass
@@ -147,6 +171,8 @@ class ProjectSchema:
     ddl: dict[str, tuple[str, ...]] | None
     shard_ddl: dict[str, tuple[str, ...]] | None
     shard_declared: tuple[str, ...] | None
+    #: index name -> indexed table, from the CREATE INDEX statements
+    indexes: dict[str, str] | None = None
 
     @property
     def tables(self) -> dict[str, tuple[str, ...]] | None:
@@ -163,6 +189,7 @@ def project_schema(project: Project) -> ProjectSchema | None:
         ddl=_ddl_tables(module, "DDL_STATEMENTS"),
         shard_ddl=_ddl_tables(module, "SHARD_DDL_STATEMENTS"),
         shard_declared=tuple_literal(module, "SHARD_TABLES"),
+        indexes=_ddl_indexes(module),
     )
 
 
@@ -335,12 +362,13 @@ def sql_sites(project: Project) -> list[SqlSite]:
 # ----------------------------------------------------------------------
 
 class SqlSchema(Rule):
-    """Every referenced table and column must exist in the DDL."""
+    """Every referenced table, column and hinted index must exist in the DDL."""
 
     rule_id = "sql-schema"
     description = (
-        "SQL statements only reference tables and columns declared in "
-        "storage/schema.py (shard-file schemas included)"
+        "SQL statements only reference tables, columns and INDEXED BY "
+        "indexes declared in storage/schema.py (shard-file schemas "
+        "included)"
     )
 
     def check(self, project: Project) -> Iterator[Finding]:
@@ -371,6 +399,18 @@ class SqlSchema(Rule):
                         )
                 if len(known) != len(info.tables):
                     continue  # unknown table: column checks would lie
+                for table, index in info.index_hints:
+                    if (
+                        schema.indexes is not None
+                        and schema.indexes.get(index) != table
+                    ):
+                        yield self.finding(
+                            site.path,
+                            site.line,
+                            f"INDEXED BY names index {index!r}, which "
+                            f"storage/schema.py does not create on table "
+                            f"{table!r}",
+                        )
                 visible: set[str] = set()
                 for table in known:
                     visible.update(tables[table])

@@ -4,7 +4,8 @@ This is not a SQL engine — it recognizes exactly the sqlite dialect
 subset the repro package writes (SELECT/INSERT/UPDATE/DELETE with
 joins, aliases, and flat subqueries, plus the DDL statement forms in
 ``storage/schema.py``) and extracts what the lint rules need: which
-tables and columns a statement references, how many ``?`` placeholders
+tables and columns a statement references, which indexes its
+``INDEXED BY`` clauses name, how many ``?`` placeholders
 it carries, and a whitespace/placeholder-normalized census key under
 which the static and runtime statement sets can be compared.
 
@@ -38,7 +39,7 @@ KEYWORDS = frozenset(
     BLOB BOOLEAN BY CASCADE CASE CAST CHECK COLLATE COLUMN COMMIT
     CONFLICT CONSTRAINT CREATE CROSS CURRENT DEFAULT DELETE DESC
     DISTINCT DROP ELSE END ESCAPE EXCEPT EXISTS FOLLOWING FOREIGN FROM
-    FULL GLOB GROUP HAVING IF IGNORE IN INDEX INNER INSERT INTEGER
+    FULL GLOB GROUP HAVING IF IGNORE IN INDEX INDEXED INNER INSERT INTEGER
     INTERSECT INTO IS JOIN KEY LEFT LIKE LIMIT NO NOCASE NOT NULL
     NUMERIC OFFSET ON OR ORDER OUTER OVER PARTITION PRAGMA PRECEDING
     PRIMARY RANGE REAL RECURSIVE REFERENCES RENAME REPLACE RESTRICT
@@ -93,6 +94,8 @@ class StatementInfo:
     aliases: dict[str, str] = field(default_factory=dict)
     #: (qualifier or None, column name); ``*`` appears as a name
     column_refs: list[tuple[str | None, str]] = field(default_factory=list)
+    #: (table, index name) of every ``INDEXED BY`` clause
+    index_hints: list[tuple[str, str]] = field(default_factory=list)
     placeholders: int = 0
 
     @property
@@ -153,6 +156,8 @@ def parse_statement(text: str) -> StatementInfo:
     #: first free-standing identifier is the index's own name
     index_mode = info.kind == "create-index"
     index_name_pending = index_mode
+    #: the table an ``INDEXED BY`` clause after it (or its alias) hints
+    last_table: str | None = None
     if info.kind == "update":
         expect_table = True
         capture_columns = False
@@ -189,6 +194,17 @@ def parse_statement(text: str) -> StatementInfo:
             elif upper == "ON" and index_mode:
                 expect_table = True
                 capture_columns = True
+            elif upper == "INDEXED":
+                # ``t [AS a] INDEXED BY index`` names an index, not a
+                # column; ``NOT INDEXED`` names nothing.
+                if (
+                    i + 2 < n
+                    and tokens[i + 1].text.upper() == "BY"
+                    and tokens[i + 2].kind == "ident"
+                    and last_table is not None
+                ):
+                    info.index_hints.append((last_table, tokens[i + 2].text))
+                    i += 2
             elif upper == "AS":
                 # alias definition: map it when a table is pending
                 # (FROM/JOIN context), otherwise skip the output alias.
@@ -208,7 +224,7 @@ def parse_statement(text: str) -> StatementInfo:
         if expect_table:
             info.tables.add(word)
             expect_table = False
-            pending_table = word
+            pending_table = last_table = word
             if capture_columns and i + 1 < n and tokens[i + 1].text == "(":
                 j = i + 2
                 while j < n and tokens[j].text != ")":
@@ -260,6 +276,22 @@ def parse_statement(text: str) -> StatementInfo:
 _CONSTRAINT_STARTERS = frozenset(
     {"PRIMARY", "UNIQUE", "FOREIGN", "CHECK", "CONSTRAINT"}
 )
+
+
+def parse_create_index(text: str) -> tuple[str, str] | None:
+    """``(index name, table name)`` of a CREATE INDEX, else ``None``."""
+    words = [t.text for t in tokenize(text) if t.kind == "ident"]
+    upper = [word.upper() for word in words]
+    if not upper or upper[0] != "CREATE" or "INDEX" not in upper[:3]:
+        return None
+    if "ON" not in upper:
+        return None
+    on = upper.index("ON")
+    # CREATE [UNIQUE] INDEX [IF NOT EXISTS] name ON table (...)
+    names = [word for word in words[:on] if word.upper() not in KEYWORDS]
+    if not names or on + 1 >= len(words):
+        return None
+    return names[-1], words[on + 1]
 
 
 def parse_create_table(text: str) -> tuple[str, tuple[str, ...]] | None:

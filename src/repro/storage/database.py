@@ -19,7 +19,7 @@ import threading
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Any, Iterator
 from urllib.parse import quote
 
 from repro.errors import StorageError
@@ -331,10 +331,20 @@ class CrimsonDatabase:
         with self._transaction_lock:  # the fetch steps the cursor too
             return self.execute(sql, parameters).fetchone()
 
-    def query_all(self, sql: str, parameters: tuple = ()) -> list[sqlite3.Row]:
-        """Run a statement and return all rows."""
+    def query_all(
+        self, sql: str, parameters: tuple = (), *, plain: bool = False
+    ) -> list[Any]:
+        """Run a statement and return all rows.
+
+        ``plain`` returns bare tuples instead of :class:`sqlite3.Row`
+        objects — cheaper to build and unpack on whole-tree scans that
+        read columns by position.
+        """
         with self._transaction_lock:
-            return self.execute(sql, parameters).fetchall()
+            cursor = self.execute(sql, parameters)
+            if plain:
+                cursor.row_factory = None
+            return cursor.fetchall()
 
     @contextmanager
     def count_statements(self) -> Iterator["StatementCounter"]:

@@ -6,7 +6,7 @@ Correct — but naively each block/inode hop of each layered-LCA call is a
 fresh ``SELECT``, so a query costs ``O(f · log_f d)`` statements every
 time.  :class:`StoredQueryEngine` sits between the query layer and
 :class:`~repro.storage.database.CrimsonDatabase` and makes the hot path
-cheap in two ways:
+cheap in four ways:
 
 1. **Bounded LRU row caches.**  Stored trees are immutable, and the
    index's upper layers are tiny (``O(n/f)`` rows), so block, inode,
@@ -22,10 +22,17 @@ cheap in two ways:
 3. **Segmented admission.**  Upper-layer inode rows (``layer > 0``) and
    block rows — the ``O(n/f)`` skeleton every layered-LCA walk climbs —
    are inserted *pinned* (:meth:`repro.storage.cache.LRUCache.put`
-   with ``pinned=True``): a layer-0 scan (a whole-tree batch fetch,
-   like the analytics subsystem's bipartition extraction) churns only
-   the probationary segment and can never evict them, so the warm-path
-   statement bound survives adversarial scan loads.
+   with ``pinned=True``): a layer-0 scan (a whole-tree batch fetch
+   such as
+   :meth:`~repro.storage.tree_repository.StoredTree.preorder_rows`)
+   churns only the probationary segment and can never evict them, so
+   the warm-path statement bound survives adversarial scan loads.
+4. **A narrow scan beside the caches.**  The analytics subsystem needs
+   four columns of every row, once per tree.  :meth:`scan_rows` reads
+   them with one primary-key range statement as plain tuples, without
+   touching the row caches, and memoises the result when the tree has
+   at most ``cache_size`` nodes — so a warm repeat runs zero SQL, and
+   analytics never churns the point-query caches.
 
 Cache knobs
 -----------
@@ -33,8 +40,9 @@ Cache knobs
 bounds **each segment** of each of the six row caches; memory is
 therefore at most ``6 · cache_size`` probationary rows plus the pinned
 index rows (at most ``cache_size`` each for the inode/block caches,
-and in practice only the ``O(n/f)`` upper-layer rows) per open handle.  Pass it through
-``TreeRepository(db, cache_size=...)``, ``TreeRepository.open(name,
+and in practice only the ``O(n/f)`` upper-layer rows) per open handle,
+plus at most ``cache_size`` four-column tuples of scan memo.  Pass it
+through ``TreeRepository(db, cache_size=...)``, ``TreeRepository.open(name,
 cache_size=...)``, or the CLI's global ``--cache-size`` flag.  Sizing
 guidance: blocks and inodes above layer 0 number about ``n/f`` and
 ``n/(f-1)`` rows, so a cache of ``n/f`` entries makes every upper-layer
@@ -66,7 +74,8 @@ _IN_CHUNK = 400
 """Keys per ``IN (...)`` clause — safely under sqlite's parameter limit."""
 
 
-def _chunks(values: Sequence, size: int = _IN_CHUNK) -> Iterable[Sequence]:
+def chunked(values: Sequence, size: int = _IN_CHUNK) -> Iterable[Sequence]:
+    """``values`` in slices of at most ``size`` (one ``IN (...)`` each)."""
     for start in range(0, len(values), size):
         yield values[start : start + size]
 
@@ -108,6 +117,8 @@ class StoredQueryEngine:
         self._inodes = LRUCache(cache_size)  # inode_id -> inode row
         self._inode_at = LRUCache(cache_size)  # (block, label) -> inode row
         self._blocks = LRUCache(cache_size)  # block_id -> blocks row
+        # The whole-tree narrow scan, kept only when it fits one cache.
+        self._scan: list[tuple] | None = None
 
     # ------------------------------------------------------------------
     # Cache plumbing
@@ -158,7 +169,8 @@ class StoredQueryEngine:
             if cached is not None:
                 return cached
         row = self.db.query_one(
-            "SELECT * FROM nodes WHERE tree_id = ? AND name = ?",
+            "SELECT * FROM nodes INDEXED BY idx_nodes_name "
+            "WHERE tree_id = ? AND name = ?",
             (self.tree_id, name),
         )
         return self._remember_node(row) if row is not None else None
@@ -174,7 +186,7 @@ class StoredQueryEngine:
                 found[node_id] = row
             else:
                 missing.append(node_id)
-        for chunk in _chunks(missing):
+        for chunk in chunked(missing):
             placeholders = ",".join("?" for _ in chunk)
             for row in self.db.query_all(
                 f"SELECT * FROM nodes WHERE tree_id = ? "
@@ -196,16 +208,44 @@ class StoredQueryEngine:
                 found[name] = row
             else:
                 missing.append(name)
-        for chunk in _chunks(missing):
+        for chunk in chunked(missing):
             placeholders = ",".join("?" for _ in chunk)
             for row in self.db.query_all(
-                f"SELECT * FROM nodes WHERE tree_id = ? "
-                f"AND name IN ({placeholders})",
+                f"SELECT * FROM nodes INDEXED BY idx_nodes_name "
+                f"WHERE tree_id = ? AND name IN ({placeholders})",
                 (self.tree_id, *chunk),
             ):
                 self._remember_node(row)
                 found[row["name"]] = row
         return found
+
+    def scan_rows(self, n_nodes: int) -> list[tuple]:
+        """Every node's ``(node_id, pre_order_end, is_leaf, name)``.
+
+        One primary-key range statement in pre-order, read as plain
+        tuples and never through the row caches.  The result is
+        memoised when ``n_nodes <= cache_size`` (the bound under which
+        the row caches could hold the whole tree), so a warm repeat
+        executes zero SQL; a larger tree is re-read on every call.  A
+        short read — the tree was deleted under the handle — is
+        returned but never memoised.
+        """
+        if self._scan is not None:
+            return self._scan
+        rows = self.db.query_all(
+            "SELECT node_id, pre_order_end, is_leaf, name FROM nodes "
+            "WHERE tree_id = ? AND node_id BETWEEN 0 AND ? ORDER BY node_id",
+            (self.tree_id, n_nodes - 1),
+            plain=True,
+        )
+        if len(rows) == n_nodes and n_nodes <= self.cache_size:
+            self._scan = rows
+        return rows
+
+    @property
+    def scan_resident(self) -> bool:
+        """Whether :meth:`scan_rows` would run without SQL."""
+        return self._scan is not None
 
     # ------------------------------------------------------------------
     # Index rows (inodes / blocks)
@@ -216,8 +256,8 @@ class StoredQueryEngine:
         if row is not None:
             return row
         row = self.db.query_one(
-            "SELECT * FROM inodes WHERE tree_id = ? AND orig_node_id = ? "
-            "AND is_canonical = 1",
+            "SELECT * FROM inodes INDEXED BY idx_inodes_orig "
+            "WHERE tree_id = ? AND orig_node_id = ? AND is_canonical = 1",
             (self.tree_id, node_id),
         )
         return self._remember_inode(row) if row is not None else None
@@ -240,10 +280,11 @@ class StoredQueryEngine:
                 found[node_id] = row
             else:
                 missing.append(node_id)
-        for chunk in _chunks(missing):
+        for chunk in chunked(missing):
             placeholders = ",".join("?" for _ in chunk)
             for row in self.db.query_all(
-                f"SELECT * FROM inodes WHERE tree_id = ? AND is_canonical = 1 "
+                f"SELECT * FROM inodes INDEXED BY idx_inodes_orig "
+                f"WHERE tree_id = ? AND is_canonical = 1 "
                 f"AND orig_node_id IN ({placeholders})",
                 (self.tree_id, *chunk),
             ):
@@ -344,9 +385,11 @@ class StoredQueryEngine:
         return resident / len(probed)
 
     def clear_cache(self) -> None:
-        """Drop all cached rows (cold-start; counters are kept)."""
+        """Drop all cached rows and the scan memo (cold-start; counters
+        are kept)."""
         for cache in self._caches().values():
             cache.clear()
+        self._scan = None
 
     def reset_cache_stats(self) -> None:
         for cache in self._caches().values():

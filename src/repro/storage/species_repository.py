@@ -12,6 +12,7 @@ from typing import Iterable, Mapping
 
 from repro.errors import QueryError, StorageError
 from repro.storage.database import unwrap_database
+from repro.storage.engine import chunked
 from repro.storage.tree_repository import StoredTree
 
 _BATCH = 5000
@@ -62,11 +63,12 @@ class SpeciesRepository:
         StorageError
             If data already exists for a node and ``replace`` is False.
         """
-        rows: list[tuple[int, int, str, str]] = []
         tree_id = stored.info.tree_id
-        for name, sequence in sequences.items():
-            node = stored.node_by_name(name)
-            rows.append((tree_id, node.node_id, sequence, char_type))
+        nodes = stored.nodes_by_name(list(sequences))
+        rows = [
+            (tree_id, node.node_id, sequence, char_type)
+            for node, sequence in zip(nodes, sequences.values())
+        ]
 
         if not replace:
             existing = self.db.query_all(
@@ -97,28 +99,39 @@ class SpeciesRepository:
         QueryError
             If the node exists but has no species data (or does not exist).
         """
-        node = stored.node_by_name(name)
-        row = self.db.query_one(
-            "SELECT sequence FROM species WHERE tree_id = ? AND node_id = ?",
-            (stored.info.tree_id, node.node_id),
-        )
-        if row is None:
-            raise QueryError(f"no species data for {name!r}")
-        return row["sequence"]
+        return self.sequences_for(stored, [name])[name]
 
     def sequences_for(
         self, stored: StoredTree, names: Iterable[str]
     ) -> dict[str, str]:
         """Sequences for many taxa (the Benchmark Manager's sample fetch).
 
+        Names resolve in one batched lookup and sequences arrive in
+        chunked ``IN (...)`` reads on the species primary key, so a
+        sample of up to 400 taxa costs at most two statements, not one
+        per taxon.
+
         Raises
         ------
         QueryError
-            If any requested taxon lacks species data.
+            If any requested taxon is absent or lacks species data.
         """
+        wanted = list(dict.fromkeys(names))
+        node_ids = [node.node_id for node in stored.nodes_by_name(wanted)]
+        by_node: dict[int, str] = {}
+        for chunk in chunked(node_ids):
+            placeholders = ",".join("?" for _ in chunk)
+            for row in self.db.query_all(
+                f"SELECT node_id, sequence FROM species WHERE tree_id = ? "
+                f"AND node_id IN ({placeholders})",
+                (stored.info.tree_id, *chunk),
+            ):
+                by_node[row["node_id"]] = row["sequence"]
         result: dict[str, str] = {}
-        for name in names:
-            result[name] = self.sequence_of(stored, name)
+        for name, node_id in zip(wanted, node_ids):
+            if node_id not in by_node:
+                raise QueryError(f"no species data for {name!r}")
+            result[name] = by_node[node_id]
         return result
 
     def count(self, stored: StoredTree) -> int:

@@ -609,12 +609,12 @@ class StoredTree:
     def preorder_rows(self) -> list[NodeRow]:
         """Every node row in pre-order, through the engine's batch fetch.
 
-        This is the scan the analytics subsystem's bipartition
-        extraction rides on: cold it costs ``ceil(n / chunk)``
-        ``IN (...)`` statements, and a warm repeat (``cache_size >= n``)
+        Cold it costs ``ceil(n / chunk)`` ``IN (...)`` statements and
+        fills the node-row cache; a warm repeat (``cache_size >= n``)
         costs **zero** — while the engine's segmented admission keeps
         the scan from evicting the pinned upper-layer index rows the
-        point-query warm path depends on.
+        point-query warm path depends on.  Analytics reads the narrower
+        :meth:`scan_rows` instead.
 
         Raises
         ------
@@ -631,6 +631,27 @@ class StoredTree:
             self._node_row(found[node_id])
             for node_id in range(self.info.n_nodes)
         ]
+
+    def scan_rows(self) -> list[tuple[int, int, int, str | None]]:
+        """Every node's ``(node_id, pre_order_end, is_leaf, name)`` in
+        pre-order — the four columns cluster extraction reads.
+
+        One primary-key range statement cold, zero when the engine has
+        the tree memoised
+        (:meth:`~repro.storage.engine.StoredQueryEngine.scan_rows`).
+
+        Raises
+        ------
+        StorageError
+            If the tree was deleted out from under this handle.
+        """
+        rows = self.engine.scan_rows(self.info.n_nodes)
+        if len(rows) != self.info.n_nodes:
+            self._raise_missing(
+                f"tree {self.info.name!r} is missing node rows "
+                f"({len(rows)} of {self.info.n_nodes})"
+            )
+        return rows
 
     def leaves(self) -> list[NodeRow]:
         """All leaf rows in pre-order."""
@@ -653,8 +674,8 @@ class StoredTree:
     def children(self, node_id: int) -> list[NodeRow]:
         """Child rows of a node, in child order."""
         rows = self.db.query_all(
-            "SELECT * FROM nodes WHERE tree_id = ? AND parent_id = ? "
-            "ORDER BY child_order",
+            "SELECT * FROM nodes INDEXED BY idx_nodes_parent "
+            "WHERE tree_id = ? AND parent_id = ? ORDER BY child_order",
             (self._tree_id, node_id),
         )
         return [self._node_row(row) for row in rows]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.admission import estimate_analytics
 from repro.analytics import (
     compare_stored,
     rf_matrix,
@@ -22,6 +23,7 @@ from repro.analytics import (
     stored_consensus,
     stored_leaf_names,
 )
+from repro.analytics.bipartitions import TreeScan, scan_tree
 from repro.benchmark.consensus import (
     majority_rule_consensus,
     strict_consensus,
@@ -399,3 +401,135 @@ class TestSessionSurface:
             with store.db.count_statements() as counter:
                 store.analyze(request)
             assert counter.count == 0
+
+
+def _row_scan(handle) -> TreeScan:
+    """The NodeRow-based extraction the narrow kernel replaced."""
+    leaf_ids, leaf_names, intervals = [], [], []
+    for row in handle.preorder_rows():
+        if row.is_leaf:
+            leaf_ids.append(row.node_id)
+            leaf_names.append(row.name)
+        else:
+            intervals.append((row.node_id, row.pre_order_end))
+    return TreeScan(tuple(leaf_ids), tuple(leaf_names), tuple(intervals))
+
+
+def _named_random_tree(seed: int, leaves: int = 260) -> PhyloTree:
+    """A random binary tree (> 400 nodes) whose interior nodes are named."""
+    rng = np.random.default_rng(seed)
+    tree = random_topology([f"t{i}" for i in range(leaves)], rng)
+    for index, node in enumerate(tree.preorder()):
+        if not node.is_leaf:
+            node.name = f"n{index}"
+    tree.invalidate_caches()
+    return tree
+
+
+class TestNarrowScanKernel:
+    """``scan_tree``'s one-statement range scan and its engine memo."""
+
+    @pytest.fixture()
+    def kernel_store(self):
+        with CrimsonStore.open() as store:
+            for seed in range(3):
+                store.load_tree(_named_random_tree(seed), name=f"r{seed}", f=4)
+            yield store
+
+    def _fresh(self, store, name, cache_size=4096):
+        return store.open_tree(name, cache_size=cache_size)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_node_row_extraction(self, kernel_store, seed):
+        handle = self._fresh(kernel_store, f"r{seed}")
+        assert handle.info.n_nodes > 400
+        reference = _row_scan(self._fresh(kernel_store, f"r{seed}"))
+        assert scan_tree(handle) == reference
+        # Repeats (memoised) and uncacheable trees give the same slots.
+        assert scan_tree(handle) == reference
+        assert scan_tree(self._fresh(kernel_store, f"r{seed}", 64)) == reference
+
+    def test_cold_is_one_statement_and_warm_is_none(self, kernel_store):
+        handle = self._fresh(kernel_store, "r0")
+        with handle.db.count_statements() as counter:
+            scan_tree(handle)
+        assert counter.count == 1
+        assert handle.engine.scan_resident
+        with handle.db.count_statements() as counter:
+            scan_tree(handle)
+            stored_bipartitions(handle)
+        assert counter.count == 0
+
+    def test_scan_leaves_the_row_caches_alone(self, kernel_store):
+        handle = self._fresh(kernel_store, "r0")
+        scan_tree(handle)
+        assert handle.cache_stats()["total"].size == 0
+
+    def test_tree_larger_than_cache_is_never_memoised(self, kernel_store):
+        handle = self._fresh(kernel_store, "r1", cache_size=64)
+        assert handle.info.n_nodes > 64
+        for _ in range(3):
+            with handle.db.count_statements() as counter:
+                scan_tree(handle)
+            assert counter.count == 1
+        assert not handle.engine.scan_resident
+
+    def test_clear_cache_makes_the_scan_cold_again(self, kernel_store):
+        handle = self._fresh(kernel_store, "r2")
+        scan_tree(handle)
+        handle.clear_cache()
+        assert not handle.engine.scan_resident
+        with handle.db.count_statements() as counter:
+            scan_tree(handle)
+        assert counter.count == 1
+
+    def test_stale_handle_raises_storage_error(self, kernel_store):
+        handle = self._fresh(kernel_store, "r0")
+        kernel_store.trees.delete_tree("r0")
+        with pytest.raises(StorageError, match="no longer stored"):
+            scan_tree(handle)
+        assert not handle.engine.scan_resident
+
+    def test_sharded_store_scans_the_shard_reader(self, tmp_path):
+        with CrimsonStore.open(tmp_path / "s.db", shards=2) as store:
+            for seed in range(2):
+                store.load_tree(_named_random_tree(seed), name=f"r{seed}", f=4)
+            handles = [self._fresh(store, f"r{seed}") for seed in range(2)]
+            assert any(handle.db is not store.db for handle in handles)
+            for handle in handles:
+                reference = _row_scan(self._fresh(store, handle.info.name))
+                with handle.db.count_statements() as counter:
+                    assert scan_tree(handle) == reference
+                assert counter.count == 1
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_estimate_bounds_actual_statements_and_rows(
+        self, kernel_store, monkeypatch, warm
+    ):
+        names = ["r0", "r1", "r2"]
+        handles = [self._fresh(kernel_store, name) for name in names]
+        if warm:
+            for handle in handles:
+                scan_tree(handle)
+        db = handles[0].db
+        fetched = []
+        query_all = db.query_all
+
+        def counting(*args, **kwargs):
+            rows = query_all(*args, **kwargs)
+            fetched.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(db, "query_all", counting)
+        request = AnalyticsRequest.consensus(*names)
+        estimate = estimate_analytics(request, handles)
+        with db.count_statements() as counter:
+            stored_consensus(handles)
+        assert estimate.statements >= counter.count
+        assert estimate.rows >= sum(fetched)
+        if warm:
+            assert counter.count == estimate.statements == 0
+            assert estimate.rows == 0 and estimate.warm_fraction == 1.0
+        else:
+            assert counter.count == estimate.statements == len(names)
+            assert estimate.rows == sum(h.info.n_nodes for h in handles)

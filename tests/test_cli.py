@@ -3,6 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +67,9 @@ class TestParser:
         ):
             assert parser.parse_args(command).command == command[0]
 
+    def test_serve_accepts_port_zero(self):
+        assert build_parser().parse_args(["serve", "--port", "0"]).port == 0
+
 
 class TestArgumentValidation:
     """Bad numeric flags exit 2 with a one-line message, no traceback."""
@@ -71,7 +80,8 @@ class TestArgumentValidation:
         (["--shards", "0", "list"], "must be at least 1"),
         (["--shards", "-3", "list"], "must be at least 1"),
         (["--cache-size", "0", "list"], "must be at least 1"),
-        (["serve", "--port", "0"], "between 1 and 65535"),
+        (["ping", "--port", "0"], "between 1 and 65535"),
+        (["serve", "--port", "-1"], "or 0 for a free one"),
         (["serve", "--port", "65536"], "between 1 and 65535"),
         (["serve", "--port", "meh"], "is not an integer"),
     ]
@@ -459,3 +469,35 @@ class TestMonitoringCommands:
     def test_top_rejects_negative_iterations(self, loaded, capsys):
         with pytest.raises(SystemExit):
             run(loaded, "top", "--iterations", "-1")
+
+
+class TestServeOnAFreePort:
+    def test_banner_names_the_port_the_os_picked(self, loaded, capsys):
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(__file__).parents[1] / "src"),
+                          env.get("PYTHONPATH")])
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli.main", "--db", loaded,
+             "serve", "--port", "0", "--drain-timeout", "2"],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+        )
+        try:
+            banner = process.stdout.readline()
+            match = re.search(r" on 127\.0\.0\.1:(\d+) ", banner)
+            assert match, banner
+            port = match.group(1)
+            assert port != "0"
+            assert main(["ping", "--host", "127.0.0.1", "--port", port]) == 0
+            assert json.loads(capsys.readouterr().out)["transport"] == "tcp"
+            process.send_signal(signal.SIGTERM)
+            process.communicate(timeout=20)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate(timeout=10)
+        assert process.returncode == 0

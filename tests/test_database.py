@@ -114,6 +114,20 @@ class TestSchema:
         assert "idx_nodes_dist" in names
 
 
+class TestQueryHelpers:
+    def test_plain_rows_are_tuples_and_count_as_statements(self, db):
+        before = db.statements_executed
+        rows = db.query_all("SELECT key, value FROM meta ORDER BY key")
+        plain = db.query_all(
+            "SELECT key, value FROM meta ORDER BY key", plain=True
+        )
+        assert db.statements_executed == before + 2
+        assert all(type(row) is tuple for row in plain)
+        assert plain == [tuple(row) for row in rows]
+        # The connection default is untouched by a plain read.
+        assert db.query_one("SELECT 1 AS one")["one"] == 1
+
+
 class TestTransactions:
     def test_commit_on_success(self, db):
         with db.transaction() as connection:

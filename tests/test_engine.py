@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analytics.bipartitions import scan_tree
 from repro.core.lca import LcaService
 from repro.errors import QueryError, StorageError
 from repro.storage.cache import CacheStats, LRUCache
 from repro.storage.projection import project_stored
+from repro.storage.sanitize import record_statements
+from repro.storage.store import CrimsonStore
 from repro.storage.tree_repository import TreeRepository
 from repro.trees.build import balanced, caterpillar, sample_tree
 from repro.trees.traversal import naive_lca
@@ -385,3 +388,40 @@ class TestBatchedProjection:
         with db.count_statements() as counter:
             project_stored(stored, names)
         assert counter.count == 0
+
+
+class TestQueryPlans:
+    """Tree-scoped lookups search their index, never the whole tree.
+
+    Without planner statistics SQLite prefers the primary key's
+    ``tree_id`` prefix — a walk over every row of the tree — to a
+    secondary index, so each lookup pins its index with ``INDEXED BY``.
+    The plans are read on a store holding two trees, where the
+    ``tree_id`` prefix alone does not narrow the rows.
+    """
+
+    def test_every_lookup_plan_narrows_below_the_tree(self, sanitized):
+        with CrimsonStore.open() as store:
+            store.load_tree(caterpillar(60), name="first", f=4)
+            store.load_tree(caterpillar(80), name="second", f=4)
+            handle = store.open_tree("second", cache_size=4096)
+            with record_statements() as recorded:
+                handle.node_by_name("t7")
+                handle.nodes_by_name(["t1", "t2", "t3"])
+                handle.children(1)
+                handle.engine.canonical_inode(5)
+                handle.engine.canonical_inodes_many([6, 7, 8])
+                scan_tree(handle)
+            assert len(recorded) == 6
+            plans = {}
+            for _, sql in recorded:
+                rows = store.db.connection.execute(
+                    "EXPLAIN QUERY PLAN " + sql, (1,) * sql.count("?")
+                ).fetchall()
+                plans[sql] = " | ".join(row[3] for row in rows)
+        for sql, plan in plans.items():
+            assert "(tree_id=?)" not in plan, (sql, plan)
+        used = " ".join(plans.values())
+        for index in ("idx_nodes_name", "idx_nodes_parent", "idx_inodes_orig"):
+            assert f"USING INDEX {index} (tree_id=? AND" in used
+        assert "PRIMARY KEY (tree_id=? AND node_id>? AND node_id<?)" in used

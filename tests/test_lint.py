@@ -11,6 +11,7 @@ protocol-exhaustiveness rule names every surface the unwired
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -344,10 +345,18 @@ class TestRunnerAndOutput:
             assert rule.rule_id in out
 
     def test_python_dash_m_entry_point(self):
+        # The child does not inherit pytest's ``pythonpath`` setting, so
+        # a clean checkout must hand it ``src`` explicitly.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(__file__).parents[1] / "src"),
+                          env.get("PYTHONPATH")])
+        )
         result = subprocess.run(
             [sys.executable, "-m", "repro.lint", "--list-rules"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0
         assert "layering-sqlite3" in result.stdout

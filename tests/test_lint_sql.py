@@ -135,6 +135,46 @@ class TestSqlRules:
         assert not findings, "\n".join(f.render() for f in findings)
 
 
+    def test_indexed_by_names_an_index_not_a_column(self, tmp_path):
+        info = parse_statement(
+            "SELECT c.name FROM nodes AS c INDEXED BY idx_nodes_parent "
+            "WHERE c.tree_id = ? AND c.parent_id = ?"
+        )
+        assert info.tables == {"nodes"}
+        assert info.aliases == {"c": "nodes"}
+        assert info.index_hints == [("nodes", "idx_nodes_parent")]
+        assert info.column_refs == [
+            ("c", "name"), ("c", "tree_id"), ("c", "parent_id"),
+        ]
+
+        (tmp_path / "storage").mkdir()
+        (tmp_path / "storage" / "schema.py").write_text(
+            'TABLE_COLUMNS = {"t": ("k", "v"), "u": ("k",)}\n'
+            "DDL_STATEMENTS = (\n"
+            '    "CREATE TABLE IF NOT EXISTS t (k INTEGER, v TEXT)",\n'
+            '    "CREATE TABLE IF NOT EXISTS u (k INTEGER)",\n'
+            '    "CREATE INDEX IF NOT EXISTS idx_t_v ON t(k, v)",\n'
+            ")\n"
+            "SHARD_DDL_STATEMENTS = ()\n"
+        )
+        (tmp_path / "storage" / "repo.py").write_text(
+            "def lookups(db):\n"
+            '    db.query_all("SELECT k FROM t INDEXED BY idx_t_v '
+            'WHERE k = ? AND v = ?", (1, 2))\n'
+            '    db.query_all("SELECT k FROM t INDEXED BY idx_gone '
+            'WHERE k = ?", (1,))\n'
+            '    db.query_all("SELECT k FROM u INDEXED BY idx_t_v '
+            'WHERE k = ?", (1,))\n'
+        )
+        _, findings = lint_project(tmp_path, SQL)
+        assert [(f.rule, f.line) for f in findings] == [
+            ("sql-schema", 3),
+            ("sql-schema", 4),
+        ]
+        assert "'idx_gone'" in findings[0].message
+        assert "on table 'u'" in findings[1].message
+
+
 class TestWireRules:
     def test_seeded_violations_are_found(self):
         findings = lint_fixture("wire_drift", WIRE)

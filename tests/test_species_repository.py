@@ -78,6 +78,48 @@ class TestFetch:
             species.sequences_for(stored, ["Lla", "Spy"])
 
 
+class TestSetBasedReads:
+    """Sample fetches and attaches resolve names and rows in batches."""
+
+    @pytest.fixture
+    def wide(self, db):
+        from repro.trees.build import caterpillar
+
+        stored = TreeRepository(db).store_tree(caterpillar(900), name="wide")
+        species = SpeciesRepository(db)
+        names = [f"t{i}" for i in range(1, 901)]
+        species.attach_sequences(stored, {name: name[::-1] for name in names})
+        return stored, species, names
+
+    def test_sample_fetch_is_two_statements(self, db, wide):
+        stored, species, names = wide
+        stored.clear_cache()
+        sample = names[::3]  # 300 taxa: one IN (...) chunk each way
+        with db.count_statements() as counter:
+            fetched = species.sequences_for(stored, sample)
+        assert counter.count == 2
+        assert fetched == {name: name[::-1] for name in sample}
+        assert list(fetched) == sample
+
+    def test_large_sample_reads_in_chunks(self, db, wide):
+        stored, species, names = wide
+        stored.clear_cache()
+        with db.count_statements() as counter:
+            fetched = species.sequences_for(stored, names + names[:5])
+        assert counter.count == 2 * 3  # 900 keys: three 400-key chunks
+        assert len(fetched) == 900
+
+    def test_missing_taxon_and_missing_data_are_named(self, db, wide):
+        stored, species, names = wide
+        with pytest.raises(QueryError, match="no node named 'ghost'"):
+            species.sequences_for(stored, ["t1", "ghost"])
+        with pytest.raises(QueryError, match="no node named 'ghost'"):
+            species.attach_sequences(stored, {"t2": "A", "ghost": "C"})
+        bare = TreeRepository(db).store_tree(stored.fetch_tree(), name="bare")
+        with pytest.raises(QueryError, match="no species data for 't7'"):
+            species.sequences_for(bare, ["t7", "t8"])
+
+
 class TestCountAndDelete:
     def test_count(self, setup):
         stored, species = setup
