@@ -112,8 +112,14 @@ def build_tree_from_clusters(
     # Interior nodes created so far, keyed by their cluster.
     interior: dict[frozenset[str], Node] = {root_cluster: root}
 
-    # Insert big clusters first so parents exist before children.
-    for cluster in sorted(set(cluster_sets), key=len, reverse=True):
+    # Insert big clusters first so parents exist before children.  Two
+    # distinct compatible clusters of one size are disjoint, so the
+    # smallest name breaks every tie: children are attached in the same
+    # order whatever order (or hash seed) the clusters came in.
+    by_size = sorted(
+        set(cluster_sets), key=lambda c: (-len(c), min(c, default=""))
+    )
+    for cluster in by_size:
         if not cluster or cluster == root_cluster:
             continue
         parent_cluster = _smallest_superset(interior, cluster)

@@ -139,6 +139,11 @@ class LRUCache:
     def pinned_count(self) -> int:
         return len(self._pinned)
 
+    def is_pinned(self, key: Hashable) -> bool:
+        """Whether ``key`` sits in the pinned segment; like ``in``, not
+        a lookup and no recency refresh."""
+        return key in self._pinned
+
     def get(self, key: Hashable, default: Any = None) -> Any:
         """Fetch ``key``, refreshing its recency; counts a hit or miss."""
         value = self._pinned.get(key, _MISSING)

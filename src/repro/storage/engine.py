@@ -8,13 +8,17 @@ time.  :class:`StoredQueryEngine` sits between the query layer and
 :class:`~repro.storage.database.CrimsonDatabase` and makes the hot path
 cheap in four ways:
 
-1. **Bounded LRU row caches.**  Stored trees are immutable, and the
-   index's upper layers are tiny (``O(n/f)`` rows), so block, inode,
-   node, and canonical-inode rows are cached per handle.  A warm repeat
-   query executes **zero** SQL statements.  Every fetched row is
-   cross-populated under all its lookup keys (an inode is cached by id
-   *and* by ``(block, label)``; a canonical inode also by its original
-   node id), so one access path warms the others.
+1. **Bounded LRU caches of typed rows.**  Stored trees are immutable,
+   and the index's upper layers are tiny (``O(n/f)`` rows), so block,
+   inode, node, and canonical-inode rows are cached per handle.  A warm
+   repeat query executes **zero** SQL statements.  Each row is
+   converted once, when it is fetched, into a frozen
+   :mod:`repro.storage.rows` record — a ``NodeRow`` the query layer
+   returns as is, an ``InodeRow`` whose Dewey label is already a tuple
+   — so a hit does no column lookups and no label parsing.  Every
+   fetched row is cross-populated under all its lookup keys (an inode
+   is cached by id *and* by ``(block, label tuple)``; a canonical inode
+   also by its original node id), so one access path warms the others.
 2. **Batch fetches.**  ``*_many`` methods resolve whole key sets with
    chunked ``IN (...)`` queries, filling the caches in one round trip —
    the backbone of ``StoredTree.lca_batch`` and the batched
@@ -26,7 +30,10 @@ cheap in four ways:
    such as
    :meth:`~repro.storage.tree_repository.StoredTree.preorder_rows`)
    churns only the probationary segment and can never evict them, so
-   the warm-path statement bound survives adversarial scan loads.
+   the warm-path statement bound survives adversarial scan loads.  A
+   probationary inode the walk reaches through the skeleton is promoted
+   once; a hit on an inode that is already pinned is a single ``get``
+   with no re-put, so a warm walk writes nothing to the caches.
 4. **A narrow scan beside the caches.**  The analytics subsystem needs
    four columns of every row, once per tree.  :meth:`scan_rows` reads
    them with one primary-key range statement as plain tuples, without
@@ -41,8 +48,13 @@ bounds **each segment** of each of the six row caches; memory is
 therefore at most ``6 · cache_size`` probationary rows plus the pinned
 index rows (at most ``cache_size`` each for the inode/block caches,
 and in practice only the ``O(n/f)`` upper-layer rows) per open handle,
-plus at most ``cache_size`` four-column tuples of scan memo.  Pass it
-through ``TreeRepository(db, cache_size=...)``, ``TreeRepository.open(name,
+plus at most ``cache_size`` four-column tuples of scan memo.  The six
+caches and the scan memo are the only state: there is no module-level
+memo, so nothing outlives the handle.  A cached row is a slotted record
+no larger than the ``sqlite3.Row`` (and its value tuple) it replaces;
+an inode's label tuple takes the place of its dotted string, and the
+inode caches share one record per row.  Pass ``cache_size`` through
+``TreeRepository(db, cache_size=...)``, ``TreeRepository.open(name,
 cache_size=...)``, or the CLI's global ``--cache-size`` flag.  Sizing
 guidance: blocks and inodes above layer 0 number about ``n/f`` and
 ``n/(f-1)`` rows, so a cache of ``n/f`` entries makes every upper-layer
@@ -64,8 +76,17 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from repro.core.dewey import DeweyLabel, label_to_string
 from repro.storage.cache import CacheStats, LRUCache
-from repro.storage.database import CrimsonDatabase, Row
+from repro.storage.database import CrimsonDatabase
+from repro.storage.rows import (
+    BlockRow,
+    InodeRow,
+    NodeRow,
+    as_block_row,
+    as_inode_row,
+    as_node_row,
+)
 
 DEFAULT_CACHE_SIZE = 4096
 """Default per-cache entry bound (see module docstring for sizing)."""
@@ -94,11 +115,13 @@ class StoredQueryEngine:
 
     Notes
     -----
-    The engine returns raw :class:`Row` objects (or ``None`` for
-    absent keys) and never raises domain errors itself — the query layer
-    owns the ``QueryError`` / ``StorageError`` vocabulary.  Rows of a
-    stored tree never change, so cached rows cannot go stale; deleting
-    and re-storing a tree allocates a fresh ``tree_id`` and therefore a
+    The engine returns typed rows (:class:`~repro.storage.rows.NodeRow`,
+    :class:`~repro.storage.rows.InodeRow`,
+    :class:`~repro.storage.rows.BlockRow`, or ``None`` for absent keys)
+    and never raises domain errors itself — the query layer owns the
+    ``QueryError`` / ``StorageError`` vocabulary.  Rows of a stored tree
+    never change, so cached rows cannot go stale; deleting and
+    re-storing a tree allocates a fresh ``tree_id`` and therefore a
     fresh handle.
     """
 
@@ -111,12 +134,12 @@ class StoredQueryEngine:
         self.db = db
         self.tree_id = tree_id
         self.cache_size = cache_size
-        self._nodes = LRUCache(cache_size)  # node_id -> nodes row
+        self._nodes = LRUCache(cache_size)  # node_id -> NodeRow
         self._node_ids = LRUCache(cache_size)  # name -> node_id
-        self._canonical = LRUCache(cache_size)  # node_id -> inode row
-        self._inodes = LRUCache(cache_size)  # inode_id -> inode row
-        self._inode_at = LRUCache(cache_size)  # (block, label) -> inode row
-        self._blocks = LRUCache(cache_size)  # block_id -> blocks row
+        self._canonical = LRUCache(cache_size)  # node_id -> InodeRow
+        self._inodes = LRUCache(cache_size)  # inode_id -> InodeRow
+        self._inode_at = LRUCache(cache_size)  # (block, label) -> InodeRow
+        self._blocks = LRUCache(cache_size)  # block_id -> BlockRow
         # The whole-tree narrow scan, kept only when it fits one cache.
         self._scan: list[tuple] | None = None
 
@@ -124,61 +147,58 @@ class StoredQueryEngine:
     # Cache plumbing
     # ------------------------------------------------------------------
 
-    def _remember_node(self, row: Row) -> Row:
-        self._nodes.put(row["node_id"], row)
-        if row["name"] is not None:
-            self._node_ids.put(row["name"], row["node_id"])
+    def _remember_node(self, values: Sequence) -> NodeRow:
+        row = as_node_row(values)
+        self._nodes.put(row.node_id, row)
+        if row.name is not None:
+            self._node_ids.put(row.name, row.node_id)
         return row
 
-    def _remember_inode(
-        self, row: Row, pin: bool = False
-    ) -> Row:
+    def _remember_inode(self, row: InodeRow, pin: bool = False) -> InodeRow:
         # Upper-layer inodes are part of the O(n/f) skeleton of every
         # layered walk: pin them so layer-0 scans cannot evict them.
         # Callers set ``pin`` for layer-0 rows reached through the
         # skeleton too (block root/source/rep chains — also O(n/f)).
         # The canonical cache is keyed per node (O(n)) and stays
         # probationary.
-        pinned = pin or row["layer"] > 0
-        self._inodes.put(row["inode_id"], row, pinned=pinned)
-        self._inode_at.put(
-            (row["block_id"], row["local_label"]), row, pinned=pinned
-        )
-        if row["is_canonical"] and row["orig_node_id"] is not None:
-            self._canonical.put(row["orig_node_id"], row)
+        pinned = pin or row.layer > 0
+        self._inodes.put(row.inode_id, row, pinned=pinned)
+        self._inode_at.put((row.block_id, row.label), row, pinned=pinned)
+        if row.is_canonical and row.orig_node_id is not None:
+            self._canonical.put(row.orig_node_id, row)
         return row
 
     # ------------------------------------------------------------------
     # Node rows
     # ------------------------------------------------------------------
 
-    def node_row(self, node_id: int) -> Row | None:
+    def node_row(self, node_id: int) -> NodeRow | None:
         row = self._nodes.get(node_id)
         if row is not None:
             return row
-        row = self.db.query_one(
+        values = self.db.query_one(
             "SELECT * FROM nodes WHERE tree_id = ? AND node_id = ?",
             (self.tree_id, node_id),
         )
-        return self._remember_node(row) if row is not None else None
+        return self._remember_node(values) if values is not None else None
 
-    def node_row_by_name(self, name: str) -> Row | None:
+    def node_row_by_name(self, name: str) -> NodeRow | None:
         node_id = self._node_ids.get(name)
         if node_id is not None:
             cached = self._nodes.get(node_id)
             if cached is not None:
                 return cached
-        row = self.db.query_one(
+        values = self.db.query_one(
             "SELECT * FROM nodes INDEXED BY idx_nodes_name "
             "WHERE tree_id = ? AND name = ?",
             (self.tree_id, name),
         )
-        return self._remember_node(row) if row is not None else None
+        return self._remember_node(values) if values is not None else None
 
-    def node_rows_many(self, node_ids: Iterable[int]) -> dict[int, Row]:
+    def node_rows_many(self, node_ids: Iterable[int]) -> dict[int, NodeRow]:
         """Resolve many node ids at once, via cache + ``IN (...)`` fills."""
         wanted = list(dict.fromkeys(node_ids))
-        found: dict[int, Row] = {}
+        found: dict[int, NodeRow] = {}
         missing: list[int] = []
         for node_id in wanted:
             row = self._nodes.get(node_id)
@@ -188,18 +208,22 @@ class StoredQueryEngine:
                 missing.append(node_id)
         for chunk in chunked(missing):
             placeholders = ",".join("?" for _ in chunk)
-            for row in self.db.query_all(
+            for values in self.db.query_all(
                 f"SELECT * FROM nodes WHERE tree_id = ? "
                 f"AND node_id IN ({placeholders})",
                 (self.tree_id, *chunk),
+                plain=True,
             ):
-                found[row["node_id"]] = self._remember_node(row)
+                row = self._remember_node(values)
+                found[row.node_id] = row
         return found
 
-    def node_rows_by_names(self, names: Iterable[str]) -> dict[str, Row]:
+    def node_rows_by_names(
+        self, names: Iterable[str]
+    ) -> dict[str, NodeRow]:
         """Resolve many taxon names at once (absent names are omitted)."""
         wanted = list(dict.fromkeys(names))
-        found: dict[str, Row] = {}
+        found: dict[str, NodeRow] = {}
         missing: list[str] = []
         for name in wanted:
             node_id = self._node_ids.get(name)
@@ -210,13 +234,14 @@ class StoredQueryEngine:
                 missing.append(name)
         for chunk in chunked(missing):
             placeholders = ",".join("?" for _ in chunk)
-            for row in self.db.query_all(
+            for values in self.db.query_all(
                 f"SELECT * FROM nodes INDEXED BY idx_nodes_name "
                 f"WHERE tree_id = ? AND name IN ({placeholders})",
                 (self.tree_id, *chunk),
+                plain=True,
             ):
-                self._remember_node(row)
-                found[row["name"]] = row
+                row = self._remember_node(values)
+                found[row.name] = row
         return found
 
     def scan_rows(self, n_nodes: int) -> list[tuple]:
@@ -251,20 +276,22 @@ class StoredQueryEngine:
     # Index rows (inodes / blocks)
     # ------------------------------------------------------------------
 
-    def canonical_inode(self, node_id: int) -> Row | None:
+    def canonical_inode(self, node_id: int) -> InodeRow | None:
         row = self._canonical.get(node_id)
         if row is not None:
             return row
-        row = self.db.query_one(
+        values = self.db.query_one(
             "SELECT * FROM inodes INDEXED BY idx_inodes_orig "
             "WHERE tree_id = ? AND orig_node_id = ? AND is_canonical = 1",
             (self.tree_id, node_id),
         )
-        return self._remember_inode(row) if row is not None else None
+        if values is None:
+            return None
+        return self._remember_inode(as_inode_row(values))
 
     def canonical_inodes_many(
         self, node_ids: Iterable[int]
-    ) -> dict[int, Row]:
+    ) -> dict[int, InodeRow]:
         """Resolve all canonical inodes of ``node_ids`` in one pass.
 
         This is the single ``IN (...)`` query the batched LCA and
@@ -272,7 +299,7 @@ class StoredQueryEngine:
         in one round trip instead of one point query per leaf.
         """
         wanted = list(dict.fromkeys(node_ids))
-        found: dict[int, Row] = {}
+        found: dict[int, InodeRow] = {}
         missing: list[int] = []
         for node_id in wanted:
             row = self._canonical.get(node_id)
@@ -282,17 +309,18 @@ class StoredQueryEngine:
                 missing.append(node_id)
         for chunk in chunked(missing):
             placeholders = ",".join("?" for _ in chunk)
-            for row in self.db.query_all(
+            for values in self.db.query_all(
                 f"SELECT * FROM inodes INDEXED BY idx_inodes_orig "
                 f"WHERE tree_id = ? AND is_canonical = 1 "
                 f"AND orig_node_id IN ({placeholders})",
                 (self.tree_id, *chunk),
+                plain=True,
             ):
-                self._remember_inode(row)
-                found[row["orig_node_id"]] = row
+                row = self._remember_inode(as_inode_row(values))
+                found[row.orig_node_id] = row
         return found
 
-    def inode(self, inode_id: int, pin: bool = False) -> Row | None:
+    def inode(self, inode_id: int, pin: bool = False) -> InodeRow | None:
         """Fetch an inode by id; ``pin`` marks it as index skeleton.
 
         The LCA walk sets ``pin`` when resolving block root/source/rep
@@ -302,39 +330,47 @@ class StoredQueryEngine:
         """
         row = self._inodes.get(inode_id)
         if row is not None:
-            if pin:
+            if pin and not self._inodes.is_pinned(inode_id):
                 # Promote a probationary hit: once an inode is known to
-                # be skeleton, scans must not evict it.
+                # be skeleton, scans must not evict it.  A pinned hit
+                # is already there and costs no re-put.
                 self._remember_inode(row, pin=True)
             return row
-        row = self.db.query_one(
+        values = self.db.query_one(
             "SELECT * FROM inodes WHERE tree_id = ? AND inode_id = ?",
             (self.tree_id, inode_id),
         )
-        return self._remember_inode(row, pin=pin) if row is not None else None
+        if values is None:
+            return None
+        return self._remember_inode(as_inode_row(values), pin=pin)
 
-    def inode_at(self, block_id: int, label: str) -> Row | None:
+    def inode_at(self, block_id: int, label: DeweyLabel) -> InodeRow | None:
+        """The inode at ``label`` (a parsed Dewey tuple) of a block."""
         row = self._inode_at.get((block_id, label))
         if row is not None:
             return row
-        row = self.db.query_one(
+        values = self.db.query_one(
             "SELECT * FROM inodes WHERE tree_id = ? AND block_id = ? "
             "AND local_label = ?",
-            (self.tree_id, block_id, label),
+            (self.tree_id, block_id, label_to_string(label)),
         )
-        return self._remember_inode(row) if row is not None else None
+        if values is None:
+            return None
+        return self._remember_inode(as_inode_row(values))
 
-    def block(self, block_id: int) -> Row | None:
+    def block(self, block_id: int) -> BlockRow | None:
         row = self._blocks.get(block_id)
         if row is not None:
             return row
-        row = self.db.query_one(
+        values = self.db.query_one(
             "SELECT * FROM blocks WHERE tree_id = ? AND block_id = ?",
             (self.tree_id, block_id),
         )
-        if row is not None:
-            # All block rows are index skeleton (O(n/f) of them): pinned.
-            self._blocks.put(block_id, row, pinned=True)
+        if values is None:
+            return None
+        row = as_block_row(values)
+        # All block rows are index skeleton (O(n/f) of them): pinned.
+        self._blocks.put(block_id, row, pinned=True)
         return row
 
     # ------------------------------------------------------------------

@@ -241,7 +241,8 @@ class CrimsonStore:
         self._placement_cursor = -1
         # Bumped by TreeRepository.delete_tree (via the hook below) so
         # every thread's cached handles revalidate after a catalogue
-        # mutation — a deleted-and-restored name gets a fresh tree_id.
+        # mutation: a handle whose name still resolves to its tree_id is
+        # kept, a deleted-and-restored name gets a fresh one.
         self._catalogue_epoch = 0
 
     @classmethod
@@ -428,7 +429,7 @@ class CrimsonStore:
             return tied[self._placement_cursor % len(tied)]
 
     def _bump_catalogue_epoch(self) -> None:
-        """Invalidate every thread's cached handles (catalogue changed)."""
+        """Make every thread's cached handles revalidate on next use."""
         self._catalogue_epoch += 1
 
     def _resolve_info(self, reader: CrimsonDatabase, name: str):
@@ -486,11 +487,16 @@ class CrimsonStore:
         The catalogue row (read on this thread's primary reader) names
         the shard holding the tree's rows; the handle then binds to this
         thread's pooled reader on that shard.  Handles (and their warm
-        row caches) are cached per thread and per tree, and revalidated
-        after any ``delete_tree`` through this store (a re-stored name
-        gets a fresh ``tree_id``).  Mutations made through *another*
-        store or process are not observed; pass an explicit
-        ``cache_size`` to get a fresh, uncached handle.
+        row caches) are cached per thread and per tree.  After any
+        ``delete_tree`` through this store, each cached handle is
+        revalidated on its next use, tree by tree: the name is looked
+        up in the catalogue again, and the handle is kept — row caches
+        and scan memo intact — when it still resolves to the same
+        ``tree_id``.  Stored rows never change and ids are never
+        re-issued, so the same id means the same rows; a re-stored
+        name gets a fresh ``tree_id`` and so a fresh handle.  Mutations
+        made through *another* store or process are not observed; pass
+        an explicit ``cache_size`` to get a fresh, uncached handle.
 
         Raises
         ------
@@ -507,11 +513,15 @@ class CrimsonStore:
             handles = self._local.handles = {}
         epoch = self._catalogue_epoch
         entry = handles.get(name)
-        if entry is not None:
-            cached_epoch, handle = entry
-            if cached_epoch == epoch and not handle.db.is_closed:
-                return handle
+        cached = None
+        if entry is not None and not entry[1].db.is_closed:
+            cached_epoch, cached = entry
+            if cached_epoch == epoch:
+                return cached
         info = self._resolve_info(self.reader_database(), name)
+        if cached is not None and cached.info.tree_id == info.tree_id:
+            handles[name] = (epoch, cached)
+            return cached
         handle = StoredTree(
             self.shard_reader(info.shard), info, self.cache_size
         )

@@ -12,9 +12,11 @@ fetches* — no in-memory index is rebuilt — demonstrating the paper's
 point that single queries touch only a small portion of a huge tree.
 Row access is mediated by a per-handle
 :class:`~repro.storage.engine.StoredQueryEngine`, which LRU-caches the
-immutable block/inode/node rows and batches multi-key fetches, so the
-warm path executes zero SQL statements and ``lca_batch`` resolves whole
-workloads with a handful of ``IN (...)`` queries.
+immutable block/inode/node rows as typed records
+(:mod:`repro.storage.rows`) and batches multi-key fetches, so the warm
+path executes zero SQL statements and ``lca_batch`` resolves whole
+workloads with a handful of ``IN (...)`` queries.  :class:`NodeRow`
+lives in :mod:`repro.storage.rows` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -23,45 +25,17 @@ import datetime as _datetime
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.dewey import (
-    DeweyLabel,
-    common_prefix,
-    label_from_string,
-    label_to_string,
-)
+from repro.core.dewey import DeweyLabel, common_prefix, label_to_string
 from repro.core.hindex import HierarchicalIndex
 from repro.core.lca import DEFAULT_LABEL_BOUND
 from repro.errors import QueryError, StorageError
 from repro.storage.cache import CacheStats
 from repro.storage.database import CrimsonDatabase, unwrap_database
 from repro.storage.engine import DEFAULT_CACHE_SIZE, StoredQueryEngine
+from repro.storage.rows import BlockRow, InodeRow, NodeRow, as_node_row
 from repro.trees.node import Node
 from repro.trees.traversal import preorder_intervals
 from repro.trees.tree import PhyloTree
-
-
-@dataclass(frozen=True)
-class NodeRow:
-    """One row of the ``nodes`` table (a node's structural facts)."""
-
-    node_id: int
-    parent_id: int | None
-    child_order: int
-    name: str | None
-    edge_length: float
-    depth: int
-    dist_from_root: float
-    pre_order_end: int
-    is_leaf: bool
-
-    @property
-    def subtree_interval(self) -> tuple[int, int]:
-        """Pre-order interval ``[node_id, pre_order_end]`` of the clade."""
-        return (self.node_id, self.pre_order_end)
-
-    def contains(self, node_id: int) -> bool:
-        """Ancestor-or-self test: is ``node_id`` inside this clade?"""
-        return self.node_id <= node_id <= self.pre_order_end
 
 
 @dataclass(frozen=True)
@@ -507,8 +481,18 @@ class StoredTree:
     :class:`~repro.storage.engine.StoredQueryEngine`: stored rows are
     immutable, so the engine's LRU caches make repeated block/inode hops
     free, and its ``IN (...)`` batch fills back :meth:`lca_batch` and
-    :meth:`nodes_by_name`.  ``cache_size`` bounds each row cache;
-    :meth:`cache_stats` exposes the counters.
+    :meth:`nodes_by_name`.  Cached ``NodeRow`` records are returned as they
+    are; scan-shaped reads (:meth:`clade`, :meth:`leaves`,
+    :meth:`leaves_in_subtree`, ...) build theirs by position from plain
+    tuples.  ``cache_size`` bounds each row cache; :meth:`cache_stats`
+    exposes the counters.
+
+    A handle is bound to one ``tree_id``.  ``CrimsonStore.open_tree``
+    caches handles per thread and, after a delete, revalidates them
+    tree by tree: a handle whose name still resolves to its
+    ``tree_id`` is kept with its warm caches, while a deleted and
+    re-stored name gets a new handle.  A handle held across the delete
+    of its own tree raises :class:`StorageError` on its next miss.
     """
 
     def __init__(
@@ -547,18 +531,12 @@ class StoredTree:
     # Row access
     # ------------------------------------------------------------------
 
-    def _node_row(self, row) -> NodeRow:
-        return NodeRow(
-            node_id=row["node_id"],
-            parent_id=row["parent_id"],
-            child_order=row["child_order"],
-            name=row["name"],
-            edge_length=row["edge_length"],
-            depth=row["depth"],
-            dist_from_root=row["dist_from_root"],
-            pre_order_end=row["pre_order_end"],
-            is_leaf=bool(row["is_leaf"]),
-        )
+    def _scan(self, sql: str, parameters: tuple) -> list[NodeRow]:
+        """``nodes`` rows of a scan-shaped read, built by position."""
+        return [
+            as_node_row(values)
+            for values in self.db.query_all(sql, parameters, plain=True)
+        ]
 
     def node(self, node_id: int) -> NodeRow:
         """Fetch a node by pre-order id.
@@ -573,7 +551,7 @@ class StoredTree:
             self._raise_missing(
                 f"no node {node_id} in tree {self.info.name!r}"
             )
-        return self._node_row(row)
+        return row
 
     def node_by_name(self, name: str) -> NodeRow:
         """Fetch a node by taxon name (index-backed point lookup).
@@ -588,7 +566,7 @@ class StoredTree:
             self._raise_missing(
                 f"no node named {name!r} in tree {self.info.name!r}"
             )
-        return self._node_row(row)
+        return row
 
     def nodes_by_name(self, names: Sequence[str]) -> list[NodeRow]:
         """Fetch many nodes by name in one batched ``IN (...)`` query.
@@ -627,10 +605,7 @@ class StoredTree:
                 f"tree {self.info.name!r} is missing node rows "
                 f"({len(found)} of {self.info.n_nodes})"
             )
-        return [
-            self._node_row(found[node_id])
-            for node_id in range(self.info.n_nodes)
-        ]
+        return [found[node_id] for node_id in range(self.info.n_nodes)]
 
     def scan_rows(self) -> list[tuple[int, int, int, str | None]]:
         """Every node's ``(node_id, pre_order_end, is_leaf, name)`` in
@@ -655,12 +630,11 @@ class StoredTree:
 
     def leaves(self) -> list[NodeRow]:
         """All leaf rows in pre-order."""
-        rows = self.db.query_all(
+        return self._scan(
             "SELECT * FROM nodes WHERE tree_id = ? AND is_leaf = 1 "
             "ORDER BY node_id",
             (self._tree_id,),
         )
-        return [self._node_row(row) for row in rows]
 
     def leaf_names(self) -> list[str]:
         """Names of all leaves in pre-order."""
@@ -668,23 +642,23 @@ class StoredTree:
             "SELECT name FROM nodes WHERE tree_id = ? AND is_leaf = 1 "
             "ORDER BY node_id",
             (self._tree_id,),
+            plain=True,
         )
-        return [row["name"] for row in rows]
+        return [name for (name,) in rows]
 
     def children(self, node_id: int) -> list[NodeRow]:
         """Child rows of a node, in child order."""
-        rows = self.db.query_all(
+        return self._scan(
             "SELECT * FROM nodes INDEXED BY idx_nodes_parent "
             "WHERE tree_id = ? AND parent_id = ? ORDER BY child_order",
             (self._tree_id, node_id),
         )
-        return [self._node_row(row) for row in rows]
 
     # ------------------------------------------------------------------
     # Layered LCA over SQL
     # ------------------------------------------------------------------
 
-    def _canonical_inode(self, node_id: int):
+    def _canonical_inode(self, node_id: int) -> InodeRow:
         row = self.engine.canonical_inode(node_id)
         if row is None:
             raise StorageError(
@@ -692,7 +666,7 @@ class StoredTree:
             )
         return row
 
-    def _inode(self, inode_id: int):
+    def _inode(self, inode_id: int) -> InodeRow:
         # Only ever called to resolve block root/source/rep references,
         # which are index skeleton: pin them against layer-0 scans.
         row = self.engine.inode(inode_id, pin=True)
@@ -700,8 +674,8 @@ class StoredTree:
             raise StorageError(f"index corrupt: missing inode {inode_id}")
         return row
 
-    def _inode_at(self, block_id: int, label: DeweyLabel):
-        row = self.engine.inode_at(block_id, label_to_string(label))
+    def _inode_at(self, block_id: int, label: DeweyLabel) -> InodeRow:
+        row = self.engine.inode_at(block_id, label)
         if row is None:
             raise StorageError(
                 f"index corrupt: no inode at block {block_id} "
@@ -709,7 +683,7 @@ class StoredTree:
             )
         return row
 
-    def _block(self, block_id: int):
+    def _block(self, block_id: int) -> BlockRow:
         row = self.engine.block(block_id)
         if row is None:
             raise StorageError(f"index corrupt: missing block {block_id}")
@@ -739,40 +713,31 @@ class StoredTree:
             return row_b
         inode_a = self._canonical_inode(row_a.node_id)
         inode_b = self._canonical_inode(row_b.node_id)
-        result = self._lca_inode(inode_a, inode_b)
-        orig = result["orig_node_id"]
+        orig = self._lca_inode(inode_a, inode_b).orig_node_id
         if orig is None:
             raise StorageError("index corrupt: layer-0 LCA without original node")
         return self.node(orig)
 
-    def _lca_inode(self, inode_a, inode_b):
-        if inode_a["block_id"] == inode_b["block_id"]:
-            label = common_prefix(
-                label_from_string(inode_a["local_label"]),
-                label_from_string(inode_b["local_label"]),
+    def _lca_inode(self, inode_a: InodeRow, inode_b: InodeRow) -> InodeRow:
+        if inode_a.block_id == inode_b.block_id:
+            return self._inode_at(
+                inode_a.block_id, common_prefix(inode_a.label, inode_b.label)
             )
-            return self._inode_at(inode_a["block_id"], label)
-        block_a = self._block(inode_a["block_id"])
-        block_b = self._block(inode_b["block_id"])
-        rep_a = block_a["rep_inode_id"]
-        rep_b = block_b["rep_inode_id"]
+        rep_a = self._block(inode_a.block_id).rep_inode_id
+        rep_b = self._block(inode_b.block_id).rep_inode_id
         if rep_a is None or rep_b is None:
             raise StorageError("index corrupt: multi-block layer lacks reps")
         upper = self._lca_inode(self._inode(rep_a), self._inode(rep_b))
-        target_block = upper["represents_block_id"]
+        target_block = upper.represents_block_id
         if target_block is None:
             raise StorageError("index corrupt: upper inode without block ref")
         anc_a = self._ancestor_in_block(inode_a, target_block)
         anc_b = self._ancestor_in_block(inode_b, target_block)
-        label = common_prefix(
-            label_from_string(anc_a["local_label"]),
-            label_from_string(anc_b["local_label"]),
-        )
-        return self._inode_at(target_block, label)
+        return self._inode_at(target_block, common_prefix(anc_a.label, anc_b.label))
 
-    def _ancestor_in_block(self, inode, target_block: int):
-        while inode["block_id"] != target_block:
-            source = self._block(inode["block_id"])["source_inode_id"]
+    def _ancestor_in_block(self, inode: InodeRow, target_block: int) -> InodeRow:
+        while inode.block_id != target_block:
+            source = self._block(inode.block_id).source_inode_id
             if source is None:
                 raise StorageError("index corrupt: source chain left the tree")
             inode = self._inode(source)
@@ -792,7 +757,7 @@ class StoredTree:
                 self._raise_missing(
                     f"no {kind} {item!r} in tree {self.info.name!r}"
                 )
-            rows.append(self._node_row(row))
+            rows.append(row)
         return rows
 
     def lca_many(self, names_or_ids: Sequence[int | str]) -> NodeRow:
@@ -820,13 +785,13 @@ class StoredTree:
         by_id = self.engine.node_rows_many(ids) if ids else {}
 
         def row_of(item: int | str) -> NodeRow:
-            raw = by_name.get(item) if isinstance(item, str) else by_id.get(item)
-            if raw is None:
+            row = by_name.get(item) if isinstance(item, str) else by_id.get(item)
+            if row is None:
                 kind = "node named" if isinstance(item, str) else "node"
                 self._raise_missing(
                     f"no {kind} {item!r} in tree {self.info.name!r}"
                 )
-            return self._node_row(raw)
+            return row
 
         # Warm the canonical inodes the fold can actually need.  If a
         # consecutive pair is ancestor-related, the running result (an
@@ -835,12 +800,12 @@ class StoredTree:
         # needs no index rows.  Unresolved items are skipped here — they
         # only matter (and raise) if the fold reaches them.
         resolved = [
-            self._node_row(raw)
-            for raw in (
+            row
+            for row in (
                 by_name.get(item) if isinstance(item, str) else by_id.get(item)
                 for item in items
             )
-            if raw is not None
+            if row is not None
         ]
         need_index = {
             row.node_id
@@ -927,22 +892,20 @@ class StoredTree:
     def clade(self, names_or_ids: Sequence[int | str]) -> list[NodeRow]:
         """Minimal spanning clade: all rows under the LCA (pre-order)."""
         anchor = self.lca_many(names_or_ids)
-        rows = self.db.query_all(
+        return self._scan(
             "SELECT * FROM nodes WHERE tree_id = ? AND node_id BETWEEN ? AND ? "
             "ORDER BY node_id",
             (self._tree_id, anchor.node_id, anchor.pre_order_end),
         )
-        return [self._node_row(row) for row in rows]
 
     def leaves_in_subtree(self, node_id: int) -> list[NodeRow]:
         """Leaf rows inside a node's clade interval."""
         anchor = self.node(node_id)
-        rows = self.db.query_all(
+        return self._scan(
             "SELECT * FROM nodes WHERE tree_id = ? AND node_id BETWEEN ? AND ? "
             "AND is_leaf = 1 ORDER BY node_id",
             (self._tree_id, anchor.node_id, anchor.pre_order_end),
         )
-        return [self._node_row(row) for row in rows]
 
     def count_leaves_in_subtree(self, node_id: int) -> int:
         """Number of leaves in a node's subtree (single aggregate query)."""
@@ -962,7 +925,7 @@ class StoredTree:
         One indexed join; on the Figure-1 tree with ``time = 1`` this
         returns exactly ``{Bha, x, Syn, Bsu}``.
         """
-        rows = self.db.query_all(
+        frontier = self._scan(
             """
             SELECT child.* FROM nodes AS child
             JOIN nodes AS parent
@@ -975,7 +938,6 @@ class StoredTree:
             """,
             (self._tree_id, time, time),
         )
-        frontier = [self._node_row(row) for row in rows]
         root = self.root()
         if root.dist_from_root > time:
             frontier.insert(0, root)

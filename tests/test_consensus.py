@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.benchmark.consensus import (
@@ -11,7 +13,7 @@ from repro.benchmark.consensus import (
 )
 from repro.benchmark.metrics import clusters, same_topology
 from repro.errors import QueryError
-from repro.trees.newick import parse_newick
+from repro.trees.newick import parse_newick, write_newick
 
 
 class TestMajorityRule:
@@ -108,6 +110,25 @@ class TestBuildFromClusters:
             [frozenset({"a", "b"}), frozenset({"a", "b", "c"})],
         )
         assert same_topology(tree, parse_newick("(((a,b),c),d);"))
+
+    def test_child_order_does_not_depend_on_input_order(self):
+        # Equal-size sibling clusters used to keep the set's (hash-seed
+        # dependent) order, so stored and in-memory consensus could
+        # disagree on child order.
+        leaves = [f"s{i:02d}" for i in range(12)]
+        clusters = [
+            frozenset(leaves[i : i + 2]) for i in range(0, 12, 2)
+        ] + [frozenset(leaves[0:6]), frozenset(leaves[6:12])]
+        expected = (
+            "(((s00:1.0,s01:1.0):1.0,(s02:1.0,s03:1.0):1.0,"
+            "(s04:1.0,s05:1.0):1.0):1.0,((s06:1.0,s07:1.0):1.0,"
+            "(s08:1.0,s09:1.0):1.0,(s10:1.0,s11:1.0):1.0):1.0);"
+        )
+        for seed in range(20):
+            shuffled = list(clusters)
+            random.Random(seed).shuffle(shuffled)
+            tree = build_tree_from_clusters(leaves, shuffled)
+            assert write_newick(tree) == expected
 
     def test_no_clusters_gives_star(self):
         tree = build_tree_from_clusters(["a", "b", "c"], [])

@@ -9,9 +9,12 @@ batch) to the same answers on random trees across several ``f`` values.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.analytics.bipartitions import scan_tree
+from repro.core.dewey import DeweyIndex
 from repro.core.lca import LcaService
 from repro.errors import QueryError, StorageError
 from repro.storage.cache import CacheStats, LRUCache
@@ -249,6 +252,122 @@ class TestWarmPath:
         stored.clear_cache()
         stored.lca("Lla", "Syn")
         assert counter.count == 0  # frozen at scope exit
+
+
+class TestTypedRowCaches:
+    """Rows are typed once, when they enter a cache; a warm hit only
+    reads them.  The counters, the pinning and the answers are those of
+    the untyped-row engine."""
+
+    def test_warm_repeat_makes_no_sql_and_no_cache_puts(
+        self, db, random_tree_factory, monkeypatch
+    ):
+        tree = random_tree_factory(200, seed=4)
+        handle = TreeRepository(db).store_tree(tree, name="warm", f=3)
+        names = [leaf.name for leaf in tree.root.leaves()]
+
+        def workload():
+            handle.lca_many(names[:2])
+            handle.lca(names[3], names[-1])
+            handle.lca_batch(list(zip(names, names[5:]))[:30])
+            project_stored(handle, names[::3])
+
+        workload()
+        puts = []
+        original = LRUCache.put
+
+        def counting_put(cache, key, value, pinned=False):
+            puts.append(key)
+            original(cache, key, value, pinned)
+
+        monkeypatch.setattr(LRUCache, "put", counting_put)
+        with db.count_statements() as counter:
+            workload()
+        assert counter.count == 0
+        assert puts == []
+
+    def test_fixed_workload_counters_are_unchanged(self, random_tree_factory):
+        """Per-cache (hits, misses, evictions, size, pinned) of a fixed
+        cold-then-warm workload, as recorded with ``sqlite3.Row``
+        caches that re-put every pinned hit."""
+        with CrimsonStore.open() as store:
+            store.load_tree(random_tree_factory(300, seed=7), name="fixed", f=3)
+            handle = store.open_tree("fixed", cache_size=4096)
+            names = [f"L{i}" for i in range(0, 300, 7)]
+            for _round in range(2):
+                for a, b in zip(names, names[3:]):
+                    handle.lca(a, b)
+                handle.lca_many(names[:9])
+                handle.lca_batch(list(zip(names[::2], names[1::2])))
+                handle.lca_batch([(5, 200), (17, "L250"), (299, 1)])
+                leaves = [
+                    f"L{i}"
+                    for i in range(1, 300, 5)
+                    if handle.node_by_name(f"L{i}").is_leaf
+                ]
+                project_stored(handle, leaves)
+                handle.clade(["L40", "L41"])
+                handle.node(123)
+            counters = {
+                name: (s.hits, s.misses, s.evictions, s.size, s.pinned)
+                for name, s in handle.cache_stats().items()
+            }
+        assert counters == {
+            "blocks": (602, 32, 0, 32, 32),
+            "canonical": (457, 71, 0, 104, 0),
+            "inode_at": (322, 14, 0, 142, 61),
+            "inodes": (577, 57, 0, 142, 61),
+            "node_ids": (350, 94, 0, 109, 0),
+            "nodes": (583, 15, 0, 109, 0),
+            "total": (2891, 283, 0, 638, 154),
+        }
+
+    def test_probationary_skeleton_inode_is_promoted(self, db):
+        repo = TreeRepository(db, cache_size=4096)
+        repo.store_tree(caterpillar(600), name="deep", f=4)
+        handle = repo.open("deep")
+        engine = handle.engine
+        deepest = engine.canonical_inode(handle.node_by_name("t600").node_id)
+        source = engine.block(deepest.block_id).source_inode_id
+        assert source is not None
+        handle.clear_cache()
+        # Reached outside the skeleton first: a probationary layer-0 row.
+        row = engine.inode(source)
+        assert row.layer == 0
+        assert not engine._inodes.is_pinned(source)
+        # The walk from the deepest block to the root climbs through it.
+        assert handle.lca("t1", "t600").node_id == 0
+        assert engine._inodes.is_pinned(source)
+        assert engine._inode_at.is_pinned((row.block_id, row.label))
+
+    @pytest.mark.parametrize("seed", [2, 9])
+    def test_constant_eviction_agrees_with_dewey(
+        self, db, seed, random_tree_factory
+    ):
+        tree = random_tree_factory(120, seed=seed)
+        rank = _preorder_rank(tree)
+        nodes = list(tree.preorder())
+        dewey = DeweyIndex(tree)
+        handle = TreeRepository(db, cache_size=4).store_tree(
+            tree, name=f"tiny{seed}", f=3
+        )
+        rng = random.Random(seed)
+        pairs = [tuple(rng.sample(nodes, 2)) for _ in range(40)]
+        batch = handle.lca_batch(
+            [(rank[id(a)], rank[id(b)]) for a, b in pairs]
+        )
+        for (a, b), batch_row in zip(pairs, batch):
+            expected = rank[id(dewey.lca(a, b))]
+            assert handle.lca(a.name, b.name).node_id == expected
+            assert batch_row.node_id == expected
+        for _ in range(15):
+            taxa = rng.sample(nodes, 3)
+            anchor = dewey.lca_many(taxa)
+            clade = handle.clade([node.name for node in taxa])
+            assert [row.node_id for row in clade] == [
+                rank[id(node)] for node in anchor.preorder()
+            ]
+        assert handle.cache_stats()["total"].evictions > 0
 
 
 class TestBatchApis:

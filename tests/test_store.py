@@ -686,6 +686,40 @@ class TestStaleHandles:
                 store.query(QueryRequest.lca("gone", "a", "b"))
 
 
+class TestHandleRevalidation:
+    """A delete revalidates cached handles tree by tree: a handle whose
+    name still resolves to its ``tree_id`` survives with its caches."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_delete_keeps_other_trees_handles(self, tmp_path, shards):
+        path = tmp_path / f"keep{shards}.db"
+        with CrimsonStore.open(path, readers=2, shards=shards) as store:
+            store.load_tree(caterpillar(30), name="a")
+            store.load_tree(caterpillar(40), name="b")
+            handle = store.open_tree("b")
+            handle.scan_rows()
+            assert handle.engine.scan_resident
+            store.trees.delete_tree("a")
+            assert store.open_tree("b") is handle
+            assert handle.engine.scan_resident
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_restored_name_gets_a_fresh_handle(self, tmp_path, shards):
+        path = tmp_path / f"restore{shards}.db"
+        with CrimsonStore.open(path, readers=2, shards=shards) as store:
+            store.load_newick_text("((a:1,b:1):1,c:2);", name="gold")
+            old = store.open_tree("gold")
+            assert old.lca("a", "b").depth == 1
+            store.trees.delete_tree("gold")
+            store.load_newick_text("(a:1,(b:1,c:1):1);", name="gold")
+            new = store.open_tree("gold")
+            assert new is not old
+            assert new.info.tree_id != old.info.tree_id
+            assert new.info.tree_id == store.trees.info("gold").tree_id
+            assert new.lca("a", "b").node_id == 0
+            assert store.open_tree("gold") is new
+
+
 class TestDeprecationShims:
     def test_raw_database_construction_warns_but_works(self, db):
         with pytest.warns(DeprecationWarning):
