@@ -4,6 +4,10 @@ The §2.2 sampling query: find the time-``t`` frontier, then draw k/m
 leaves per frontier subtree.  Measured in memory and through the SQL
 join + clade-interval range scans of the relational store, with the
 frontier-minimality property verified on every draw.
+
+Stored random sampling is measured on both sides of its crossover: a
+small ``k`` reads a few rows at random primary keys, a large one scans
+the leaf table.  Each draw runs on a fresh handle, so it reads cold.
 """
 
 from __future__ import annotations
@@ -12,13 +16,14 @@ import numpy as np
 import pytest
 
 from repro.benchmark.sampling import (
+    random_sample_stored,
     sample_with_time,
     sample_with_time_stored,
     time_frontier,
 )
 from repro.simulation.birth_death import yule_tree
 from repro.storage.database import CrimsonDatabase
-from repro.storage.tree_repository import TreeRepository
+from repro.storage.tree_repository import StoredTree, TreeRepository
 
 
 @pytest.fixture(scope="module")
@@ -79,4 +84,36 @@ def test_sample_with_time_sql(benchmark, gold, report):
         f"E6 — stratified draw of 64 species across {m} frontier subtrees: "
         f"per-subtree counts min={min(counts)}, max={max(counts)} "
         "(paper: k/m per subtree)"
+    )
+
+
+@pytest.mark.parametrize("k, path", [(16, "primary-key draw"), (1000, "leaf scan")])
+def test_random_sample_sql(benchmark, gold, report, monkeypatch, k, path):
+    _tree, handle, _horizon = gold
+    db = handle.db
+    rng = np.random.default_rng(3)
+
+    def run():
+        return random_sample_stored(StoredTree(db, handle.info), k, rng)
+
+    sample = benchmark(run)
+    assert len(sample) == len(set(sample)) == k
+
+    rows_read: list[int] = []
+    query_all = db.query_all
+
+    def counting(*args, **kwargs):
+        rows = query_all(*args, **kwargs)
+        rows_read.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(db, "query_all", counting)
+    with db.count_statements() as counter:
+        run()
+    if k == 16:
+        report("")
+        report(f"Stored random sampling on the {handle.info.n_leaves}-leaf gold standard")
+    report(
+        f"  k = {k} ({path}): {counter.count} statement(s), "
+        f"{sum(rows_read)} rows read"
     )

@@ -197,8 +197,13 @@ class BenchmarkManager:
         if method == "user":
             if taxa is None:
                 raise QueryError("user sampling needs an explicit taxon list")
-            known = set(stored.leaf_names())
-            unknown = [name for name in taxa if name not in known]
+            # The batched lookup leaves the rows cached for the
+            # trial's projection.
+            rows = stored.engine.node_rows_by_names(taxa)
+            unknown = [
+                name for name in taxa
+                if name not in rows or not rows[name].is_leaf
+            ]
             if unknown:
                 raise QueryError(f"unknown taxa in user sample: {unknown}")
             return list(dict.fromkeys(taxa))
@@ -254,8 +259,11 @@ class BenchmarkManager:
         started = _time.perf_counter()
 
         sample = self._sample(stored, k, method, time, taxa, rng)
-        # Projection runs through SQL: only the sampled rows and their
-        # LCAs are fetched, never the whole gold standard (challenge 1).
+        # Sampling and projection run through SQL: only the sampled
+        # rows and their LCAs are fetched, never the whole gold standard
+        # (challenge 1).  A small random sample and a user sample leave
+        # their rows cached on the handle, so the projection and the
+        # sequence fetch resolve the sampled names without SQL.
         projection = project_stored(stored, sample)
         sequences = self.species.sequences_for(stored, sample)
         results = evaluate_sample(projection, sequences, self.algorithms)

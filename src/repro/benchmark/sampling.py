@@ -11,18 +11,21 @@ Crimson supports three ways of selecting species:
 
 Each strategy exists in two forms: over an in-memory
 :class:`~repro.trees.tree.PhyloTree`, and over a
-:class:`~repro.storage.tree_repository.StoredTree`, where the frontier
-is one SQL join and the per-subtree draws are clade-interval range
-scans.
+:class:`~repro.storage.tree_repository.StoredTree`.  There a small
+random sample reads a few rows by primary key, drawn at random
+pre-order ids, instead of the whole leaf table; a large one scans the
+leaves once.  The time frontier is one SQL join and the per-subtree
+draws are clade-interval range scans.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
-from repro.errors import QueryError
+from repro.errors import QueryError, StorageError
 from repro.storage.tree_repository import NodeRow, StoredTree
 from repro.trees.node import Node
 from repro.trees.tree import PhyloTree
@@ -125,12 +128,56 @@ def validate_user_sample(tree: PhyloTree, names: Sequence[str]) -> list[str]:
 def random_sample_stored(
     stored: StoredTree, k: int, rng: np.random.Generator | None = None
 ) -> list[str]:
-    """Uniform leaf sample from a stored tree (single table scan)."""
-    names = stored.leaf_names()
-    _check_k(k, len(names))
+    """Uniform sample of ``k`` distinct leaf names from a stored tree.
+
+    ``node_id`` is the pre-order rank, so the ids ``0 .. n_nodes - 1``
+    are all present.  A small sample draws
+    ``d = ceil(1.5 · k · n_nodes / n_leaves) + 8`` distinct ids at
+    random, fetches them in one ``IN (...)`` by primary key
+    (:meth:`~repro.storage.tree_repository.StoredTree.nodes_by_id`) and
+    keeps the first ``k`` leaves in draw order.  The drawn ids are a
+    uniform random prefix of a permutation of the nodes, within which
+    the leaves are exchangeable, so the result is a uniform ``k``-subset
+    of the leaves in uniform order.  A batch with fewer than ``k``
+    leaves is redrawn at twice the size; whether a batch falls short
+    depends only on its leaf count, so the restart keeps the draw
+    exact.  The fetched rows stay in the handle's caches, and a
+    following ``project_stored`` or ``sequences_for`` on the same
+    handle resolves the sampled names without SQL.
+
+    When ``16 · d`` exceeds ``n_nodes`` (a large ``k``, or a tree whose
+    leaves are rare, as with unary chains) one scan of the leaf table
+    costs less than the point reads; the sample then indexes a uniform
+    choice into :meth:`~repro.storage.tree_repository.StoredTree.leaf_names`.
+    For a given ``rng`` state the two paths pick different leaves, from
+    the same uniform distribution.
+
+    Raises
+    ------
+    QueryError
+        If ``k`` is not in ``[1, n_leaves]``.
+    StorageError
+        If the tree was deleted out from under ``stored``.
+    """
+    n_nodes, n_leaves = stored.info.n_nodes, stored.info.n_leaves
+    _check_k(k, n_leaves)
     rng = rng or np.random.default_rng()
-    chosen = rng.choice(len(names), size=k, replace=False)
-    return [names[int(index)] for index in chosen]
+    draw = math.ceil(1.5 * k * n_nodes / n_leaves) + 8
+    if draw * 16 > n_nodes:
+        names = stored.leaf_names()
+        chosen = rng.choice(len(names), size=k, replace=False)
+        return [names[int(index)] for index in chosen]
+    while True:
+        ids = rng.choice(n_nodes, size=draw, replace=False).tolist()
+        leaves = [row.name for row in stored.nodes_by_id(ids) if row.is_leaf]
+        if len(leaves) >= k:
+            return leaves[:k]
+        if draw == n_nodes:
+            raise StorageError(
+                f"tree {stored.info.name!r} holds {len(leaves)} leaves, "
+                f"its catalogue row says {n_leaves}"
+            )
+        draw = min(2 * draw, n_nodes)
 
 
 def sample_with_time_stored(

@@ -580,6 +580,23 @@ class StoredTree:
         """
         return self._resolve_rows(list(names))
 
+    def nodes_by_id(self, node_ids: Sequence[int]) -> list[NodeRow]:
+        """Fetch many nodes by pre-order id in one batched ``IN (...)``
+        query — the by-id twin of :meth:`nodes_by_name`.
+
+        Returns rows in input order (duplicates allowed) and leaves them
+        in the node and name caches, so a later lookup of the same rows
+        by id or by name runs no SQL.
+
+        Raises
+        ------
+        QueryError
+            If any id is absent.
+        StorageError
+            If the tree was deleted out from under this handle.
+        """
+        return self._resolve_rows(list(node_ids))
+
     def root(self) -> NodeRow:
         """The root row (pre-order id 0)."""
         return self.node(0)
@@ -637,13 +654,24 @@ class StoredTree:
         )
 
     def leaf_names(self) -> list[str]:
-        """Names of all leaves in pre-order."""
+        """Names of all leaves in pre-order.
+
+        Raises
+        ------
+        StorageError
+            If the tree was deleted out from under this handle.
+        """
         rows = self.db.query_all(
             "SELECT name FROM nodes WHERE tree_id = ? AND is_leaf = 1 "
             "ORDER BY node_id",
             (self._tree_id,),
             plain=True,
         )
+        if len(rows) != self.info.n_leaves:
+            self._raise_missing(
+                f"tree {self.info.name!r} is missing leaf rows "
+                f"({len(rows)} of {self.info.n_leaves})"
+            )
         return [name for (name,) in rows]
 
     def children(self, node_id: int) -> list[NodeRow]:

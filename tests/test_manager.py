@@ -123,6 +123,16 @@ class TestRepositoryManager:
         with pytest.raises(QueryError):
             manager.run_trial("gold", method="user", taxa=["ghost"], rng=rng)
 
+    def test_user_sampling_names_unknown_and_interior_taxa(self, db, fig1, rng):
+        DataLoader(db).load_tree(fig1, name="fig1")
+        manager = BenchmarkManager(db)
+        taxa = ["ghost", "Lla", "x", "Syn", "phantom", "A"]
+        with pytest.raises(QueryError) as raised:
+            manager.run_trial("fig1", method="user", taxa=taxa, rng=rng)
+        assert str(raised.value) == (
+            "unknown taxa in user sample: ['ghost', 'x', 'phantom', 'A']"
+        )
+
     def test_user_sampling_without_taxa(self, loaded, rng):
         manager = BenchmarkManager(loaded)
         with pytest.raises(QueryError):

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+import random
+
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from repro.benchmark.sampling import (
     random_sample,
@@ -13,9 +18,13 @@ from repro.benchmark.sampling import (
     time_frontier,
     validate_user_sample,
 )
-from repro.errors import QueryError
+from repro.errors import QueryError, StorageError
 from repro.simulation.birth_death import yule_tree
+from repro.storage.projection import project_stored
+from repro.storage.store import CrimsonStore
 from repro.storage.tree_repository import TreeRepository
+from repro.trees.node import Node
+from repro.trees.tree import PhyloTree
 
 
 class TestRandomSample:
@@ -173,3 +182,148 @@ class TestStoredVariants:
         sql_frontier = {row.name or "anon" for row in stored.time_frontier(cut)}
         # Anonymous interior nodes: compare by count and leaf coverage.
         assert len(memory_frontier) == len(sql_frontier)
+
+
+def chained_tree(n_leaves: int, seed: int, chain_lengths=(0, 0, 1, 3)) -> PhyloTree:
+    """A random binary tree with every node named and a unary chain of
+    a length drawn from ``chain_lengths`` above each node."""
+    rng = random.Random(seed)
+    ids = itertools.count()
+
+    def build(leaves: int) -> Node:
+        if leaves == 1:
+            node = Node(f"leaf{next(ids)}", 1.0)
+        else:
+            split = rng.randint(1, leaves - 1)
+            node = Node(f"in{next(ids)}", 1.0)
+            node.add_child(build(split))
+            node.add_child(build(leaves - split))
+        for _ in range(rng.choice(chain_lengths)):
+            parent = Node(f"u{next(ids)}", 0.5)
+            parent.add_child(node)
+            node = parent
+        return node
+
+    return PhyloTree(build(n_leaves))
+
+
+def draw_size(stored, k: int) -> int:
+    """The sampler's first batch size for ``k``."""
+    info = stored.info
+    return math.ceil(1.5 * k * info.n_nodes / info.n_leaves) + 8
+
+
+def takes_draw_path(stored, k: int) -> bool:
+    return draw_size(stored, k) * 16 <= stored.info.n_nodes
+
+
+def read_log(db, monkeypatch) -> list[tuple[str, int]]:
+    """``(sql, rows)`` of every ``query_all`` on ``db`` from now on."""
+    log: list[tuple[str, int]] = []
+    query_all = db.query_all
+
+    def logged(sql, *args, **kwargs):
+        rows = query_all(sql, *args, **kwargs)
+        log.append((sql, len(rows)))
+        return rows
+
+    monkeypatch.setattr(db, "query_all", logged)
+    return log
+
+
+class TestRandomSampleStored:
+    @pytest.fixture
+    def chained(self, db):
+        return TreeRepository(db).store_tree(chained_tree(400, seed=3), name="chain")
+
+    def test_inclusion_is_uniform(self, chained):
+        """Chi-square over how often each leaf is drawn, on a tree whose
+        interior nodes are named and whose edges carry unary chains."""
+        k, trials = 4, 2000
+        assert takes_draw_path(chained, k)
+        leaves = chained.leaf_names()
+        counts = dict.fromkeys(leaves, 0)
+        rng = np.random.default_rng(11)
+        for _ in range(trials):
+            sample = random_sample_stored(chained, k, rng)
+            assert len(set(sample)) == k
+            for name in sample:
+                counts[name] += 1
+        assert sum(counts.values()) == k * trials
+        assert chisquare(list(counts.values())).pvalue > 0.001
+
+    def test_draw_path_reads_only_the_drawn_rows(self, chained, monkeypatch):
+        k = 8
+        handle = TreeRepository(chained.db).open("chain")
+        log = read_log(handle.db, monkeypatch)
+        with handle.db.count_statements() as counter:
+            sample = random_sample_stored(handle, k, np.random.default_rng(5))
+        assert counter.count == 1
+        assert sum(rows for _sql, rows in log) <= draw_size(handle, k)
+        assert len(set(sample)) == k
+        log.clear()
+        projection = project_stored(handle, sample)
+        assert set(projection.leaf_names()) == set(sample)
+        assert not any("name IN" in sql for sql, _rows in log)
+
+    def test_scan_path_matches_the_leaf_scan(self, chained):
+        k = 120
+        assert not takes_draw_path(chained, k)
+        names = chained.leaf_names()
+        expected = np.random.default_rng(8).choice(len(names), size=k, replace=False)
+        sample = random_sample_stored(chained, k, np.random.default_rng(8))
+        assert sample == [names[int(index)] for index in expected]
+
+    def test_k_equal_to_leaf_count_takes_every_leaf(self, chained, rng):
+        sample = random_sample_stored(chained, chained.info.n_leaves, rng)
+        assert sorted(sample) == sorted(chained.leaf_names())
+
+    def test_leaf_sparse_tree(self, db, monkeypatch):
+        """Long unary chains make leaves rare: a one-leaf draw often
+        holds no leaf and is redrawn, and the result stays uniform."""
+        tree = chained_tree(40, seed=4, chain_lengths=(30,))
+        stored = TreeRepository(db).store_tree(tree, name="sparse")
+        assert stored.info.n_nodes > 30 * stored.info.n_leaves
+        assert takes_draw_path(stored, 1)
+        assert not takes_draw_path(stored, 3)
+        log = read_log(db, monkeypatch)
+        rng = np.random.default_rng(6)
+        leaves = stored.leaf_names()
+        counts = dict.fromkeys(leaves, 0)
+        restarts = 0
+        for _ in range(800):
+            handle = TreeRepository(db).open("sparse")
+            log.clear()
+            (name,) = random_sample_stored(handle, 1, rng)
+            counts[name] += 1
+            restarts += len(log) > 1
+        assert restarts > 0
+        assert chisquare(list(counts.values())).pvalue > 0.001
+        assert len(set(random_sample_stored(stored, 3, rng))) == 3
+
+    @pytest.mark.parametrize("k", [8, 300])
+    def test_stale_handle_raises_storage_error(self, db, chained, k):
+        handle = TreeRepository(db).open("chain")
+        TreeRepository(db).delete_tree("chain")
+        with pytest.raises(StorageError, match="stale"):
+            random_sample_stored(handle, k, np.random.default_rng(1))
+
+    def test_out_of_range_k(self, chained, rng):
+        n = chained.info.n_leaves
+        with pytest.raises(QueryError, match="at least 1, got 0"):
+            random_sample_stored(chained, 0, rng)
+        with pytest.raises(
+            QueryError, match=f"cannot sample {n + 1} species from {n} available"
+        ):
+            random_sample_stored(chained, n + 1, rng)
+
+    def test_sharded_store_reads_the_handles_shard(self, tmp_path, rng):
+        with CrimsonStore.open(tmp_path / "sharded.db", shards=2) as store:
+            store.load_tree(yule_tree(300, rng=rng), name="first")
+            store.load_tree(chained_tree(200, seed=9), name="second")
+            second = store.trees.open("second")
+            assert second.info.shard == 1
+            assert takes_draw_path(second, 5)
+            sample = random_sample_stored(second, 5, rng)
+            assert len(set(sample)) == 5
+            assert set(sample) <= set(second.leaf_names())
