@@ -56,19 +56,25 @@ POLITE_CLIENTS = 3
 ROUNDS = 40         # paced polite requests per client per phase
 FLOOD = 300         # unpaced abuser requests in the hostile phase
 PACE_S = 0.05       # polite inter-request gap
-F = 8
+# Label bound of all three trees.  With f = 256 the polite tree is one
+# index block and the mid tree two, so a cold polite LCA is priced at
+# ~6 and a cold flood-fodder clade at ~21.  (With f = 8 the depth-200
+# caterpillar splits into 29 blocks, and a cold LCA from its root to
+# its deepest leaf really runs ~60 statements: no budget could admit it
+# and still refuse the bulk ``match``.)
+F = 256
 
 # The ``match`` estimate is warmth-independent (fetch_tree bypasses the
 # row cache), so a budget of 25 refuses the bulk tree deterministically
-# (match(bulk, n~12000) costs ~29) while admitting every polite request
-# (a cold LCA is ~16).  The flood fodder is a ``clade`` on the mid tree:
-# its estimate keeps a whole-tree worst-case floor (~9, never discounted
-# below the n-row bound) but the actual spanning clade of two adjacent
-# leaves executes in milliseconds — so an unpaced flood spends estimate
-# units far faster than the bucket refills and hits the quota.
+# (match(bulk, n~12000) costs ~29) while admitting every polite request.
+# The flood fodder is a ``clade`` on the mid tree: its estimate keeps a
+# whole-tree worst-case floor (~19 warm, never discounted below the
+# n-row bound) but the actual spanning clade of two adjacent leaves
+# executes in milliseconds — so an unpaced flood spends estimate units
+# far faster than the bucket refills and hits the quota.
 MAX_COST = 25.0
-QUOTA_RATE = 400.0   # tokens/s: >> polite spend (~16/0.05s worst case)
-QUOTA_BURST = 40.0   # ~4 fodder requests up front, then the flood throttles
+QUOTA_RATE = 400.0   # tokens/s: >> polite spend (~13/0.05s worst case)
+QUOTA_BURST = 40.0   # ~2 fodder requests up front, then the flood throttles
 MAX_CONCURRENT = 4   # one slot per connection in this bench
 
 SMOKE = {"rounds": 12, "flood": 80}

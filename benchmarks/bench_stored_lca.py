@@ -3,8 +3,8 @@
 The tentpole claim of the stored-query engine: caching the immutable
 block/inode/node rows collapses the ``O(f · log_f d)`` point queries of
 every stored LCA into amortized O(1) warm-path dictionary hits, and the
-batch API resolves whole workloads with a handful of ``IN (...)``
-queries.  This bench measures both, counting actual SQL statements via
+batch API walks whole workloads up the index in lock step, one round of
+``IN (...)`` queries per layer and source-chain hop.  This bench measures both, counting actual SQL statements via
 the database's counting cursor (``CrimsonDatabase.count_statements``),
 and emits the figures as JSON (committed as ``BENCH_stored_lca.json``)::
 
@@ -194,8 +194,8 @@ def test_stored_lca_engine(benchmark, report):
         )
     report(
         "  shape: warm repeats run entirely from the row cache (0 "
-        "statements); the batch path amortizes argument resolution "
-        "into IN (...) queries"
+        "statements); the batch path pays one round of IN (...) "
+        "queries per index layer and source-chain hop"
     )
     latency = results["latency_ms"]
     report(

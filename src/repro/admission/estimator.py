@@ -18,7 +18,14 @@ were the whole tree, a ``match`` as a full materialization, because
 admission control must refuse what *could* starve the service, not
 what probably won't.  Warmth only ever lowers the bound through
 observed cache residency, never through optimism about data the
-estimator has not seen.
+estimator has not seen: the pinned-skeleton residency discounts only
+the skeleton climb of a layered-LCA walk, while its canonical inodes,
+label lookups and result rows stay priced cold.  The walk's cold price
+follows its real structure — the recursive per-pair fold of ``lca`` and
+``clade``, the level-synchronous rounds of ``lca_batch`` and
+``project`` — with source chains bounded by the index shape
+(:func:`_chain_hops`), and ``tests/test_admission.py`` checks that no
+request runs more statements than its estimate.
 
 The scalar :attr:`CostEstimate.cost` folds the three raw predictions
 (SQL statements, rows touched, result bytes) into one unit so budgets
@@ -163,15 +170,70 @@ def _scan_residency(handle) -> float:
     return 1.0 if handle.engine.scan_resident else 0.0
 
 
-def _walk_statements(handle) -> int:
-    """Worst-case statement bound of one cold layered-LCA fold step.
+def _chain_hops(info) -> int:
+    """Most source-chain hops one side of a layered walk can take,
+    summed over every layer.
 
-    Each recursion level of the layered algorithm resolves at most two
-    block rows and two inodes (rep/source chains), plus the label-hop
-    lookup — about four statements per layer, plus the final
-    ``inode_at`` and the original-node fetch.
+    Blocks are cut every ``f`` levels, so the tree one layer up (one
+    node per block) has depth at most ``(d - 1) // f`` when the layer
+    below has depth ``d``, and a side's chain on a layer climbs at most
+    that many blocks.  A chain visits each block at most once, so
+    ``n_blocks`` caps the sum too.  For ``f >= 2`` the result is at
+    most ``min(max_depth, n_blocks)``: each hop climbs at least one
+    tree level.
     """
-    return 4 * max(1, handle.info.n_layers) + 2
+    hops, depth = 0, info.max_depth
+    while depth > 0 and hops < info.n_blocks:
+        depth = (depth - 1) // max(1, info.f)
+        hops += depth
+    return min(hops, info.n_blocks)
+
+
+def _fold_statements(info, skeleton: float) -> float:
+    """Worst-case statements of one cold step of the recursive walk
+    (the ``lca_many`` fold behind ``lca`` and ``clade``).
+
+    Two canonical inodes, one label lookup per layer and the result's
+    node row; then the skeleton climb, discounted by its observed
+    ``skeleton`` residency: two blocks and two rep inodes on every
+    layer below the top, and a block and a source inode per chain hop
+    of either side.
+    """
+    climbing = max(0, info.n_layers - 1)
+    climb = 4 * climbing + 4 * _chain_hops(info)
+    return 3 + max(1, info.n_layers) + climb * (1.0 - skeleton)
+
+
+def _batch_statements(info, pairs: int, skeleton: float) -> float:
+    """Worst-case statements of one cold level-synchronous walk over
+    ``pairs`` pairs (``lca_batch``, and ``project``'s one batch).
+
+    One canonical fill, a label lookup per distinct block of each
+    layer (at most ``pairs`` per layer, and every block at most once)
+    and one fill of result rows; then the skeleton climb, discounted by
+    its observed ``skeleton`` residency: a block fill and a rep fill on
+    every layer below the top, and a block fill and a source fill per
+    hop round.  Fills are chunked ``IN (...)`` statements over their
+    keys.
+    """
+    if pairs <= 0:
+        return 0.0
+    fill = _batches(2 * pairs)
+    climbing = max(0, info.n_layers - 1)
+    layers = max(1, info.n_layers)
+    labels = min(layers * pairs, info.n_blocks) + layers * (pairs // BATCH_CHUNK)
+    climb = fill * 2 * (climbing + _chain_hops(info))
+    return fill + labels + _batches(pairs) + climb * (1.0 - skeleton)
+
+
+def _walk_rows(info, pairs: int, skeleton: float) -> float:
+    """Rows a cold walk over ``pairs`` pairs can fetch: per pair two
+    canonical inodes, a label inode per layer and the result row, plus
+    the skeleton rows it climbs (a block, its rep and a source inode,
+    each fetched at most once per handle), discounted by residency."""
+    layers = max(1, info.n_layers)
+    climbed = 2 * pairs * (layers + _chain_hops(info))
+    return pairs * (3 + layers) + 3 * min(info.n_blocks, climbed) * (1.0 - skeleton)
 
 
 def _estimate(
@@ -210,17 +272,19 @@ def estimate_query(request: QueryRequest, handle) -> CostEstimate:
     if request.operation in ("lca", "lca_batch", "clade"):
         if request.operation == "lca_batch":
             args = [item for pair in request.pairs for item in pair]
-            folds = len(request.pairs)
+            walk = _batch_statements(info, len(request.pairs), skeleton)
+            walk_rows = _walk_rows(info, len(request.pairs), skeleton)
         else:
             args = list(request.taxa)
             folds = max(1, len(request.taxa) - 1)
+            walk = folds * _fold_statements(info, skeleton)
+            walk_rows = folds * _walk_rows(info, 1, skeleton)
         arg_res = handle.engine.resident_fraction(args)
         cold_args = len(args) * (1.0 - arg_res)
-        # Argument rows and their canonical inodes arrive in batched
-        # IN (...) fills; each cold fold then climbs the index skeleton.
-        statements = 2.0 * _batches(cold_args)
-        statements += folds * _walk_statements(handle) * (1.0 - skeleton)
-        rows = cold_args * 2.0 + folds * 4.0 * info.n_layers * (1.0 - skeleton)
+        # Argument rows arrive in one batched fill by name and one by
+        # id; the walk then climbs the index skeleton.
+        statements = 2.0 * _batches(cold_args) + walk
+        rows = cold_args + walk_rows
         warm = (arg_res + skeleton) / 2.0
         if request.operation == "lca":
             result_bytes = NODE_ROW_JSON_BYTES
@@ -232,7 +296,6 @@ def estimate_query(request: QueryRequest, handle) -> CostEstimate:
             statements += 1
             rows += n
             result_bytes = n * NODE_ROW_JSON_BYTES
-            warm = (arg_res + skeleton) / 2.0
         return _estimate(
             request.operation,
             (request.tree,),
@@ -246,10 +309,10 @@ def estimate_query(request: QueryRequest, handle) -> CostEstimate:
         k = len(request.taxa)
         arg_res = handle.engine.resident_fraction(list(request.taxa))
         cold = k * (1.0 - arg_res)
-        # project_stored: leaf rows + canonical inodes + interior rows
-        # in batched fills, then one skeleton climb to anchor the walk.
-        statements = 3.0 * _batches(cold) + info.n_layers * (1.0 - skeleton)
-        rows = 3.0 * cold
+        # project_stored: the leaf rows in one batched fill, then one
+        # lca_batch over the k - 1 pre-order neighbours.
+        statements = _batches(cold) + _batch_statements(info, k - 1, skeleton)
+        rows = cold + _walk_rows(info, max(0, k - 1), skeleton)
         result_bytes = max(1, 2 * k) * NEWICK_NODE_BYTES
         return _estimate(
             request.operation,

@@ -19,10 +19,16 @@ cheap in four ways:
    fetched row is cross-populated under all its lookup keys (an inode
    is cached by id *and* by ``(block, label tuple)``; a canonical inode
    also by its original node id), so one access path warms the others.
-2. **Batch fetches.**  ``*_many`` methods resolve whole key sets with
-   chunked ``IN (...)`` queries, filling the caches in one round trip —
-   the backbone of ``StoredTree.lca_batch`` and the batched
-   ``project_stored``.
+2. **Batch fetches.**  Each point lookup has a batch twin
+   (``node_rows_many``, ``canonical_inodes_many``, ``blocks_many``,
+   ``inodes_many``, ``inodes_at_many``): one cache ``get`` per distinct
+   key, then all misses in chunked ``IN (...)`` statements — label
+   lookups in one statement per block — counting one miss per distinct
+   key and caching every fetched row under all its keys.  They are the
+   rounds of ``StoredTree.lca_batch``'s level-synchronous walk, which
+   advances all its pairs one index layer or source-chain hop at a
+   time, so a cold batch (and the ``project_stored`` built on it) pays
+   one round trip per round, not one per pair and hop.
 3. **Segmented admission.**  Upper-layer inode rows (``layer > 0``) and
    block rows — the ``O(n/f)`` skeleton every layered-LCA walk climbs —
    are inserted *pinned* (:meth:`repro.storage.cache.LRUCache.put`
@@ -166,6 +172,12 @@ class StoredQueryEngine:
         self._inode_at.put((row.block_id, row.label), row, pinned=pinned)
         if row.is_canonical and row.orig_node_id is not None:
             self._canonical.put(row.orig_node_id, row)
+        return row
+
+    def _remember_block(self, values: Sequence) -> BlockRow:
+        row = as_block_row(values)
+        # All block rows are index skeleton (O(n/f) of them): pinned.
+        self._blocks.put(row.block_id, row, pinned=True)
         return row
 
     # ------------------------------------------------------------------
@@ -344,6 +356,34 @@ class StoredQueryEngine:
             return None
         return self._remember_inode(as_inode_row(values), pin=pin)
 
+    def inodes_many(
+        self, inode_ids: Iterable[int], pin: bool = False
+    ) -> dict[int, InodeRow]:
+        """Batch twin of :meth:`inode`: one ``get`` per distinct id, the
+        misses in one ``IN (...)`` fill, the same pinning rules."""
+        found: dict[int, InodeRow] = {}
+        missing: list[int] = []
+        get = self._inodes.get
+        for inode_id in dict.fromkeys(inode_ids):
+            row = get(inode_id)
+            if row is None:
+                missing.append(inode_id)
+                continue
+            if pin and not self._inodes.is_pinned(inode_id):
+                self._remember_inode(row, pin=True)
+            found[inode_id] = row
+        for chunk in chunked(missing):
+            placeholders = ",".join("?" for _ in chunk)
+            for values in self.db.query_all(
+                f"SELECT * FROM inodes WHERE tree_id = ? "
+                f"AND inode_id IN ({placeholders})",
+                (self.tree_id, *chunk),
+                plain=True,
+            ):
+                row = self._remember_inode(as_inode_row(values), pin=pin)
+                found[row.inode_id] = row
+        return found
+
     def inode_at(self, block_id: int, label: DeweyLabel) -> InodeRow | None:
         """The inode at ``label`` (a parsed Dewey tuple) of a block."""
         row = self._inode_at.get((block_id, label))
@@ -358,6 +398,40 @@ class StoredQueryEngine:
             return None
         return self._remember_inode(as_inode_row(values))
 
+    def inodes_at_many(
+        self, keys: Iterable[tuple[int, DeweyLabel]]
+    ) -> dict[tuple[int, DeweyLabel], InodeRow]:
+        """Batch twin of :meth:`inode_at` over ``(block, label)`` keys.
+
+        The misses are fetched with one statement per distinct block
+        (``local_label IN (...)``), pinned to ``idx_inodes_label``:
+        SQLite 3.40 does not probe the index for a row-value
+        ``(block_id, local_label) IN (VALUES ...)``, and without the
+        hint it prefers a walk over the tree's whole primary-key range.
+        """
+        found: dict[tuple[int, DeweyLabel], InodeRow] = {}
+        missing: dict[int, list[str]] = {}
+        get = self._inode_at.get
+        for key in dict.fromkeys(keys):
+            row = get(key)
+            if row is not None:
+                found[key] = row
+            else:
+                missing.setdefault(key[0], []).append(label_to_string(key[1]))
+        for block_id, labels in missing.items():
+            for chunk in chunked(labels):
+                placeholders = ",".join("?" for _ in chunk)
+                for values in self.db.query_all(
+                    f"SELECT * FROM inodes INDEXED BY idx_inodes_label "
+                    f"WHERE tree_id = ? AND block_id = ? "
+                    f"AND local_label IN ({placeholders})",
+                    (self.tree_id, block_id, *chunk),
+                    plain=True,
+                ):
+                    row = self._remember_inode(as_inode_row(values))
+                    found[(row.block_id, row.label)] = row
+        return found
+
     def block(self, block_id: int) -> BlockRow | None:
         row = self._blocks.get(block_id)
         if row is not None:
@@ -368,10 +442,31 @@ class StoredQueryEngine:
         )
         if values is None:
             return None
-        row = as_block_row(values)
-        # All block rows are index skeleton (O(n/f) of them): pinned.
-        self._blocks.put(block_id, row, pinned=True)
-        return row
+        return self._remember_block(values)
+
+    def blocks_many(self, block_ids: Iterable[int]) -> dict[int, BlockRow]:
+        """Batch twin of :meth:`block`: one ``get`` per distinct id, the
+        misses in one ``IN (...)`` fill."""
+        found: dict[int, BlockRow] = {}
+        missing: list[int] = []
+        get = self._blocks.get
+        for block_id in dict.fromkeys(block_ids):
+            row = get(block_id)
+            if row is not None:
+                found[block_id] = row
+            else:
+                missing.append(block_id)
+        for chunk in chunked(missing):
+            placeholders = ",".join("?" for _ in chunk)
+            for values in self.db.query_all(
+                f"SELECT * FROM blocks WHERE tree_id = ? "
+                f"AND block_id IN ({placeholders})",
+                (self.tree_id, *chunk),
+                plain=True,
+            ):
+                row = self._remember_block(values)
+                found[row.block_id] = row
+        return found
 
     # ------------------------------------------------------------------
     # Introspection

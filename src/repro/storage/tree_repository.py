@@ -14,8 +14,9 @@ Row access is mediated by a per-handle
 :class:`~repro.storage.engine.StoredQueryEngine`, which LRU-caches the
 immutable block/inode/node rows as typed records
 (:mod:`repro.storage.rows`) and batches multi-key fetches, so the warm
-path executes zero SQL statements and ``lca_batch`` resolves whole
-workloads with a handful of ``IN (...)`` queries.  :class:`NodeRow`
+path executes zero SQL statements and ``lca_batch`` walks whole
+workloads up the index in lock step, a round of ``IN (...)`` queries
+per layer and source-chain hop.  :class:`NodeRow`
 lives in :mod:`repro.storage.rows` and is re-exported here.
 """
 
@@ -857,31 +858,150 @@ class StoredTree:
     ) -> list[NodeRow]:
         """LCA of many pairs at once (one result row per input pair).
 
-        The batch path is what makes stored queries serve traffic: all
-        argument node rows are resolved with chunked ``IN (...)``
-        queries, all per-argument canonical inodes with one more, and
-        the per-pair layered walks then run almost entirely against the
-        warm row cache — measurably fewer SQL statements than issuing
-        :meth:`lca` once per pair (see ``benchmarks/bench_stored_lca.py``).
+        Argument rows are resolved with chunked ``IN (...)`` queries and
+        ancestor-or-self pairs answer from the clade interval.  The
+        other pairs climb the layered index together, one layer at a
+        time (:meth:`_lca_level`): each round of the walk resolves its
+        keys with one cache pass and fetches all its misses of a kind
+        with one statement.  A cold batch costs one canonical-inode
+        fill, one block and one rep-inode fill per layer, two fills per
+        source-chain hop, one label lookup per distinct target block
+        and one fill of result rows — a count set by the index shape and
+        the blocks the pairs land in, not by the number of pairs (see
+        ``benchmarks/bench_stored_lca.py``).  A warm batch runs no SQL.
+
+        :meth:`lca` and the :meth:`lca_many` fold keep the recursive
+        per-pair walk: for one warm pair it is two to three times
+        cheaper than building the rounds.
+
+        Raises
+        ------
+        QueryError
+            If an argument is unknown.
+        StorageError
+            If the index is corrupt (the messages of :meth:`lca`) or the
+            tree was deleted out from under this handle.
         """
         pair_list = list(pairs)
-        flat: list[int | str] = [item for pair in pair_list for item in pair]
-        rows = self._resolve_rows(flat)
-        resolved = [
-            (rows[2 * i], rows[2 * i + 1]) for i in range(len(pair_list))
+        rows = self._resolve_rows([item for pair in pair_list for item in pair])
+        results = rows[0::2]
+        walked: list[int] = []
+        for index, (row_a, row_b) in enumerate(zip(results, rows[1::2])):
+            if row_a.contains(row_b.node_id):
+                continue
+            if row_b.contains(row_a.node_id):
+                results[index] = row_b
+            else:
+                walked.append(index)
+        if not walked:
+            return results
+        starts = [rows[2 * i + side].node_id for i in walked for side in (0, 1)]
+        canonical = self.engine.canonical_inodes_many(starts)
+        try:
+            inodes = [canonical[node_id] for node_id in starts]
+        except KeyError as error:
+            raise StorageError(
+                f"index corrupt: no canonical inode for node {error.args[0]}"
+            ) from None
+        origs = [top.orig_node_id for top in self._lca_level(inodes)]
+        if None in origs:
+            raise StorageError("index corrupt: layer-0 LCA without original node")
+        found = self.engine.node_rows_many(origs)
+        for index, orig in zip(walked, origs):
+            row = found.get(orig)
+            if row is None:
+                self._raise_missing(f"no node {orig} in tree {self.info.name!r}")
+            results[index] = row
+        return results
+
+    def _lca_level(self, sides: list[InodeRow]) -> list[InodeRow]:
+        """LCA inodes of the same-layer pairs ``(sides[2k], sides[2k+1])``.
+
+        The level-synchronous form of :meth:`_lca_inode`: the pairs
+        split across blocks fetch their blocks in one round and their
+        rep inodes in the next, recurse one layer up together, then
+        climb their source chains one hop per round for all of them
+        (:meth:`_climb_to`).  Every pair's common-prefix inode then
+        comes from one label lookup per distinct block.
+        """
+        split = [
+            k
+            for k in range(0, len(sides), 2)
+            if sides[k].block_id != sides[k + 1].block_id
         ]
-        # One IN (...) query warms every canonical inode the layered
-        # walks will start from; ancestor pairs short-circuit anyway.
-        need_index = {
-            row.node_id
-            for row_a, row_b in resolved
-            for row in (row_a, row_b)
-            if not row_a.contains(row_b.node_id)
-            and not row_b.contains(row_a.node_id)
-        }
-        if need_index:
-            self.engine.canonical_inodes_many(sorted(need_index))
-        return [self._lca_rows(row_a, row_b) for row_a, row_b in resolved]
+        if split:
+            climbing = [sides[k + side] for k in split for side in (0, 1)]
+            rep_ids = [block.rep_inode_id for block in self._blocks_of(climbing)]
+            if None in rep_ids:
+                raise StorageError("index corrupt: multi-block layer lacks reps")
+            targets = [
+                upper.represents_block_id
+                for upper in self._lca_level(self._inodes_by_id(rep_ids))
+            ]
+            if None in targets:
+                raise StorageError("index corrupt: upper inode without block ref")
+            sides = list(sides)
+            climbed = iter(self._climb_to(climbing, targets))
+            for k in split:
+                sides[k] = next(climbed)
+                sides[k + 1] = next(climbed)
+        keys = [
+            (sides[k].block_id, common_prefix(sides[k].label, sides[k + 1].label))
+            for k in range(0, len(sides), 2)
+        ]
+        found = self.engine.inodes_at_many(keys)
+        try:
+            return [found[key] for key in keys]
+        except KeyError as error:
+            block_id, label = error.args[0]
+            raise StorageError(
+                f"index corrupt: no inode at block {block_id} "
+                f"label {label_to_string(label)!r}"
+            ) from None
+
+    def _climb_to(
+        self, inodes: list[InodeRow], targets: list[int]
+    ) -> list[InodeRow]:
+        """Each pair side's ancestor in its pair's target block
+        (``inodes[j]`` climbs to ``targets[j // 2]``), one source-chain
+        hop per round for every side still below its target."""
+        current = list(inodes)
+        pending = [
+            j for j, inode in enumerate(current) if inode.block_id != targets[j // 2]
+        ]
+        while pending:
+            source_ids = [
+                block.source_inode_id
+                for block in self._blocks_of([current[j] for j in pending])
+            ]
+            if None in source_ids:
+                raise StorageError("index corrupt: source chain left the tree")
+            for j, source in zip(pending, self._inodes_by_id(source_ids)):
+                current[j] = source
+            pending = [j for j in pending if current[j].block_id != targets[j // 2]]
+        return current
+
+    def _blocks_of(self, inodes: list[InodeRow]) -> list[BlockRow]:
+        """The block row of each inode, in order (one batch fill)."""
+        block_ids = [inode.block_id for inode in inodes]
+        found = self.engine.blocks_many(block_ids)
+        try:
+            return [found[block_id] for block_id in block_ids]
+        except KeyError as error:
+            raise StorageError(
+                f"index corrupt: missing block {error.args[0]}"
+            ) from None
+
+    def _inodes_by_id(self, inode_ids: list[int]) -> list[InodeRow]:
+        """Rep or source inodes by id, in order (one batch fill); pinned
+        as index skeleton, like :meth:`_inode`."""
+        found = self.engine.inodes_many(inode_ids, pin=True)
+        try:
+            return [found[inode_id] for inode_id in inode_ids]
+        except KeyError as error:
+            raise StorageError(
+                f"index corrupt: missing inode {error.args[0]}"
+            ) from None
 
     def is_ancestor_or_self(self, ancestor: int | str, descendant: int | str) -> bool:
         """Ancestor test via the clade interval (O(1) after two lookups)."""

@@ -15,12 +15,14 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 import signal
 import socket
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from repro.admission import (
@@ -33,6 +35,7 @@ from repro.admission import (
 )
 from repro.errors import ProtocolError, ResourceError, StorageError
 from repro.server import CrimsonServer, RemoteSession, protocol
+from repro.simulation.birth_death import yule_tree
 from repro.storage import engine, wire
 from repro.storage.api import AnalyticsRequest, QueryRequest
 from repro.storage.store import CrimsonStore
@@ -124,6 +127,74 @@ class TestEstimator:
             CostEstimate.from_dict(
                 {**estimate.as_dict(), "trees": "not-a-list"}
             )
+
+
+def _soundness_tree(kind: str, random_tree_factory):
+    if kind == "fig1":
+        return sample_tree()
+    if kind == "random":
+        return random_tree_factory(150, seed=4)
+    if kind == "yule":
+        return yule_tree(300, rng=np.random.default_rng(6))
+    return caterpillar(800)
+
+
+def _soundness_requests(handle, rng: random.Random) -> list[QueryRequest]:
+    """Every priced query operation, over random leaves and nodes."""
+    name = handle.info.name
+    leaves = handle.leaf_names()
+    nodes = range(handle.info.n_nodes)
+    return [
+        QueryRequest.lca(name, leaves[0], leaves[-1]),
+        QueryRequest.lca(name, *rng.sample(leaves, 2)),
+        QueryRequest.clade(name, *rng.sample(leaves, 3)),
+        QueryRequest.lca_batch(
+            name,
+            [tuple(rng.sample(leaves, 2)) for _ in range(30)]
+            + [tuple(rng.sample(nodes, 2)) for _ in range(10)],
+        ),
+        QueryRequest.project(name, *rng.sample(leaves, min(16, len(leaves)))),
+    ]
+
+
+class TestEstimatorSoundness:
+    """The estimate is a worst-case bound: no request runs more
+    statements than it was priced at, on cold, partly warm and warm
+    handles."""
+
+    @pytest.mark.parametrize("f", [2, 4, 8])
+    @pytest.mark.parametrize("kind", ["fig1", "random", "yule", "caterpillar"])
+    def test_statements_never_exceed_the_estimate(
+        self, kind, f, random_tree_factory
+    ):
+        with CrimsonStore.open() as store:
+            store.load_tree(
+                _soundness_tree(kind, random_tree_factory), name=kind, f=f
+            )
+            handle = store.open_tree(kind)
+            requests = _soundness_requests(handle, random.Random(f))
+            overruns = []
+
+            def run(request, state):
+                estimate = store.estimate(request)
+                with handle.db.count_statements() as counter:
+                    store.query(request)
+                if counter.count > estimate.statements:
+                    overruns.append(
+                        (state, request.operation, counter.count,
+                         estimate.statements)
+                    )
+
+            for request in requests:
+                handle.clear_cache()
+                run(request, "cold")
+            # One handle through the whole sequence: each request meets
+            # the rows its predecessors left, then a second pass is warm.
+            handle.clear_cache()
+            for state in ("partly warm", "warm"):
+                for request in requests:
+                    run(request, state)
+            assert overruns == []
 
 
 # ----------------------------------------------------------------------

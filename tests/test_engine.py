@@ -11,15 +11,18 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.analytics.bipartitions import scan_tree
 from repro.core.dewey import DeweyIndex
+from repro.core.hindex import HierarchicalIndex
 from repro.core.lca import LcaService
 from repro.errors import QueryError, StorageError
+from repro.simulation.birth_death import yule_tree
 from repro.storage.cache import CacheStats, LRUCache
 from repro.storage.projection import project_stored
-from repro.storage.sanitize import record_statements
+from repro.storage.sanitize import record_statements, statement_budget
 from repro.storage.store import CrimsonStore
 from repro.storage.tree_repository import TreeRepository
 from repro.trees.build import balanced, caterpillar, sample_tree
@@ -289,7 +292,13 @@ class TestTypedRowCaches:
     def test_fixed_workload_counters_are_unchanged(self, random_tree_factory):
         """Per-cache (hits, misses, evictions, size, pinned) of a fixed
         cold-then-warm workload, as recorded with ``sqlite3.Row``
-        caches that re-put every pinned hit."""
+        caches that re-put every pinned hit.
+
+        Misses, evictions, sizes and pinned counts are those of the
+        per-pair batch walk.  Hits are lower since ``lca_batch`` walks
+        its pairs level by level: each round looks every distinct key
+        up once, where the per-pair walk looked it up once per pair and
+        hop."""
         with CrimsonStore.open() as store:
             store.load_tree(random_tree_factory(300, seed=7), name="fixed", f=3)
             handle = store.open_tree("fixed", cache_size=4096)
@@ -313,13 +322,20 @@ class TestTypedRowCaches:
                 for name, s in handle.cache_stats().items()
             }
         assert counters == {
-            "blocks": (602, 32, 0, 32, 32),
-            "canonical": (457, 71, 0, 104, 0),
-            "inode_at": (322, 14, 0, 142, 61),
-            "inodes": (577, 57, 0, 142, 61),
+            # Per-pair walk: 602 hits (one block lookup per pair and hop).
+            "blocks": (460, 32, 0, 32, 32),
+            # 457: the per-pair walk read each canonical inode twice, in
+            # the prefetch and again when its pair's walk started.
+            "canonical": (257, 71, 0, 104, 0),
+            # 322: one label lookup per pair and layer.
+            "inode_at": (198, 14, 0, 142, 61),
+            # 577: one rep/source lookup per pair and hop.
+            "inodes": (435, 57, 0, 142, 61),
             "node_ids": (350, 94, 0, 109, 0),
-            "nodes": (583, 15, 0, 109, 0),
-            "total": (2891, 283, 0, 638, 154),
+            # 583: one result-row lookup per walked pair, not per
+            # distinct result.
+            "nodes": (527, 15, 0, 109, 0),
+            "total": (2227, 283, 0, 638, 154),
         }
 
     def test_probationary_skeleton_inode_is_promoted(self, db):
@@ -437,6 +453,83 @@ class TestBatchApis:
         assert counter.count == 0
 
 
+def _longest_chains(tree, f: int) -> tuple[int, list[int]]:
+    """``(rounds, blocks per layer)`` of a tree's layered index, where
+    ``rounds`` sums each layer's deepest source chain: the most hop
+    rounds a level-synchronous walk can take."""
+    index = HierarchicalIndex(tree, f)
+    depth: dict[int, int] = {}
+    for block in range(index.n_blocks()):  # parents precede children
+        source = index.block_source_inode[block]
+        depth[block] = (
+            0 if source is None else depth[index.inode_block[source]] + 1
+        )
+    rounds = 0
+    for layer in range(index.n_layers):
+        rounds += max(
+            d for block, d in depth.items() if index.block_layer[block] == layer
+        )
+    return rounds, [index.n_blocks(layer) for layer in range(index.n_layers)]
+
+
+class TestLevelSynchronousWalk:
+    """``lca_batch`` pays one round of SQL per index layer and hop, not
+    one statement per pair and hop."""
+
+    def test_cold_statements_do_not_grow_with_pairs(self, db, repo):
+        # balanced(8) with f = 4: a top block over 16 blocks of 16
+        # leaves each.  The first 40 pairs reach every block and every
+        # hop round: (t1, t256) crosses blocks, and one pair per lower
+        # block (its first and last leaf) takes its label there.  The
+        # next 360 pairs add rows but no block, round or label block.
+        # No fill of this 511-node tree reaches the IN (...) chunk size.
+        repo.store_tree(balanced(8), name="bal", f=4)
+        rng = random.Random(3)
+        leaves = [f"t{i}" for i in range(1, 257)]
+        base = [("t1", "t256")] + [
+            (f"t{16 * k + 1}", f"t{16 * k + 16}") for k in range(16)
+        ]
+        base += [tuple(rng.sample(leaves, 2)) for _ in range(40 - len(base))]
+        more = base + [tuple(rng.sample(leaves, 2)) for _ in range(360)]
+        counts = []
+        for pairs in (base, more):
+            handle = repo.open("bal")
+            with db.count_statements() as counter:
+                handle.lca_batch(pairs)
+            counts.append(counter.count)
+        assert len(base) == 40 and len(more) == 400
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("shape", ["yule", "caterpillar"])
+    def test_cold_projection_within_the_layer_budget(self, sanitized, shape):
+        f = 4
+        tree = (
+            yule_tree(1000, rng=np.random.default_rng(2))
+            if shape == "yule"
+            else caterpillar(300)
+        )
+        rounds, blocks = _longest_chains(tree, f)
+        leaves = [leaf.name for leaf in tree.root.leaves()]
+        pairs = 15
+        # Names and canonical inodes, a block and a rep fill per layer
+        # below the top, a block and a source fill per hop round, a
+        # label lookup per distinct block of each layer, result rows.
+        budget = (
+            2
+            + 2 * (len(blocks) - 1)
+            + 2 * rounds
+            + sum(min(pairs, n) for n in blocks)
+            + 1
+        )
+        with CrimsonStore.open() as store:
+            store.load_tree(tree, name="gold", f=f)
+            for seed in range(5):
+                handle = store.trees.open("gold")
+                sample = random.Random(seed).sample(leaves, pairs + 1)
+                with statement_budget(budget):
+                    project_stored(handle, sample)
+
+
 def _preorder_rank(tree):
     return {id(node): rank for rank, node in enumerate(tree.preorder())}
 
@@ -544,3 +637,26 @@ class TestQueryPlans:
         for index in ("idx_nodes_name", "idx_nodes_parent", "idx_inodes_orig"):
             assert f"USING INDEX {index} (tree_id=? AND" in used
         assert "PRIMARY KEY (tree_id=? AND node_id>? AND node_id<?)" in used
+
+    def test_batch_walk_plans_narrow_below_the_tree(self, sanitized):
+        with CrimsonStore.open() as store:
+            store.load_tree(caterpillar(60), name="first", f=4)
+            store.load_tree(caterpillar(80), name="second", f=4)
+            handle = store.open_tree("second", cache_size=4096)
+            with record_statements() as recorded:
+                handle.lca_batch([("t1", "t80"), ("t40", "t41"), ("t2", "t70")])
+            plans = {}
+            for _, sql in recorded:
+                rows = store.db.connection.execute(
+                    "EXPLAIN QUERY PLAN " + sql, (1,) * sql.count("?")
+                ).fetchall()
+                plans[sql] = " | ".join(row[3] for row in rows)
+        for sql, plan in plans.items():
+            assert "(tree_id=?)" not in plan, (sql, plan)
+        labels = [plan for sql, plan in plans.items() if "local_label IN" in sql]
+        assert labels
+        for plan in labels:
+            assert (
+                "USING INDEX idx_inodes_label "
+                "(tree_id=? AND block_id=? AND local_label=?)" in plan
+            ), plan

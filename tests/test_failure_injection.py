@@ -25,33 +25,62 @@ def stored(db, fig1):
     return TreeRepository(db).store_tree(fig1, f=2)
 
 
+def _lca(handle, a: str, b: str) -> str:
+    return handle.lca(a, b).name
+
+
+def _lca_batch(handle, a: str, b: str) -> str:
+    return handle.lca_batch([(a, b)])[0].name
+
+
+def _project(handle, a: str, b: str) -> str:
+    return project_stored(handle, [a, b]).root.name
+
+
+#: Every read path that walks the layered index, as "name of the LCA of
+#: two leaves": the recursive per-pair walk, the level-synchronous batch
+#: walk, and a projection (one batch over the sorted leaves).
+WALKS = (_lca, _lca_batch, _project)
+
+
+def _cold(db, stored):
+    """A fresh handle on the damaged tree: no row cached before."""
+    return TreeRepository(db).open(stored.info.name)
+
+
 class TestIndexCorruption:
+    """Each damage case raises the same typed error on every walk."""
+
     def test_missing_canonical_inode(self, db, stored):
         lla = stored.node_by_name("Lla")
         db.execute(
             "DELETE FROM inodes WHERE orig_node_id = ? AND is_canonical = 1",
             (lla.node_id,),
         )
-        with pytest.raises(StorageError, match="canonical"):
-            stored.lca("Lla", "Syn")
+        for walk in WALKS:
+            with pytest.raises(StorageError, match="canonical"):
+                walk(_cold(db, stored), "Lla", "Syn")
 
     def test_missing_block_row(self, db, stored):
         db.execute("DELETE FROM blocks WHERE block_id = 1")
-        with pytest.raises(StorageError):
-            stored.lca("Lla", "Syn")
+        for walk in WALKS:
+            with pytest.raises(StorageError):
+                walk(_cold(db, stored), "Lla", "Syn")
 
     def test_missing_rep_inode(self, db, stored):
         db.execute("UPDATE blocks SET rep_inode_id = NULL WHERE layer = 0")
-        with pytest.raises(StorageError, match="rep"):
-            stored.lca("Lla", "Syn")
+        for walk in WALKS:
+            with pytest.raises(StorageError, match="rep"):
+                walk(_cold(db, stored), "Lla", "Syn")
 
     def test_broken_source_chain(self, db, stored):
         db.execute(
             "UPDATE blocks SET source_inode_id = NULL WHERE source_inode_id "
             "IS NOT NULL AND layer = 0"
         )
-        with pytest.raises(StorageError):
-            stored.lca("Lla", "Syn")
+        for walk in WALKS:
+            with pytest.raises(StorageError):
+                walk(_cold(db, stored), "Lla", "Syn")
 
     def test_missing_prefix_inode(self, db, stored):
         # Remove the inode the common-prefix lookup lands on (the root ε).
@@ -59,8 +88,9 @@ class TestIndexCorruption:
             "DELETE FROM inodes WHERE local_label = '' AND layer = 0 "
             "AND block_id = 0"
         )
-        with pytest.raises(StorageError):
-            stored.lca("Syn", "Bsu")
+        for walk in WALKS:
+            with pytest.raises(StorageError):
+                walk(_cold(db, stored), "Syn", "Bsu")
 
     def test_same_block_queries_unaffected_by_other_block_damage(
         self, db, stored
@@ -68,7 +98,8 @@ class TestIndexCorruption:
         """Corruption in block 2's rows must not disturb block-1-local
         queries — locality is the point of the decomposition."""
         db.execute("DELETE FROM blocks WHERE block_id = 1")
-        assert stored.lca("Syn", "Bsu").name == "R"
+        for walk in WALKS:
+            assert walk(_cold(db, stored), "Syn", "Bsu") == "R"
 
 
 class TestClosedDatabase:

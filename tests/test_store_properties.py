@@ -18,6 +18,7 @@ from repro.storage.database import CrimsonDatabase
 from repro.storage.maintenance import verify_tree
 from repro.storage.projection import project_stored
 from repro.storage.tree_repository import TreeRepository
+from repro.trees.build import caterpillar
 from repro.trees.node import Node
 from repro.trees.traversal import naive_lca
 from repro.trees.tree import PhyloTree
@@ -46,6 +47,13 @@ def named_trees(draw, max_nodes: int = 30):
 
 label_bounds = st.integers(min_value=1, max_value=5)
 
+#: The tree strategies plus caterpillars, whose long source chains
+#: stretch the level-synchronous walk over many hop rounds.
+batch_trees = st.one_of(
+    named_trees(max_nodes=60),
+    st.integers(min_value=2, max_value=80).map(caterpillar),
+)
+
 
 @SETTINGS
 @given(tree=named_trees(), f=label_bounds)
@@ -66,6 +74,35 @@ def test_sql_lca_equals_naive(tree, f, seed):
             a = rng.choice(nodes)
             b = rng.choice(nodes)
             assert handle.lca(a.name, b.name).name == naive_lca(a, b).name
+
+
+@SETTINGS
+@given(tree=batch_trees, f=st.sampled_from([2, 3, 8]), data=st.data())
+def test_lca_batch_equals_pairwise_lca(tree, f, data):
+    """``lca_batch`` answers each pair as the recursive per-pair ``lca``
+    does, on a cold handle and again on the warm one."""
+    with CrimsonDatabase() as db:
+        repo = TreeRepository(db)
+        reference = repo.store_tree(tree, name="prop", f=f)
+        rows = reference.preorder_rows()
+        names = [row.name for row in rows if row.name is not None]
+        item = st.one_of(
+            st.integers(0, len(rows) - 1), st.sampled_from(names)
+        )
+        pairs = data.draw(st.lists(st.tuples(item, item), max_size=30))
+        picked = data.draw(st.lists(st.sampled_from(rows), min_size=1, max_size=4))
+        # Duplicates, self pairs and parent/child (ancestor) pairs in
+        # both orders.
+        pairs += pairs[:3]
+        for row in picked:
+            pairs.append((row.node_id, row.node_id))
+            if row.parent_id is not None:
+                pairs += [(row.parent_id, row.node_id), (row.node_id, row.parent_id)]
+        expected = [reference.lca(a, b) for a, b in pairs]
+        handle = repo.open("prop")
+        assert handle.lca_batch(pairs) == expected
+        assert handle.lca_batch(pairs) == expected
+        assert handle.lca_batch([]) == []
 
 
 @SETTINGS
