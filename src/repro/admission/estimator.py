@@ -46,9 +46,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.errors import ProtocolError, QueryError
+from repro.errors import QueryError
 
 if TYPE_CHECKING:  # type-only: keeps repro.admission importable alone
     from repro.storage.api import AnalyticsRequest, QueryRequest
@@ -91,45 +91,9 @@ class CostEstimate:
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-friendly form (wire payloads, ResourceError context)."""
-        return {
-            "operation": self.operation,
-            "trees": list(self.trees),
-            "statements": self.statements,
-            "rows": self.rows,
-            "result_bytes": self.result_bytes,
-            "warm_fraction": self.warm_fraction,
-            "cost": self.cost,
-        }
+        from repro.storage.wire import as_dict
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "CostEstimate":
-        """Rebuild an estimate from :meth:`as_dict` output.
-
-        Raises
-        ------
-        ProtocolError
-            On a missing or mistyped field.
-        """
-        try:
-            trees = payload["trees"]
-            if isinstance(trees, (str, bytes)) or not isinstance(
-                trees, (list, tuple)
-            ):
-                raise ProtocolError(
-                    f"malformed cost estimate: 'trees' must be a list, "
-                    f"got {trees!r}"
-                )
-            return cls(
-                operation=str(payload["operation"]),
-                trees=tuple(str(name) for name in trees),
-                statements=int(payload["statements"]),
-                rows=int(payload["rows"]),
-                result_bytes=int(payload["result_bytes"]),
-                warm_fraction=float(payload["warm_fraction"]),
-                cost=float(payload["cost"]),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise ProtocolError(f"malformed cost estimate: {error}") from None
+        return as_dict(self)
 
     def summary(self) -> str:
         """One-line human form (the CLI's ``crimson estimate`` output)."""

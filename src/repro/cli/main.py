@@ -614,51 +614,11 @@ def main(argv: list[str] | None = None) -> int:
     # handle them before the store opens (and possibly creates) it.
     if args.command == "lint":
         return _run_lint(args)
-    if args.command == "ping" and args.host is not None:
+    if args.command in SESSION_COMMANDS and args.host is not None:
         try:
             with RemoteSession(args.host, args.port) as session:
-                print(json.dumps(session.ping(), indent=2, sort_keys=True))
-            return 0
-        except (CrimsonError, OSError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-    if args.command == "estimate" and args.host is not None:
-        try:
-            with RemoteSession(args.host, args.port) as session:
-                _print_estimate(
-                    session.estimate(_estimate_request(args)), args.as_json
-                )
-            return 0
-        except (CrimsonError, OSError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-    if args.command == "stats" and args.host is not None:
-        try:
-            with RemoteSession(args.host, args.port) as session:
-                _print_stats(
-                    session.stats(_stats_request(args)), args.format
-                )
-            return 0
-        except (CrimsonError, OSError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-    if args.command == "health" and args.host is not None:
-        try:
-            with RemoteSession(args.host, args.port) as session:
-                return _print_health(session.health(), args.as_json)
-        except (CrimsonError, OSError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-    if args.command == "top" and args.host is not None:
-        from repro.cli.top import run_top
-
-        try:
-            with RemoteSession(args.host, args.port) as session:
-                return run_top(
-                    session.stats,
-                    title=f"{args.host}:{args.port}",
-                    interval=args.interval,
-                    iterations=args.iterations,
+                return _session_command(
+                    args, session, f"{args.host}:{args.port}"
                 )
         except (CrimsonError, OSError) as error:
             print(f"error: {error}", file=sys.stderr)
@@ -961,41 +921,10 @@ def _dispatch(args: argparse.Namespace, store: CrimsonStore, rng) -> int:
             server.shutdown(drain=args.drain_timeout)
         return 0
 
-    if args.command == "estimate":
+    if args.command in SESSION_COMMANDS:
         # The remote (--host) form exits in main() before the store
-        # opens; reaching here means: estimate against the local store.
-        _print_estimate(store.estimate(_estimate_request(args)), args.as_json)
-        return 0
-
-    if args.command == "ping":
-        # The remote (--host) form exits in main() before the store
-        # opens; reaching here means: ping the local store's session.
-        print(json.dumps(store.session().ping(), indent=2, sort_keys=True))
-        return 0
-
-    if args.command == "stats":
-        # The remote (--host) form exits in main() before the store
-        # opens; reaching here means: snapshot the local store.
-        _print_stats(store.session().stats(_stats_request(args)), args.format)
-        return 0
-
-    if args.command == "health":
-        # The remote (--host) form exits in main() before the store
-        # opens; reaching here means: evaluate the local store.
-        return _print_health(store.session().health(), args.as_json)
-
-    if args.command == "top":
-        # The remote (--host) form exits in main() before the store
-        # opens; reaching here means: watch the local store.
-        from repro.cli.top import run_top
-
-        session = store.session()
-        return run_top(
-            session.stats,
-            title=str(args.db),
-            interval=args.interval,
-            iterations=args.iterations,
-        )
+        # opens; reaching here means: the local store's session.
+        return _session_command(args, store.session(), str(args.db))
 
     if args.command == "history":
         entries = history.recent(limit=args.limit, tree_name=args.tree)
@@ -1193,11 +1122,36 @@ def _estimate_request(
     return QueryRequest.match(tree, args.pattern, ordered=not args.unordered)
 
 
-def _print_estimate(estimate, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(estimate.as_dict(), indent=2, sort_keys=True))
-    else:
-        print(estimate.summary())
+#: Subcommands that run through a session: with ``--host`` against a
+#: server, without it against the local store — the same code for both.
+SESSION_COMMANDS = ("ping", "estimate", "stats", "health", "top")
+
+
+def _session_command(args: argparse.Namespace, session, title: str) -> int:
+    if args.command == "ping":
+        print(json.dumps(session.ping(), indent=2, sort_keys=True))
+        return 0
+    if args.command == "estimate":
+        estimate = session.estimate(_estimate_request(args))
+        if args.as_json:
+            print(json.dumps(estimate.as_dict(), indent=2, sort_keys=True))
+        else:
+            print(estimate.summary())
+        return 0
+    if args.command == "stats":
+        _print_stats(session.stats(_stats_request(args)), args.format)
+        return 0
+    if args.command == "health":
+        return _print_health(session.health(), args.as_json)
+    assert args.command == "top"
+    from repro.cli.top import run_top
+
+    return run_top(
+        session.stats,
+        title=title,
+        interval=args.interval,
+        iterations=args.iterations,
+    )
 
 
 def _stats_request(args: argparse.Namespace) -> StatsRequest:

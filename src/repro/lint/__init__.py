@@ -3,8 +3,8 @@
 Run it as ``crimson lint`` or ``python -m repro.lint``.  The rules and
 the framework live next to the code they check on purpose: an invariant
 of *this* codebase (sqlite3 behind CrimsonDatabase, typed errors over
-the wire, protocol surfaces in lockstep, reader thread-affinity,
-released resources) is enforced here, not in a reviewer's memory.
+the wire, reader thread-affinity, released resources) is enforced
+here, not in a reviewer's memory.
 
 See :mod:`repro.lint.framework` for the suppression syntax and how to
 add a rule.
@@ -41,7 +41,6 @@ from repro.lint.rules_layering import (
     ReadOnlyImports,
     SqliteLayering,
 )
-from repro.lint.rules_protocol import ProtocolExhaustiveness
 from repro.lint.rules_resources import ManagedResources
 from repro.lint.rules_sql import (
     SqlInterpolation,
@@ -50,11 +49,7 @@ from repro.lint.rules_sql import (
     SqlSchemaSync,
     build_census,
 )
-from repro.lint.rules_wire import (
-    WireErrorDetails,
-    WireFieldDrift,
-    WireRoundtrip,
-)
+from repro.lint.rules_wire import WireErrorDetails
 
 __all__ = [
     "ALL_RULES",
@@ -75,7 +70,6 @@ ALL_RULES: tuple[Rule, ...] = (
     TypedRaises(),
     SwallowedExceptions(),
     RegistrySync(),
-    ProtocolExhaustiveness(),
     ReaderEscape(),
     LockOrder(),
     SameThreadGuard(),
@@ -84,8 +78,6 @@ ALL_RULES: tuple[Rule, ...] = (
     SqlPlaceholders(),
     SqlInterpolation(),
     SqlSchemaSync(),
-    WireFieldDrift(),
-    WireRoundtrip(),
     WireErrorDetails(),
 )
 

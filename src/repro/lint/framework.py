@@ -6,9 +6,8 @@ parsed project to a set of :class:`Rule` objects, and reports the
 invariant violations they find.  Rules encode the *unwritten* rules the
 PR review cycles have been enforcing by hand — sqlite3 stays behind
 ``CrimsonDatabase``, errors crossing the session boundary are typed,
-every session operation is wired through every surface, pooled readers
-never escape their thread, resources are released — so the invariants
-break a CI job instead of a user.
+pooled readers never escape their thread, resources are released — so
+the invariants break a CI job instead of a user.
 
 Suppressions
 ------------
@@ -207,34 +206,6 @@ def imported_modules(module: Module) -> Iterator[tuple[str, int]]:
                 yield f"{prefix}.{alias.name}", node.lineno
 
 
-def top_level_class(module: Module, name: str) -> ast.ClassDef | None:
-    for node in module.tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == name:
-            return node
-    return None
-
-
-def class_function(
-    classdef: ast.ClassDef, name: str
-) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-    for node in classdef.body:
-        if (
-            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and node.name == name
-        ):
-            return node
-    return None
-
-
-def public_methods(classdef: ast.ClassDef) -> set[str]:
-    return {
-        node.name
-        for node in classdef.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not node.name.startswith("_")
-    }
-
-
 def tuple_literal(module: Module, name: str) -> tuple[str, ...] | None:
     """The string elements of a top-level ``NAME = ("a", "b", ...)``."""
     for node in module.tree.body:
@@ -259,42 +230,6 @@ def tuple_literal(module: Module, name: str) -> tuple[str, ...] | None:
                 items.append(element.value)
             return tuple(items)
     return None
-
-
-def compared_literals(
-    scope: ast.AST, *, attribute: str | None = None, name: str | None = None
-) -> set[str]:
-    """String literals a variable is compared against inside ``scope``.
-
-    Collects ``x == "lit"``, ``"lit" == x``, and ``x in ("a", "b")``
-    where ``x`` is either an attribute access ending in ``attribute``
-    (``request.operation``) or a bare name equal to ``name`` (``verb``).
-    ``assert`` conditions count — they are the idiomatic final branch of
-    an exhaustive dispatch chain.
-    """
-
-    def matches(node: ast.expr) -> bool:
-        if attribute is not None:
-            return isinstance(node, ast.Attribute) and node.attr == attribute
-        return isinstance(node, ast.Name) and node.id == name
-
-    found: set[str] = set()
-    for node in ast.walk(scope):
-        if not isinstance(node, ast.Compare):
-            continue
-        sides = [node.left, *node.comparators]
-        if not any(matches(side) for side in sides):
-            continue
-        for side in sides:
-            if isinstance(side, ast.Constant) and isinstance(side.value, str):
-                found.add(side.value)
-            elif isinstance(side, (ast.Tuple, ast.List, ast.Set)):
-                for element in side.elts:
-                    if isinstance(element, ast.Constant) and isinstance(
-                        element.value, str
-                    ):
-                        found.add(element.value)
-    return found
 
 
 # ----------------------------------------------------------------------

@@ -1,79 +1,25 @@
-"""wire-* rules: field-level drift detection for the wire codec.
+"""wire-error-details: error context hooks cross the wire intact.
 
-``storage/wire.py`` is the *only* place the wire shape is defined, but
-the shapes it serializes live elsewhere: frozen dataclasses in
-``storage/api.py``/``storage/tree_repository.py``/``admission/``, and
-error context hooks in ``errors.py``.  Adding a dataclass field without
-touching both codec directions is a silent wire gap — the field simply
-never crosses — which is exactly the drift these rules turn into named
-findings:
-
-* ``wire-field-drift``  — for each encode/decode pair that round-trips
-  a project dataclass, the dataclass's declared fields, the key
-  literals the encoder writes, and the key literals the decoder reads
-  and the constructor keywords it passes must all agree;
-* ``wire-roundtrip``    — every ``encode_<x>`` in the codec has a
-  matching ``decode_<x>`` and vice versa, so a one-directional codec
-  addition is caught by name;
-* ``wire-error-details`` — error classes carrying structured context
-  implement *both* ``wire_details`` and ``apply_wire_details`` with
-  agreeing key sets, and every error class stays constructible from a
-  single message argument (the contract ``decode_error`` relies on via
-  ``ERROR_KINDS``).
-
-The pairing convention is purely lexical — ``(_)?encode_<suffix>`` /
-``(_)?decode_<suffix>`` — with one structural filter: a decode
-function participates only when its first parameter is annotated as a
-``Mapping`` (that is the codec's own idiom; row-shaped helpers like
-``_decode_support(rows: Any)`` stay out).
+The wire codec (``storage/wire.py``) encodes dataclass fields from
+their annotations, so its shapes cannot drift from the classes they
+serialize.  Errors are the exception: ``encode_error`` ships whatever
+an error's ``wire_details`` hook returns and ``decode_error`` rebuilds
+the class by name as ``KIND(message)`` before handing the details to
+``apply_wire_details``.  This rule checks that contract in
+``errors.py``: error classes carrying structured context implement
+*both* hooks with agreeing key sets, and every error class stays
+constructible from a single message argument.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-from dataclasses import dataclass
 from typing import Iterator
 
 from repro.lint.framework import Finding, Module, Project, Rule
 
-WIRE_MODULE = "storage/wire.py"
 ERRORS_MODULE = "errors.py"
 ERROR_ROOT = "CrimsonError"
-
-_ENCODE_NAME = re.compile(r"^_?encode_(?P<suffix>.+)$")
-_DECODE_NAME = re.compile(r"^_?decode_(?P<suffix>.+)$")
-
-#: Keys a decoder legitimately reads that no dataclass declares.
-_ENVELOPE_KEYS = frozenset({"protocol"})
-
-
-# ----------------------------------------------------------------------
-# Project-wide class index
-# ----------------------------------------------------------------------
-
-def class_index(project: Project) -> dict[str, tuple[Module, ast.ClassDef]]:
-    """Top-level class name -> defining module (cached per project)."""
-    cached = getattr(project, "_crimson_class_index", None)
-    if cached is None:
-        cached = {}
-        for module in project:
-            for node in module.tree.body:
-                if isinstance(node, ast.ClassDef):
-                    cached.setdefault(node.name, (module, node))
-        project._crimson_class_index = cached  # type: ignore[attr-defined]
-    return cached
-
-
-def dataclass_fields(classdef: ast.ClassDef) -> tuple[str, ...]:
-    """Declared (annotated) fields, in order; properties are not fields."""
-    return tuple(
-        node.target.id
-        for node in classdef.body
-        if isinstance(node, ast.AnnAssign)
-        and isinstance(node.target, ast.Name)
-        and not node.target.id.startswith("_")
-    )
 
 
 def _class_method(
@@ -85,56 +31,6 @@ def _class_method(
     return None
 
 
-# ----------------------------------------------------------------------
-# Codec function discovery and key extraction
-# ----------------------------------------------------------------------
-
-def _first_param(funcdef: ast.FunctionDef) -> ast.arg | None:
-    params = [*funcdef.args.posonlyargs, *funcdef.args.args]
-    return params[0] if params else None
-
-
-def _annotation_mentions(annotation: ast.expr | None, word: str) -> bool:
-    if annotation is None:
-        return False
-    for node in ast.walk(annotation):
-        if isinstance(node, ast.Name) and node.id == word:
-            return True
-        if isinstance(node, ast.Attribute) and node.attr == word:
-            return True
-    return False
-
-
-def is_decoder(funcdef: ast.FunctionDef) -> bool:
-    """Name matches ``decode_*`` and the payload param is a ``Mapping``."""
-    if _DECODE_NAME.match(funcdef.name) is None:
-        return False
-    param = _first_param(funcdef)
-    return param is not None and _annotation_mentions(
-        param.annotation, "Mapping"
-    )
-
-
-def codec_functions(
-    module: Module,
-) -> tuple[dict[str, ast.FunctionDef], dict[str, ast.FunctionDef]]:
-    """``(encoders, decoders)`` of the wire module, keyed by suffix."""
-    encoders: dict[str, ast.FunctionDef] = {}
-    decoders: dict[str, ast.FunctionDef] = {}
-    for node in module.tree.body:
-        if not isinstance(node, ast.FunctionDef):
-            continue
-        encode = _ENCODE_NAME.match(node.name)
-        if encode is not None:
-            encoders[encode.group("suffix")] = node
-            continue
-        if is_decoder(node):
-            match = _DECODE_NAME.match(node.name)
-            assert match is not None
-            decoders[match.group("suffix")] = node
-    return encoders, decoders
-
-
 def _string_subscript_key(node: ast.Subscript) -> str | None:
     if isinstance(node.slice, ast.Constant) and isinstance(
         node.slice.value, str
@@ -144,8 +40,8 @@ def _string_subscript_key(node: ast.Subscript) -> str | None:
 
 
 def mapping_reads(body: ast.AST, param: str) -> set[str]:
-    """Every key literal read off ``param``: ``param["k"]``,
-    ``param.get("k", ...)``, and ``_field(param, "k", ...)``."""
+    """Every key literal read off ``param``: ``param["k"]`` and
+    ``param.get("k", ...)``."""
     keys: set[str] = set()
     for node in ast.walk(body):
         if isinstance(node, ast.Subscript):
@@ -169,16 +65,6 @@ def mapping_reads(body: ast.AST, param: str) -> set[str]:
                 and isinstance(node.args[0].value, str)
             ):
                 keys.add(node.args[0].value)
-            elif (
-                isinstance(func, ast.Name)
-                and func.id == "_field"
-                and len(node.args) >= 2
-                and isinstance(node.args[0], ast.Name)
-                and node.args[0].id == param
-                and isinstance(node.args[1], ast.Constant)
-                and isinstance(node.args[1].value, str)
-            ):
-                keys.add(node.args[1].value)
     return keys
 
 
@@ -199,219 +85,6 @@ def dict_keys_written(body: ast.AST) -> set[str]:
             if key is not None:
                 keys.add(key)
     return keys
-
-
-@dataclass
-class DecodedShape:
-    """What a decode function rebuilds, statically."""
-
-    classdef: ast.ClassDef
-    #: key literals read off the payload mapping
-    reads: set[str]
-    #: keyword names passed to the dataclass constructor
-    constructed: set[str]
-
-
-def _construction_keywords(
-    body: ast.AST, index: dict[str, tuple[Module, ast.ClassDef]]
-) -> tuple[ast.ClassDef, set[str]] | None:
-    """The ``ClassName(field=..., ...)`` call of a decoder, if any.
-
-    ``cls(...)`` inside a classmethod resolves to the enclosing class
-    via the caller (see :func:`decoded_shape`); here only direct
-    ``Name(...)`` constructions with keyword arguments count.
-    """
-    for node in ast.walk(body):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.keywords
-            and node.func.id in index
-        ):
-            keywords = {
-                kw.arg for kw in node.keywords if kw.arg is not None
-            }
-            return index[node.func.id][1], keywords
-    return None
-
-
-def _cls_keywords(funcdef: ast.FunctionDef) -> set[str] | None:
-    """Keywords of a ``cls(...)`` call inside a classmethod."""
-    for node in ast.walk(funcdef):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "cls"
-            and node.keywords
-        ):
-            return {kw.arg for kw in node.keywords if kw.arg is not None}
-    return None
-
-
-def decoded_shape(
-    funcdef: ast.FunctionDef,
-    index: dict[str, tuple[Module, ast.ClassDef]],
-) -> DecodedShape | None:
-    """Resolve what ``funcdef`` decodes into, following ``from_dict``."""
-    param = _first_param(funcdef)
-    if param is None:
-        return None
-    reads = mapping_reads(funcdef, param.arg)
-
-    direct = _construction_keywords(funcdef, index)
-    if direct is not None:
-        return DecodedShape(direct[0], reads, direct[1])
-
-    # ``return ClassName.from_dict(payload)`` — follow into the
-    # classmethod: its mapping reads and its ``cls(...)`` keywords are
-    # the decode surface.
-    for node in ast.walk(funcdef):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "from_dict"
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id in index
-        ):
-            continue
-        classdef = index[node.func.value.id][1]
-        method = _class_method(classdef, "from_dict")
-        if method is None:
-            continue
-        params = [*method.args.posonlyargs, *method.args.args]
-        if len(params) < 2:
-            continue
-        reads = reads | mapping_reads(method, params[1].arg)
-        constructed = _cls_keywords(method)
-        if constructed is None:
-            continue
-        return DecodedShape(classdef, reads, constructed)
-    return None
-
-
-def encoded_keys(
-    funcdef: ast.FunctionDef,
-    classdef: ast.ClassDef,
-) -> set[str] | None:
-    """Key literals the encoder writes, following ``<param>.as_dict()``."""
-    keys = dict_keys_written(funcdef)
-    if keys:
-        return keys
-    # ``return stamp(value.as_dict())`` — the class's own as_dict is
-    # the encode surface.
-    for node in ast.walk(funcdef):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "as_dict"
-        ):
-            method = _class_method(classdef, "as_dict")
-            if method is not None:
-                return dict_keys_written(method)
-    return None
-
-
-# ----------------------------------------------------------------------
-# Rules
-# ----------------------------------------------------------------------
-
-class WireFieldDrift(Rule):
-    """Dataclass fields and codec key literals must agree, both ways."""
-
-    rule_id = "wire-field-drift"
-    description = (
-        "every dataclass field round-tripped by storage/wire.py is "
-        "written by its encoder and read+constructed by its decoder "
-        "(and the codec writes no key the dataclass lacks)"
-    )
-
-    def check(self, project: Project) -> Iterator[Finding]:
-        wire = project.module(WIRE_MODULE)
-        if wire is None:
-            return
-        index = class_index(project)
-        encoders, decoders = codec_functions(wire)
-        for suffix, decoder in sorted(decoders.items()):
-            shape = decoded_shape(decoder, index)
-            if shape is None:
-                continue  # no dataclass construction — nothing to diff
-            fields = set(dataclass_fields(shape.classdef))
-            if not fields:
-                continue
-            name = shape.classdef.name
-            for field in sorted(fields - shape.reads):
-                yield self.finding(
-                    wire.path,
-                    decoder,
-                    f"{decoder.name} never reads key {field!r} of "
-                    f"{name} from the payload",
-                )
-            for field in sorted(fields - shape.constructed):
-                yield self.finding(
-                    wire.path,
-                    decoder,
-                    f"{decoder.name} constructs {name} without its "
-                    f"{field!r} field — it silently takes the default",
-                )
-            for key in sorted(
-                shape.reads - fields - _ENVELOPE_KEYS
-            ):
-                yield self.finding(
-                    wire.path,
-                    decoder,
-                    f"{decoder.name} reads key {key!r} that {name} has "
-                    f"no field for",
-                )
-            encoder = encoders.get(suffix)
-            if encoder is None:
-                continue  # wire-roundtrip reports the missing direction
-            keys = encoded_keys(encoder, shape.classdef)
-            if keys is None:
-                continue
-            for field in sorted(fields - keys):
-                yield self.finding(
-                    wire.path,
-                    encoder,
-                    f"{encoder.name} never writes field {field!r} of "
-                    f"{name} — it does not cross the wire",
-                )
-            for key in sorted(keys - fields - _ENVELOPE_KEYS):
-                yield self.finding(
-                    wire.path,
-                    encoder,
-                    f"{encoder.name} writes key {key!r} that {name} has "
-                    f"no field for",
-                )
-
-
-class WireRoundtrip(Rule):
-    """Every encoder has a decoder, and the other way around."""
-
-    rule_id = "wire-roundtrip"
-    description = (
-        "storage/wire.py defines encode_<x> and decode_<x> in matched "
-        "pairs — a one-directional codec addition is a wire gap"
-    )
-
-    def check(self, project: Project) -> Iterator[Finding]:
-        wire = project.module(WIRE_MODULE)
-        if wire is None:
-            return
-        encoders, decoders = codec_functions(wire)
-        for suffix in sorted(set(encoders) - set(decoders)):
-            yield self.finding(
-                wire.path,
-                encoders[suffix],
-                f"{encoders[suffix].name} has no matching decode_"
-                f"{suffix} (a Mapping-annotated decoder)",
-            )
-        for suffix in sorted(set(decoders) - set(encoders)):
-            yield self.finding(
-                wire.path,
-                decoders[suffix],
-                f"{decoders[suffix].name} has no matching encode_"
-                f"{suffix}",
-            )
 
 
 def _error_classes(module: Module) -> dict[str, ast.ClassDef]:

@@ -1,7 +1,7 @@
 """`RemoteSession`: the :class:`CrimsonSession` protocol over TCP.
 
 A remote session is the client half of ``crimson serve``: the same
-query interface as :class:`~repro.storage.api.LocalSession`, but every
+query interface as :class:`~repro.storage.verbs.LocalSession`, but every
 verb is one JSON-line round trip to a server process.  Results decode
 back into the in-process types (:class:`QueryResult`,
 :class:`NodeRow`, :class:`PhyloTree` projections, :class:`TreeInfo`,
@@ -32,22 +32,20 @@ from repro.obs import Span, new_trace_id
 from repro.server import protocol
 from repro.server.server import DEFAULT_PORT
 from repro.storage import wire
-from repro.storage.api import (
-    AnalyticsRequest,
-    AnalyticsResult,
-    AnalyticsVerbs,
-    HealthReport,
-    QueryRequest,
-    QueryResult,
-    StatsRequest,
-    StatsSnapshot,
-)
-from repro.storage.maintenance import IntegrityReport
-from repro.storage.tree_repository import TreeInfo
+from repro.storage.api import AnalyticsVerbs
+from repro.storage.verbs import Verb, session_verbs
 
 
+@session_verbs
 class RemoteSession(AnalyticsVerbs):
     """A client connection to a ``crimson serve`` process.
+
+    Its verb methods come from the registry
+    (:func:`~repro.storage.verbs.session_verbs`); each is one round
+    trip through :meth:`_run`.  ``analyze`` against a pre-analytics
+    server re-raises the server's typed
+    :class:`~repro.errors.ProtocolError` (unknown verb), and the
+    connection survives.
 
     Parameters
     ----------
@@ -209,96 +207,12 @@ class RemoteSession(AnalyticsVerbs):
             0.0, round(self.last_round_trip_ms - self.last_server_ms, 3)
         )
 
-    # ------------------------------------------------------------------
-    # The CrimsonSession protocol
-    # ------------------------------------------------------------------
-
-    def query(
-        self, request: QueryRequest, *, record: bool = False
-    ) -> QueryResult:
-        """Execute one typed query on the server; decode its result."""
-        payload = self._call(
-            "query", wire.encode_request(request), record=record
-        )
-        return wire.decode_result(payload)
-
-    def analyze(
-        self, request: AnalyticsRequest, *, record: bool = False
-    ) -> AnalyticsResult:
-        """Execute one cross-tree analytics request on the server.
-
-        The named wrappers (``compare``, ``distance_matrix``,
-        ``consensus``) are inherited from
-        :class:`~repro.storage.api.AnalyticsVerbs`, exactly as on a
-        local session.  Against a pre-analytics server the ``analyze``
-        verb is unknown and this re-raises the server's typed
-        :class:`~repro.errors.ProtocolError`; the connection survives.
-        """
-        payload = self._call(
-            "analyze", wire.encode_analytics_request(request), record=record
-        )
-        return wire.decode_analytics_result(payload)
-
-    def estimate(self, request: QueryRequest | AnalyticsRequest):
-        """Pre-flight cost estimate of one request, without running it.
-
-        Returns the server's :class:`~repro.admission.CostEstimate` —
-        the same numbers its admission controller would hold the real
-        request against, so a client can right-size a batch before
-        spending its quota on a refusal.
-        """
-        payload = self._call("estimate", wire.encode_estimate_request(request))
-        return wire.decode_estimate(payload)
-
-    def list_trees(self) -> list[TreeInfo]:
-        """Catalogue rows of every tree the server stores."""
-        payload = self._call("list_trees")
-        if not isinstance(payload, list):
-            raise ProtocolError("a list_trees result must be a list")
-        return [wire.decode_tree_info(row) for row in payload]
-
-    def describe(self, name: str) -> TreeInfo:
-        """Catalogue row of one stored tree."""
-        return wire.decode_tree_info(self._call("describe", {"name": name}))
-
-    def verify(self, tree: str | None = None) -> list[IntegrityReport]:
-        """Run the server's integrity sweep; decode the reports."""
-        payload = self._call("verify", {"tree": tree})
-        if not isinstance(payload, list):
-            raise ProtocolError("a verify result must be a list")
-        return [wire.decode_report(row) for row in payload]
-
-    def ping(self) -> dict[str, Any]:
-        """The server's identity: protocol version, store path, shape."""
-        payload = self._call("ping")
-        if not isinstance(payload, dict):
-            raise ProtocolError("a ping result must be an object")
-        return payload
-
-    def stats(self, request: StatsRequest | None = None) -> StatsSnapshot:
-        """The server's live observability snapshot, decoded.
-
-        Because the server answers from the same registry a local
-        session reads, the snapshot carries the same counter and
-        histogram names — plus the server-side series (per-verb
-        latency, bytes in/out, in-flight) only a TCP front-end has.
-        """
-        payload = self._call(
-            "stats",
-            wire.encode_stats_request(
-                request if request is not None else StatsRequest()
-            ),
-        )
-        return wire.decode_stats(payload)
-
-    def health(self) -> HealthReport:
-        """The server's threshold-evaluated health, decoded.
-
-        Answered even while the server drains for shutdown (status
-        ``"draining"``), so a poller observes the drain instead of
-        being refused.
-        """
-        return wire.decode_health(self._call("health"))
+    def _run(self, verb: Verb, request: Any, record: bool) -> Any:
+        """One registry verb as one round trip: encode its argument,
+        call, decode its answer with the verb's wire types."""
+        payload = wire.encode_request(request, verb.request)
+        body = self._call(verb.name, payload, record=record)
+        return wire.decode_result(body, verb.result)
 
     # ------------------------------------------------------------------
     # Lifecycle

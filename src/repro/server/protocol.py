@@ -17,9 +17,8 @@ Response envelope (one of)::
 
 ``id`` is an opaque client-chosen integer echoed back verbatim, so a
 client can pipeline requests on one connection and still pair answers.
-Verbs mirror the :class:`~repro.storage.api.CrimsonSession` protocol:
-``query``, ``list_trees``, ``describe``, ``verify``, ``ping``,
-``estimate``, ``stats``, and ``health``.  A response envelope may also
+The verbs are the entries of :data:`repro.storage.verbs.REGISTRY`
+(:data:`VERBS` lists their names).  A response envelope may also
 carry ``server_ms`` — the server-side handling time in milliseconds —
 which clients use to separate wire overhead from server work, and a
 request envelope may carry ``trace`` — the caller's trace id, echoed
@@ -52,25 +51,21 @@ import json
 from typing import Any, BinaryIO, Mapping
 
 from repro.errors import ProtocolError
+from repro.storage.verbs import REGISTRY, Verb
 from repro.storage.wire import PROTOCOL_VERSION, check_protocol, stamp
 
-VERBS: tuple[str, ...] = (
-    "query",
-    "analyze",
-    "list_trees",
-    "describe",
-    "verify",
-    "ping",
-    "estimate",
-    "stats",
-    "health",
-)
-"""Verbs the server dispatches (the session protocol, minus ``close``;
-the named analytics operations all travel as one ``analyze`` verb).
+VERBS: tuple[str, ...] = tuple(REGISTRY)
+"""Verbs the server dispatches: the registry's names (the session
+protocol, minus ``close``; the named analytics operations all travel
+as one ``analyze`` verb).
 
 An unknown verb — including ``analyze`` sent to a pre-analytics build —
 is answered with a typed :class:`~repro.errors.ProtocolError` envelope
 and the connection stays usable; only unframeable bytes end it."""
+
+UNKNOWN_VERB = "unknown"
+"""The label spans and metrics use for a verb the registry lacks, so a
+client cannot mint metric names by sending junk verbs."""
 
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 """Upper bound on one frame — a guard against unframed garbage."""
@@ -143,7 +138,14 @@ def error_envelope(request_id: Any, error: Mapping[str, Any]) -> dict[str, Any]:
     return stamp({"id": request_id, "ok": False, "error": dict(error)})
 
 
-def parse_request(envelope: Mapping[str, Any]) -> tuple[str, Any, bool]:
+def verb_label(envelope: Mapping[str, Any]) -> str:
+    """The envelope's verb if the registry knows it, else
+    :data:`UNKNOWN_VERB` — the only names spans and metrics take."""
+    verb = envelope.get("verb")
+    return verb if isinstance(verb, str) and verb in REGISTRY else UNKNOWN_VERB
+
+
+def parse_request(envelope: Mapping[str, Any]) -> tuple[Verb, Any, bool]:
     """Validate a request envelope; return ``(verb, payload, record)``.
 
     Raises
@@ -153,11 +155,15 @@ def parse_request(envelope: Mapping[str, Any]) -> tuple[str, Any, bool]:
     """
     check_protocol(envelope, "a request envelope")
     verb = envelope.get("verb")
-    if verb not in VERBS:
+    if not isinstance(verb, str) or verb not in REGISTRY:
         raise ProtocolError(
             f"unknown verb {verb!r}; expected one of {', '.join(VERBS)}"
         )
-    return verb, envelope.get("payload"), bool(envelope.get("record", False))
+    return (
+        REGISTRY[verb],
+        envelope.get("payload"),
+        bool(envelope.get("record", False)),
+    )
 
 
 def parse_response(envelope: Mapping[str, Any]) -> Any:
@@ -360,6 +366,7 @@ __all__ = [
     "MAX_TRACE_CHARS",
     "PROTOCOL_VERSION",
     "STREAM_CHUNK_BYTES",
+    "UNKNOWN_VERB",
     "VERBS",
     "error_envelope",
     "parse_request",
@@ -369,6 +376,7 @@ __all__ = [
     "request_envelope",
     "response_envelope",
     "trace_of",
+    "verb_label",
     "write_envelope",
     "write_frame",
 ]

@@ -47,6 +47,7 @@ from repro.obs import (
 )
 from repro.server import protocol
 from repro.storage import wire
+from repro.storage.verbs import Call
 
 DEFAULT_PORT = 2006
 """The default ``crimson serve`` port (the paper's VLDB year)."""
@@ -128,7 +129,7 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
             # same id lands in the span → access log → slow log, and
             # is echoed on the reply for the client to verify.
             span = Span(
-                str(envelope.get("verb", "?")),
+                protocol.verb_label(envelope),
                 session_key=session_key,
                 trace_id=protocol.trace_of(envelope) or new_trace_id(),
             )
@@ -267,61 +268,27 @@ class CrimsonServer:
     def dispatch(self, envelope: dict[str, Any]) -> Any:
         """Execute one request envelope; return the result payload.
 
+        Every verb takes the same path through its registry entry:
+        decode the argument, run the store handler, encode the answer.
         Raises whatever the store raises — the connection handler turns
         exceptions into failure envelopes.
         """
         verb, payload, record = protocol.parse_request(envelope)
-        if verb == "health":
-            # Deliberately exempt from the drain refusal below: a
-            # draining server answers health with status "draining" so
-            # a load balancer can observe the drain instead of being
-            # refused mid-poll.
-            report = self.store.health(
-                transport="tcp", draining=self._draining
-            )
-            return wire.encode_health(report)
-        if self._draining:
+        # A draining server still answers the drain-exempt health verb
+        # (status "draining"), so a load balancer can observe the drain
+        # instead of being refused mid-poll.
+        if self._draining and not verb.drain_exempt:
             raise ResourceError(
                 "server is draining for shutdown; no new requests are "
                 "admitted",
                 resource="shutdown",
             )
-        if verb == "ping":
-            return self._ping_payload()
-        if verb == "query":
-            request = wire.decode_request(payload)
-            result = self.store.query(request, record=record)
-            with self._phase("encode"):
-                return wire.encode_result(result)
-        if verb == "estimate":
-            request = wire.decode_estimate_request(payload)
-            return wire.encode_estimate(self.store.estimate(request))
-        if verb == "analyze":
-            analytics = wire.decode_analytics_request(payload)
-            outcome = self.store.analyze(analytics, record=record)
-            with self._phase("encode"):
-                return wire.encode_analytics_result(outcome)
-        if verb == "stats":
-            stats_request = wire.decode_stats_request(payload)
-            snapshot = self.store.stats(stats_request, transport="tcp")
-            with self._phase("encode"):
-                return wire.encode_stats(snapshot)
-        if verb == "list_trees":
-            return [
-                wire.encode_tree_info(info) for info in self.store.list_trees()
-            ]
-        if verb == "describe":
-            name = self._name_field(payload, "name", "a describe request")
-            return wire.encode_tree_info(self.store.describe(name))
-        assert verb == "verify"
-        if payload is not None and not isinstance(payload, dict):
-            raise ProtocolError("a verify request's payload must be an object")
-        tree = None
-        if payload is not None and payload.get("tree") is not None:
-            tree = self._name_field(payload, "tree", "a verify request")
-        return [
-            wire.encode_report(report) for report in self.store.verify(tree)
-        ]
+        request = wire.decode_request(payload, verb.request)
+        result = verb.handler(
+            self.store, request, Call("tcp", record, self._draining)
+        )
+        with self._phase("encode"):
+            return wire.encode_result(result, verb.result)
 
     @staticmethod
     def _phase(label: str):
@@ -330,19 +297,6 @@ class CrimsonServer:
         if span is None:
             return nullcontext()
         return span.phase(label)
-
-    @staticmethod
-    def _name_field(payload: Any, key: str, what: str) -> str:
-        if not isinstance(payload, dict) or not isinstance(
-            payload.get(key), str
-        ):
-            raise ProtocolError(f"{what} needs a string {key!r} field")
-        return payload[key]
-
-    def _ping_payload(self) -> dict[str, Any]:
-        from repro.storage.api import service_info
-
-        return service_info(self.store, "tcp")
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -7,8 +7,11 @@ as namespaces.  The layers underneath:
 
 * :mod:`repro.storage.store` — the store façade, shard routing, and
   typed query dispatch,
-* :mod:`repro.storage.api` — ``QueryRequest`` / ``QueryResult``, the
-  ``CrimsonSession`` protocol, and the in-process ``LocalSession``,
+* :mod:`repro.storage.api` — ``QueryRequest`` / ``QueryResult`` and
+  the ``CrimsonSession`` protocol,
+* :mod:`repro.storage.verbs` — the verb registry that drives the RPC
+  server's dispatch and both sessions, and the in-process
+  ``LocalSession``,
 * :mod:`repro.storage.wire` — the versioned JSON wire codec the
   sessions and the RPC front-end (:mod:`repro.server`) share,
 * :mod:`repro.storage.pool` — pooled read-only WAL connections and the
@@ -50,12 +53,12 @@ from repro.storage.api import (
     AnalyticsResult,
     AnalyticsVerbs,
     CrimsonSession,
-    LocalSession,
     QueryRequest,
     QueryResult,
     StatsRequest,
     StatsSnapshot,
 )
+from repro.storage.verbs import REGISTRY, LocalSession, Verb
 from repro.storage.wire import PROTOCOL_VERSION
 from repro.storage.pool import DEFAULT_POOL_SIZE, ReaderPool, Shard
 from repro.storage.store import CrimsonStore, shard_path
@@ -78,6 +81,8 @@ __all__ = [
     "CrimsonSession",
     "LocalSession",
     "PROTOCOL_VERSION",
+    "REGISTRY",
+    "Verb",
     "ReaderPool",
     "Shard",
     "shard_path",

@@ -11,10 +11,12 @@ instead of at every dispatch site.
 Callers that only *query* should program against the
 :class:`CrimsonSession` protocol — the five operations plus the
 catalogue verbs (``list_trees``, ``describe``, ``verify``, ``ping``) —
-rather than the store itself.  :class:`LocalSession` adapts an
-in-process store; :class:`repro.server.RemoteSession` speaks the same
-protocol to a ``crimson serve`` process over TCP, so code (and tests)
-written against a session run unchanged either way.
+rather than the store itself.
+:class:`~repro.storage.verbs.LocalSession` adapts an in-process store;
+:class:`repro.server.RemoteSession` speaks the same protocol to a
+``crimson serve`` process over TCP, so code (and tests) written against
+a session run unchanged either way.  Both take their verb methods from
+the registry in :mod:`repro.storage.verbs`.
 
 Supported operations
 --------------------
@@ -46,10 +48,10 @@ from stored rows.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence as SequenceABC
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Protocol, Sequence, runtime_checkable
 
-from repro.errors import ProtocolError, QueryError
+from repro.errors import QueryError
 from repro.storage.maintenance import IntegrityReport
 from repro.storage.tree_repository import NodeRow, TreeInfo
 from repro.trees.tree import PhyloTree
@@ -354,6 +356,23 @@ class AnalyticsRequest:
         return {"trees": list(self.trees)}
 
 
+def support_rows(
+    support: Mapping[frozenset[str], float],
+) -> list[tuple[tuple[str, ...], float]]:
+    """Support clusters as ``(sorted cluster, fraction)``, best first.
+
+    Deterministically ordered (fraction descending, then cluster
+    names), so the CLI and the wire codec render identically.
+    """
+    return sorted(
+        (
+            (tuple(sorted(cluster)), fraction)
+            for cluster, fraction in support.items()
+        ),
+        key=lambda row: (-row[1], row[0]),
+    )
+
+
 @dataclass(frozen=True)
 class AnalyticsResult:
     """The answer to one :class:`AnalyticsRequest`, with its timing.
@@ -375,20 +394,11 @@ class AnalyticsResult:
     support: Mapping[frozenset[str], float] | None = None
 
     def support_table(self) -> list[tuple[tuple[str, ...], float]]:
-        """Support rows as ``(sorted cluster, fraction)``, best first.
-
-        Deterministically ordered (fraction descending, then cluster
-        names), so the CLI and the wire codec render identically.
-        """
+        """Support rows as ``(sorted cluster, fraction)``, best first
+        (see :func:`support_rows`)."""
         if self.support is None:
             return []
-        return sorted(
-            (
-                (tuple(sorted(cluster)), fraction)
-                for cluster, fraction in self.support.items()
-            ),
-            key=lambda row: (-row[1], row[0]),
-        )
+        return support_rows(self.support)
 
     def summary(self) -> str:
         """One-line result description (recorded in the query history)."""
@@ -459,10 +469,25 @@ class StatsRequest:
 
 
 @dataclass(frozen=True)
+class DescribeRequest:
+    """The ``describe`` verb's argument: one stored tree's name."""
+
+    name: str
+
+
+@dataclass(frozen=True)
+class VerifyRequest:
+    """The ``verify`` verb's argument: one tree, or ``None`` for all."""
+
+    tree: str | None = None
+
+
+@dataclass(frozen=True)
 class StatsSnapshot:
     """One service's observability snapshot, transport-agnostic.
 
-    The shape is identical from :class:`LocalSession` and a running
+    The shape is identical from a
+    :class:`~repro.storage.verbs.LocalSession` and a running
     ``crimson serve`` (the differential tests assert it): the metrics
     registry's counters/gauges/histograms, aggregated cache and reader
     pool figures, the admission controller's view, the slow-query ring,
@@ -478,62 +503,24 @@ class StatsSnapshot:
     pool: Mapping[str, Any]
     admission: Mapping[str, Any]
     slow_queries: tuple[Mapping[str, Any], ...]
-    history: Mapping[str, Any]
+    # Absent from pre-history peers; the default lets a new client
+    # still decode an old server's snapshot.
+    history: Mapping[str, Any] = field(default_factory=dict, kw_only=True)
     service: Mapping[str, Any]
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-friendly dict (the wire payload, minus the stamp)."""
-        return {
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "histograms": {
-                name: dict(figures)
-                for name, figures in self.histograms.items()
-            },
-            "caches": dict(self.caches),
-            "pool": dict(self.pool),
-            "admission": dict(self.admission),
-            "slow_queries": [dict(entry) for entry in self.slow_queries],
-            "history": dict(self.history),
-            "service": dict(self.service),
-        }
+        from repro.storage.wire import as_dict
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "StatsSnapshot":
-        """Rebuild a snapshot from its wire payload.
-
-        Raises
-        ------
-        ProtocolError
-            If the payload is missing fields or malformed.
-        """
-        try:
-            return cls(
-                counters=dict(payload["counters"]),
-                gauges=dict(payload["gauges"]),
-                histograms=dict(payload["histograms"]),
-                caches=dict(payload["caches"]),
-                pool=dict(payload["pool"]),
-                admission=dict(payload["admission"]),
-                slow_queries=tuple(
-                    dict(entry) for entry in payload["slow_queries"]
-                ),
-                # Absent from pre-history peers; lenient so a new
-                # client can still decode an old server's snapshot.
-                history=dict(payload.get("history", {})),
-                service=dict(payload["service"]),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise ProtocolError(
-                f"malformed stats snapshot payload: {error}"
-            ) from None
+        return as_dict(self)
 
 
 def service_info(store, transport: str) -> dict[str, Any]:
     """The ``ping`` payload of a session over ``store``.
 
     One definition for every transport, so the shape cannot drift
-    between :class:`LocalSession` and the RPC server.
+    between :class:`~repro.storage.verbs.LocalSession` and the RPC
+    server.
     """
     from repro.storage.wire import PROTOCOL_VERSION
 
@@ -569,33 +556,9 @@ class HealthReport:
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-friendly dict (the wire payload, minus the stamp)."""
-        return {
-            "status": self.status,
-            "checks": [dict(check) for check in self.checks],
-            "draining": self.draining,
-            "service": dict(self.service),
-        }
+        from repro.storage.wire import as_dict
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "HealthReport":
-        """Rebuild a report from its wire payload.
-
-        Raises
-        ------
-        ProtocolError
-            If the payload is missing fields or malformed.
-        """
-        try:
-            return cls(
-                status=str(payload["status"]),
-                checks=tuple(dict(check) for check in payload["checks"]),
-                draining=bool(payload["draining"]),
-                service=dict(payload["service"]),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise ProtocolError(
-                f"malformed health report payload: {error}"
-            ) from None
+        return as_dict(self)
 
 
 @runtime_checkable
@@ -605,11 +568,11 @@ class CrimsonSession(Protocol):
     Callers program against this protocol instead of
     :class:`~repro.storage.store.CrimsonStore` directly: the same five
     query operations plus the catalogue verbs, whether the store lives
-    in this process (:class:`LocalSession`) or behind a TCP server
-    (:class:`repro.server.RemoteSession`).  Both implementations raise
-    the same typed :class:`~repro.errors.CrimsonError` subclasses, so
-    call sites — and the differential test suites — run unchanged
-    against either.
+    in this process (:class:`~repro.storage.verbs.LocalSession`) or
+    behind a TCP server (:class:`repro.server.RemoteSession`).  Both
+    implementations raise the same typed
+    :class:`~repro.errors.CrimsonError` subclasses, so call sites — and
+    the differential test suites — run unchanged against either.
     """
 
     def query(
@@ -686,8 +649,8 @@ class AnalyticsVerbs:
     """The named analytics operations, shared by every session kind.
 
     Implementers provide :meth:`analyze`; these wrappers only build
-    the typed :class:`AnalyticsRequest`, so :class:`LocalSession` and
-    the remote session cannot drift in how the verbs map to requests.
+    the typed :class:`AnalyticsRequest`, so the local and the remote
+    session cannot drift in how the verbs map to requests.
     """
 
     def compare(
@@ -733,88 +696,3 @@ class AnalyticsVerbs:
             ),
             record=record,
         )
-
-
-class LocalSession(AnalyticsVerbs):
-    """:class:`CrimsonSession` over an in-process store.
-
-    A thin adapter: every verb delegates to the owning
-    :class:`~repro.storage.store.CrimsonStore`, whose reader pool
-    already binds each calling thread to its own connection.  Get one
-    from :meth:`~repro.storage.store.CrimsonStore.session`, or own the
-    store outright with :meth:`LocalSession.open`::
-
-        with LocalSession.open("crimson.db", readers=4) as session:
-            result = session.query(QueryRequest.lca("gold", "Lla", "Syn"))
-
-    Parameters
-    ----------
-    store:
-        The store to adapt.
-    owns_store:
-        Close the store when the session closes.  ``False`` (the
-        default) for sessions borrowed from a longer-lived store;
-        :meth:`open` sets it.
-    """
-
-    def __init__(self, store, *, owns_store: bool = False) -> None:
-        self.store = store
-        self._owns_store = owns_store
-
-    @classmethod
-    def open(cls, path=":memory:", **kwargs) -> "LocalSession":
-        """Open a store at ``path`` and wrap it in an owning session.
-
-        Keyword arguments are passed through to
-        :meth:`~repro.storage.store.CrimsonStore.open`.
-        """
-        from repro.storage.store import CrimsonStore
-
-        return cls(CrimsonStore.open(path, **kwargs), owns_store=True)
-
-    def query(
-        self, request: QueryRequest, *, record: bool = False
-    ) -> QueryResult:
-        return self.store.query(request, record=record)
-
-    def analyze(
-        self, request: AnalyticsRequest, *, record: bool = False
-    ) -> AnalyticsResult:
-        return self.store.analyze(request, record=record)
-
-    def estimate(
-        self, request: QueryRequest | AnalyticsRequest
-    ) -> "CostEstimate":
-        return self.store.estimate(request)
-
-    def list_trees(self) -> list[TreeInfo]:
-        return self.store.list_trees()
-
-    def describe(self, name: str) -> TreeInfo:
-        return self.store.describe(name)
-
-    def verify(self, tree: str | None = None) -> list[IntegrityReport]:
-        return self.store.verify(tree)
-
-    def ping(self) -> dict[str, Any]:
-        return service_info(self.store, "local")
-
-    def stats(self, request: StatsRequest | None = None) -> StatsSnapshot:
-        return self.store.stats(request)
-
-    def health(self) -> HealthReport:
-        return self.store.health()
-
-    def close(self) -> None:
-        if self._owns_store:
-            self.store.close()
-
-    def __enter__(self) -> "LocalSession":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        owns = ", owning" if self._owns_store else ""
-        return f"LocalSession({self.store!r}{owns})"

@@ -468,13 +468,13 @@ class CrimsonStore:
         return self._resolve_info(self.reader_database(), name)
 
     def session(self):
-        """A :class:`~repro.storage.api.LocalSession` over this store.
+        """A :class:`~repro.storage.verbs.LocalSession` over this store.
 
         The session borrows the store (closing it does not close the
         store) and presents the same :class:`CrimsonSession` protocol a
         :class:`repro.server.RemoteSession` does.
         """
-        from repro.storage.api import LocalSession
+        from repro.storage.verbs import LocalSession
 
         return LocalSession(self)
 

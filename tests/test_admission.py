@@ -120,13 +120,14 @@ class TestEstimator:
 
     def test_round_trip_and_malformed(self):
         estimate = _free_estimate(3.0)
-        assert CostEstimate.from_dict(estimate.as_dict()) == estimate
+        def from_dict(payload):
+            return wire.decode_result(wire.stamp(payload), CostEstimate)
+
+        assert from_dict(estimate.as_dict()) == estimate
         with pytest.raises(ProtocolError, match="malformed cost estimate"):
-            CostEstimate.from_dict({"operation": "lca"})
+            from_dict({"operation": "lca"})
         with pytest.raises(ProtocolError, match="must be a list"):
-            CostEstimate.from_dict(
-                {**estimate.as_dict(), "trees": "not-a-list"}
-            )
+            from_dict({**estimate.as_dict(), "trees": "not-a-list"})
 
 
 def _soundness_tree(kind: str, random_tree_factory):
@@ -328,19 +329,22 @@ class TestStoreAdmission:
 class TestEstimateVerb:
     def test_estimate_request_codec_round_trip(self):
         query = QueryRequest.lca("cat", "t1", "t2")
-        payload = wire.encode_estimate_request(query)
-        assert wire.decode_estimate_request(payload) == query
+        payload = wire.encode_request(query, wire.ESTIMATE_REQUEST)
+        assert wire.decode_request(payload, wire.ESTIMATE_REQUEST) == query
         analytics = AnalyticsRequest.consensus("a", "b", threshold=0.6)
-        payload = wire.encode_estimate_request(analytics)
-        assert wire.decode_estimate_request(payload) == analytics
+        payload = wire.encode_request(analytics, wire.ESTIMATE_REQUEST)
+        assert (
+            wire.decode_request(payload, wire.ESTIMATE_REQUEST) == analytics
+        )
 
     def test_estimate_request_codec_rejects_unknown_kind(self):
         with pytest.raises(ProtocolError, match="kind"):
-            wire.decode_estimate_request(
-                wire.stamp({"kind": "mystery", "request": {}})
+            wire.decode_request(
+                wire.stamp({"kind": "mystery", "request": {}}),
+                wire.ESTIMATE_REQUEST,
             )
         with pytest.raises(ProtocolError):
-            wire.encode_estimate_request("not a request")
+            wire.encode_request("not a request", wire.ESTIMATE_REQUEST)
 
     def test_local_and_remote_estimates_agree(self, served):
         store, host, port = served

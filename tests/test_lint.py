@@ -2,10 +2,8 @@
 
 The fixture trees under ``tests/fixtures/lint/`` are minimal
 ``repro``-shaped packages, each violating one rule family on purpose
-(see the README there).  The acceptance bar from ISSUE 6: the linter
-exits 0 on the real package and non-zero on every fixture, and the
-protocol-exhaustiveness rule names every surface the unwired
-``frontier`` operation is missing from.
+(see the README there).  The bar: the linter exits 0 on the real
+package and non-zero on every fixture.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from repro.lint.rules_layering import (
     ReadOnlyImports,
     SqliteLayering,
 )
-from repro.lint.rules_protocol import ProtocolExhaustiveness
 from repro.lint.rules_resources import ManagedResources
 from repro.lint.rules_sql import (
     SqlInterpolation,
@@ -45,11 +42,6 @@ from repro.lint.rules_sql import (
     build_census,
     sql_sites,
 )
-from repro.lint.rules_wire import (
-    WireErrorDetails,
-    WireFieldDrift,
-    WireRoundtrip,
-)
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
 
@@ -57,7 +49,6 @@ LAYERING = (SqliteLayering(), ReadOnlyImports(), NoCliImports())
 ERRORS = (TypedRaises(), SwallowedExceptions(), RegistrySync())
 CONCURRENCY = (ReaderEscape(), LockOrder(), SameThreadGuard())
 SQL = (SqlSchema(), SqlPlaceholders(), SqlInterpolation(), SqlSchemaSync())
-WIRE = (WireFieldDrift(), WireRoundtrip(), WireErrorDetails())
 
 
 def lint_fixture(name: str, rules):
@@ -84,7 +75,7 @@ class TestRepoIsClean:
         assert len(ids) == len(set(ids))
         for rule_id in ids:
             assert rule_id == rule_id.lower() and " " not in rule_id
-        assert len(ids) == 18
+        assert len(ids) == 15
 
 
 class TestLayeringRules:
@@ -139,87 +130,6 @@ class TestErrorRules:
     def test_real_package_raise_and_registry_shapes_pass(self):
         project, findings = lint_project(default_root(), ERRORS)
         assert not findings, "\n".join(f.render() for f in findings)
-
-
-class TestProtocolExhaustiveness:
-    def test_unwired_operation_is_flagged_on_every_surface_by_name(self):
-        findings = lint_fixture(
-            "protocol_unwired", (ProtocolExhaustiveness(),)
-        )
-        frontier = [f for f in findings if "'frontier'" in f.message]
-        assert {f.path for f in frontier} == {
-            "storage/api.py", "storage/store.py", "cli/main.py"
-        }
-        messages = " | ".join(f.message for f in frontier)
-        assert "no QueryRequest constructor" in messages
-        assert "no branch in CrimsonStore._execute" in messages
-        assert "no CLI subcommand 'frontier'" in messages
-
-    def test_half_wired_estimate_verb_is_flagged_by_name(self):
-        # ``estimate`` is in the session protocol, VERBS, the server
-        # dispatch, and LocalSession — but RemoteSession and the CLI
-        # were forgotten.  Exactly those two surfaces must be named.
-        findings = lint_fixture(
-            "protocol_unwired", (ProtocolExhaustiveness(),)
-        )
-        estimate = [f for f in findings if "'estimate'" in f.message]
-        assert {f.path for f in estimate} == {
-            "server/client.py", "cli/main.py"
-        }
-        messages = " | ".join(f.message for f in estimate)
-        assert "never sent by RemoteSession" in messages
-        assert "does not implement session method 'estimate'" in messages
-        assert "no CLI subcommand 'estimate'" in messages
-        # And nothing else is flagged: the two seeded gaps are the lot.
-        assert len(findings) == len(frontier := [
-            f for f in findings if "'frontier'" in f.message
-        ]) + len(estimate), "\n".join(f.render() for f in findings)
-        assert len(frontier) == 3 and len(estimate) == 3
-
-    def test_half_wired_stats_verb_is_flagged_by_name(self):
-        # The observability PR's failure mode: ``stats`` in the session
-        # protocol, VERBS, the server dispatch, and LocalSession — but
-        # no RemoteSession method and no CLI subcommand.  Exactly those
-        # surfaces must be named, and nothing else.
-        findings = lint_fixture("stats_unwired", (ProtocolExhaustiveness(),))
-        assert {f.path for f in findings} == {
-            "server/client.py", "cli/main.py"
-        }
-        messages = " | ".join(f.message for f in findings)
-        assert "wire verb 'stats' is never sent by RemoteSession" in messages
-        assert "does not implement session method 'stats'" in messages
-        assert "session verb 'stats' has no CLI subcommand 'stats'" in messages
-        assert len(findings) == 3, "\n".join(f.render() for f in findings)
-
-    def test_half_wired_health_verb_is_flagged_by_name(self):
-        # The monitoring PR's failure mode: ``health`` declared in the
-        # session protocol, VERBS, and LocalSession — but no server
-        # dispatch branch, no RemoteSession method, and no CLI
-        # subcommand.  Every missing surface must be named, and
-        # nothing else (``stats`` is fully wired here).
-        findings = lint_fixture("health_unwired", (ProtocolExhaustiveness(),))
-        assert {f.path for f in findings} == {
-            "server/server.py", "server/client.py", "cli/main.py"
-        }
-        messages = " | ".join(f.message for f in findings)
-        assert (
-            "wire verb 'health' has no branch in CrimsonServer.dispatch"
-            in messages
-        )
-        assert "wire verb 'health' is never sent by RemoteSession" in messages
-        assert "does not implement session method 'health'" in messages
-        assert (
-            "session verb 'health' has no CLI subcommand 'health'" in messages
-        )
-        assert len(findings) == 4, "\n".join(f.render() for f in findings)
-
-    def test_missing_surface_file_is_reported(self, tmp_path):
-        (tmp_path / "storage").mkdir()
-        (tmp_path / "storage" / "api.py").write_text("OPERATIONS = ()\n")
-        _, findings = lint_project(tmp_path, (ProtocolExhaustiveness(),))
-        missing = {f.path for f in findings}
-        assert "server/protocol.py" in missing
-        assert "cli/main.py" in missing
 
 
 class TestConcurrencyRules:

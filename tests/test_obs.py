@@ -262,8 +262,10 @@ class TestStatsWire:
             store.trees.store_tree(sample_tree(), f=2)
             store.query(QueryRequest.lca("fig1-sample", "Lla", "Syn"))
             snapshot = store.stats()
-        payload = json.loads(json.dumps(wire.encode_stats(snapshot)))
-        decoded = wire.decode_stats(payload)
+        payload = json.loads(
+            json.dumps(wire.encode_result(snapshot, StatsSnapshot))
+        )
+        decoded = wire.decode_result(payload, StatsSnapshot)
         assert isinstance(decoded, StatsSnapshot)
         assert decoded.counters == dict(snapshot.counters)
         assert decoded.histograms == {
@@ -273,21 +275,24 @@ class TestStatsWire:
         assert decoded.service == dict(snapshot.service)
 
     def test_request_roundtrip_and_validation(self):
-        encoded = wire.encode_stats_request(
-            StatsRequest(sections=("metrics", "pool"))
+        encoded = wire.encode_request(
+            StatsRequest(sections=("metrics", "pool")), StatsRequest
         )
-        decoded = wire.decode_stats_request(
-            json.loads(json.dumps(encoded))
+        decoded = wire.decode_request(
+            json.loads(json.dumps(encoded)), StatsRequest
         )
         assert decoded.sections == ("metrics", "pool")
         with pytest.raises(ProtocolError):
-            wire.decode_stats_request(
-                {"protocol": wire.PROTOCOL_VERSION, "sections": "metrics"}
+            wire.decode_request(
+                {"protocol": wire.PROTOCOL_VERSION, "sections": "metrics"},
+                StatsRequest,
             )
 
     def test_malformed_snapshot_payload_raises_protocol_error(self):
         with pytest.raises(ProtocolError, match="stats"):
-            wire.decode_stats({"protocol": wire.PROTOCOL_VERSION})
+            wire.decode_result(
+                {"protocol": wire.PROTOCOL_VERSION}, StatsSnapshot
+            )
 
 
 class TestRenderers:

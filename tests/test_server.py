@@ -27,7 +27,8 @@ from repro.errors import (
 from repro.server import CrimsonServer, RemoteSession
 from repro.server import protocol
 from repro.storage import wire
-from repro.storage.api import CrimsonSession, LocalSession, QueryRequest
+from repro.storage.api import CrimsonSession, QueryRequest
+from repro.storage.verbs import LocalSession
 from repro.storage.store import CrimsonStore
 from repro.trees.build import sample_tree
 from repro.trees.newick import write_newick
@@ -300,6 +301,41 @@ class TestRawProtocol:
         assert isinstance(
             wire.decode_error(response["error"]), ProtocolError
         )
+
+    def test_junk_verbs_do_not_mint_metric_names(self, served):
+        # Span and histogram names come from the registry; any other
+        # verb is recorded under one fixed "unknown" label.
+        store, host, port = served
+
+        def histograms():
+            return set(store.metrics.snapshot()["histograms"])
+
+        def settle(requests):
+            # The server observes a request just after writing its reply.
+            deadline = time.monotonic() + 5
+            while store.metrics.snapshot()["counters"].get(
+                "server.requests", 0
+            ) < requests and time.monotonic() < deadline:
+                time.sleep(0.01)
+
+        with socket.create_connection((host, port), timeout=5) as sock:
+            stream = sock.makefile("rwb")
+            stream.write(self.envelope("junk-0") + b"\n")
+            stream.flush()
+            assert json.loads(stream.readline())["ok"] is False
+            settle(1)
+            before = histograms()
+            assert "server.latency.unknown" in before
+            for index in range(1, 101):
+                stream.write(self.envelope(f"junk-{index}") + b"\n")
+                stream.write(
+                    self.envelope(["unhashable", index]) + b"\n"
+                )
+                stream.flush()
+                for _ in range(2):
+                    assert json.loads(stream.readline())["ok"] is False
+            settle(201)
+        assert histograms() == before
 
     def test_unparseable_frame_gets_an_error_then_eof(self, served):
         _, host, port = served

@@ -49,6 +49,7 @@ from repro.storage.api import (
     HealthReport,
     QueryRequest,
     StatsRequest,
+    StatsSnapshot,
 )
 from repro.storage.sanitize import statement_budget
 from repro.storage.store import CrimsonStore
@@ -302,8 +303,10 @@ class TestHealthWire:
 
     def test_report_roundtrips_through_json(self):
         report = self._report()
-        payload = json.loads(json.dumps(wire.encode_health(report)))
-        decoded = wire.decode_health(payload)
+        payload = json.loads(
+            json.dumps(wire.encode_result(report, HealthReport))
+        )
+        decoded = wire.decode_result(payload, HealthReport)
         assert decoded.status == report.status
         assert decoded.ok is report.ok
         assert decoded.draining is report.draining
@@ -314,7 +317,9 @@ class TestHealthWire:
 
     def test_malformed_payload_raises_protocol_error(self):
         with pytest.raises(ProtocolError, match="health"):
-            wire.decode_health({"protocol": wire.PROTOCOL_VERSION})
+            wire.decode_result(
+                {"protocol": wire.PROTOCOL_VERSION}, HealthReport
+            )
 
     def test_render_health_lists_every_check(self):
         text = render_health(self._report().as_dict())
@@ -575,9 +580,11 @@ class TestHealthSurfaces:
 
     def test_old_peer_snapshot_without_history_still_decodes(self):
         with CrimsonStore.open() as store:
-            payload = wire.encode_stats(store.stats())
+            payload = wire.encode_result(store.stats(), StatsSnapshot)
         del payload["history"]
-        decoded = wire.decode_stats(json.loads(json.dumps(payload)))
+        decoded = wire.decode_result(
+            json.loads(json.dumps(payload)), StatsSnapshot
+        )
         assert decoded.history == {}
 
 

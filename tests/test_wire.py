@@ -7,7 +7,12 @@ unicode, quoted Newick labels) can hide in the encoded dicts.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import types
+import typing
+from collections.abc import Mapping
+from typing import Any
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,11 +26,22 @@ from repro.errors import (
     StorageError,
 )
 from repro.storage import wire
-from repro.storage.api import AnalyticsRequest, QueryRequest, QueryResult
+from repro.storage.api import (
+    OPERATIONS,
+    STATS_SECTIONS,
+    AnalyticsRequest,
+    AnalyticsResult,
+    QueryRequest,
+    QueryResult,
+    StatsRequest,
+)
 from repro.storage.maintenance import IntegrityReport
+from repro.storage.tree_repository import TreeInfo
+from repro.storage.verbs import REGISTRY
 from repro.storage.store import CrimsonStore
 from repro.trees.build import sample_tree
-from repro.trees.newick import write_newick
+from repro.trees.newick import parse_newick, write_newick
+from repro.trees.tree import PhyloTree
 
 
 def over_json(payload):
@@ -107,8 +123,9 @@ class TestRequestRoundTrip:
         payload["taxa"] = []
         with pytest.raises(QueryError):
             wire.decode_request(payload)
+        # A list is no taxon: a shape error, caught before validation.
         payload["taxa"] = [["not", "a"], "taxon"]
-        with pytest.raises(QueryError):
+        with pytest.raises(ProtocolError, match="'taxa'"):
             wire.decode_request(payload)
 
     def test_bad_duration_is_protocol_error(self):
@@ -224,41 +241,47 @@ class TestAnalyticsRoundTrip:
             AnalyticsRequest.consensus("α", "b", threshold=0.75),
             AnalyticsRequest.consensus("a", strict=True, threshold=0.0),
         ):
-            decoded = wire.decode_analytics_request(
-                over_json(wire.encode_analytics_request(request))
+            decoded = wire.decode_request(
+                over_json(wire.encode_request(request, AnalyticsRequest)),
+                AnalyticsRequest,
             )
             assert decoded == request
 
     def test_decoded_request_is_revalidated(self):
         payload = over_json(
-            wire.encode_analytics_request(AnalyticsRequest.compare("a", "b"))
+            wire.encode_request(
+                AnalyticsRequest.compare("a", "b"), AnalyticsRequest
+            )
         )
         payload["trees"] = ["only"]
         with pytest.raises(QueryError):
-            wire.decode_analytics_request(payload)
+            wire.decode_request(payload, AnalyticsRequest)
         payload["operation"] = "blend"
         with pytest.raises(QueryError):
-            wire.decode_analytics_request(payload)
+            wire.decode_request(payload, AnalyticsRequest)
 
     def test_request_shape_errors_are_protocol_errors(self):
         good = over_json(
-            wire.encode_analytics_request(AnalyticsRequest.compare("a", "b"))
+            wire.encode_request(
+                AnalyticsRequest.compare("a", "b"), AnalyticsRequest
+            )
         )
         for key, bad in (("operation", 3), ("threshold", "half"),
                          ("threshold", True)):
             payload = dict(good)
             payload[key] = bad
             with pytest.raises(ProtocolError):
-                wire.decode_analytics_request(payload)
+                wire.decode_request(payload, AnalyticsRequest)
         with pytest.raises(ProtocolError):
-            wire.decode_analytics_request("not a mapping")
+            wire.decode_request("not a mapping", AnalyticsRequest)
 
     def test_compare_result_round_trips(self, analytics_store):
         result = analytics_store.analyze(
             AnalyticsRequest.compare("bush", "shuffled")
         )
-        decoded = wire.decode_analytics_result(
-            over_json(wire.encode_analytics_result(result))
+        decoded = wire.decode_result(
+            over_json(wire.encode_result(result, AnalyticsResult)),
+            AnalyticsResult,
         )
         assert decoded.request == result.request
         assert decoded.comparison == result.comparison
@@ -269,8 +292,9 @@ class TestAnalyticsRoundTrip:
         result = analytics_store.analyze(
             AnalyticsRequest.distance_matrix("ladder", "bush", "shuffled")
         )
-        decoded = wire.decode_analytics_result(
-            over_json(wire.encode_analytics_result(result))
+        decoded = wire.decode_result(
+            over_json(wire.encode_result(result, AnalyticsResult)),
+            AnalyticsResult,
         )
         assert decoded.matrix == result.matrix
         assert all(
@@ -281,8 +305,9 @@ class TestAnalyticsRoundTrip:
         result = analytics_store.analyze(
             AnalyticsRequest.consensus("ladder", "bush", "shuffled")
         )
-        decoded = wire.decode_analytics_result(
-            over_json(wire.encode_analytics_result(result))
+        decoded = wire.decode_result(
+            over_json(wire.encode_result(result, AnalyticsResult)),
+            AnalyticsResult,
         )
         assert write_newick(decoded.consensus) == write_newick(
             result.consensus
@@ -295,7 +320,7 @@ class TestAnalyticsRoundTrip:
         result = analytics_store.analyze(
             AnalyticsRequest.consensus("ladder", "bush")
         )
-        good = over_json(wire.encode_analytics_result(result))
+        good = over_json(wire.encode_result(result, AnalyticsResult))
         for key, bad in (
             ("duration_ms", "fast"),
             ("support", [["cluster", "not-a-list"], 0.5]),
@@ -307,29 +332,89 @@ class TestAnalyticsRoundTrip:
             payload = over_json(good)
             payload[key] = bad
             with pytest.raises(ProtocolError):
-                wire.decode_analytics_result(payload)
+                wire.decode_result(payload, AnalyticsResult)
 
     def test_future_analytics_payloads_rejected(self):
         request = AnalyticsRequest.compare("a", "b")
-        payload = over_json(wire.encode_analytics_request(request))
+        payload = over_json(wire.encode_request(request, AnalyticsRequest))
         payload["protocol"] = wire.PROTOCOL_VERSION + 1
         with pytest.raises(ProtocolError):
-            wire.decode_analytics_request(payload)
+            wire.decode_request(payload, AnalyticsRequest)
 
 
 class TestCatalogueAndReports:
     def test_tree_info_round_trips(self, stored_store):
         info = stored_store.describe("fig1-sample")
-        assert wire.decode_tree_info(
-            over_json(wire.encode_tree_info(info))
+        assert wire.decode_result(
+            over_json(wire.encode_result(info, TreeInfo)), TreeInfo
         ) == info
 
     def test_report_round_trips(self):
         report = IntegrityReport("gold", problems=["block 3 broke", "läuft"])
-        decoded = wire.decode_report(over_json(wire.encode_report(report)))
+        decoded = wire.decode_result(
+            over_json(wire.encode_result(report, IntegrityReport)),
+            IntegrityReport,
+        )
         assert decoded.tree_name == report.tree_name
         assert decoded.problems == report.problems
         assert not decoded.ok
+
+
+class TestMistypedFields:
+    """Every field is checked against its annotation while decoding, and
+    the ProtocolError names the field."""
+
+    SAMPLES = {
+        QueryResult: QueryResult(
+            request=QueryRequest.lca("t", "a", "b"), duration_ms=1.0
+        ),
+        IntegrityReport: IntegrityReport("gold", ["broken"]),
+        TreeInfo: TreeInfo(1, "gold", 8, 5, 3, 2, 2, 3, "2026-10-17", ""),
+    }
+
+    @pytest.mark.parametrize("kind, field, bad", [
+        (QueryResult, "matched", "yes"),
+        (QueryResult, "similarity", "high"),
+        (QueryResult, "nodes", {"not": "a list"}),
+        (IntegrityReport, "tree_name", 42),
+        (IntegrityReport, "problems", [1, 2]),
+        (IntegrityReport, "problems", "not a list"),
+        (TreeInfo, "tree_id", "1"),
+        (TreeInfo, "name", 3),
+        (TreeInfo, "n_nodes", 8.5),
+        (TreeInfo, "n_leaves", True),
+        (TreeInfo, "created_at", None),
+        (TreeInfo, "shard", "0"),
+    ])
+    def test_mistyped_field_is_named(self, kind, field, bad):
+        payload = over_json(wire.encode_result(self.SAMPLES[kind], kind))
+        payload[field] = bad
+        with pytest.raises(ProtocolError, match=f"'{field}'"):
+            wire.decode_result(payload, kind)
+
+    def test_projection_name_must_be_a_string(self):
+        payload = over_json(wire.encode_result(QueryResult(
+            request=QueryRequest.project("t", "a"),
+            duration_ms=1.0,
+            projection=parse_newick("(a,b)r;"),
+        )))
+        payload["projection"]["name"] = ["a", "list"]
+        with pytest.raises(ProtocolError, match="'projection' 'name'"):
+            wire.decode_result(payload)
+
+    def test_absent_fields_take_defaults_or_are_named(self):
+        info = self.SAMPLES[TreeInfo]
+        payload = over_json(wire.encode_result(info, TreeInfo))
+        del payload["shard"]
+        assert wire.decode_result(payload, TreeInfo).shard == 0
+        request = wire.decode_request(wire.stamp(
+            {"operation": "lca", "tree": "t", "taxa": ["a", "b"]}
+        ))
+        assert request == QueryRequest.lca("t", "a", "b")
+        payload = over_json(wire.encode_result(self.SAMPLES[QueryResult]))
+        del payload["duration_ms"]
+        with pytest.raises(ProtocolError, match="missing the 'duration_ms'"):
+            wire.decode_result(payload)
 
 
 class TestErrorRoundTrip:
@@ -401,3 +486,108 @@ class TestProtocolVersionGate:
         # The CLI and clients catch CrimsonError; version skew must land
         # in the same net.
         assert issubclass(ProtocolError, CrimsonError)
+
+
+# ----------------------------------------------------------------------
+# Every registry verb's request and result types, through real JSON
+# ----------------------------------------------------------------------
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | FLOATS | TRICKY_NAMES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(TRICKY_NAMES, inner, max_size=3),
+    max_leaves=8,
+)
+NAME_LISTS = st.lists(TRICKY_NAMES, min_size=1, max_size=4)
+
+
+def _tree(newick: str, name: str | None) -> PhyloTree:
+    tree = parse_newick(newick)
+    tree.name = name
+    return tree
+
+
+SPECIAL = {
+    QueryRequest: st.one_of(*map(requests_for, OPERATIONS)),
+    AnalyticsRequest: st.one_of(
+        st.builds(AnalyticsRequest.compare, TRICKY_NAMES, TRICKY_NAMES),
+        st.builds(
+            lambda trees, threshold, strict: AnalyticsRequest.consensus(
+                *trees, threshold=threshold, strict=strict
+            ),
+            NAME_LISTS, st.floats(min_value=0.5, max_value=1.0),
+            st.booleans(),
+        ),
+        NAME_LISTS.filter(lambda trees: len(trees) > 1).map(
+            lambda trees: AnalyticsRequest.distance_matrix(*trees)
+        ),
+    ),
+    StatsRequest: st.lists(st.sampled_from(STATS_SECTIONS), unique=True).map(
+        lambda sections: StatsRequest(tuple(sections))
+    ),
+    PhyloTree: st.builds(_tree, st.sampled_from([
+        "(a,b);",
+        "('it''s a leaf':1.5,'with space':2.25)root;",
+        "((Δ:0.1,果蝇:0.2)x:0.3,c:1e-9);",
+    ]), st.none() | TRICKY_NAMES),
+    frozenset[str]: st.frozensets(TRICKY_NAMES, min_size=1, max_size=3),
+    Any: JSON_VALUES,
+    None: st.none(),
+    str: TRICKY_NAMES,
+    float: FLOATS,
+}
+
+
+def strategy(kind: Any):
+    """A hypothesis strategy of valid values of wire type ``kind``."""
+    if kind in SPECIAL:
+        return SPECIAL[kind]
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (typing.Union, types.UnionType):
+        return st.one_of(*map(strategy, args))
+    if origin is tuple and args[-1] is Ellipsis:
+        return st.lists(strategy(args[0]), max_size=3).map(tuple)
+    if origin is tuple:
+        return st.tuples(*map(strategy, args))
+    if origin is list:
+        return st.lists(strategy(args[0]), max_size=3)
+    if origin in (dict, Mapping):
+        return st.dictionaries(
+            strategy(args[0]), strategy(args[1]), max_size=3
+        )
+    if not dataclasses.is_dataclass(kind):
+        return st.from_type(kind)  # int, bool
+    hints = wire._hints(kind)
+    return st.builds(kind, **{
+        field.name: strategy(hints[field.name])
+        for field in dataclasses.fields(kind)
+    })
+
+
+SIDES = [
+    (verb, side) for side in ("request", "result")
+    for verb in REGISTRY.values()
+]
+CODECS = {
+    "request": (wire.encode_request, wire.decode_request),
+    "result": (wire.encode_result, wire.decode_result),
+}
+
+
+@pytest.mark.parametrize(
+    "verb, side", SIDES, ids=[f"{verb.name}-{side}" for verb, side in SIDES]
+)
+def test_every_registry_type_round_trips_through_json(verb, side):
+    kind = getattr(verb, side)
+    encode, decode = CODECS[side]
+
+    @SETTINGS
+    @given(value=strategy(kind))
+    def check(value):
+        # Decoding loses nothing the encoder wrote: re-encoding the
+        # decoded value gives the same JSON.
+        payload = over_json(encode(value, kind))
+        assert over_json(encode(decode(payload, kind), kind)) == payload
+
+    check()
