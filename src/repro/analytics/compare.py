@@ -2,9 +2,9 @@
 
 Robinson–Foulds distance, shared-cluster counts, and the all-pairs
 distance matrix over a catalogue subset — computed entirely from
-stored rows (:mod:`repro.analytics.bipartitions`), never from
-materialized trees.  The numbers are value-identical to running
-:func:`repro.benchmark.metrics.compare_splits` /
+stored rows (:mod:`repro.analytics.bipartitions`, as ``int`` cluster
+bitmasks), never from materialized trees.  The numbers are
+value-identical to running :func:`repro.benchmark.metrics.compare_splits` /
 :func:`~repro.benchmark.metrics.clusters` on the fetched trees; the
 assembly is literally shared (:func:`comparison_from_splits`), so the
 two paths cannot drift.
@@ -45,8 +45,8 @@ class StoredComparison:
 
 
 def compare_stored(a: StoredTree, b: StoredTree) -> StoredComparison:
-    """Compare two stored trees over the same leaf set (one row scan
-    each; clusters and splits both derive from it).
+    """Compare two stored trees over the same leaf set (one cluster
+    table each; clusters and splits both derive from it).
 
     Raises
     ------
@@ -56,26 +56,26 @@ def compare_stored(a: StoredTree, b: StoredTree) -> StoredComparison:
     """
     scan_a = scan_tree(a)
     scan_b = scan_tree(b)
-    check_same_leaf_sets(set(scan_a.leaf_names), set(scan_b.leaf_names))
-    clusters_a = scan_a.clusters()
-    clusters_b = scan_b.clusters()
+    if scan_a.names != scan_b.names:  # name sets only for the message
+        check_same_leaf_sets(set(scan_a.names), set(scan_b.names))
+    shared = set(scan_a.clusters).intersection(scan_b.clusters)
     return StoredComparison(
         splits=comparison_from_splits(
-            scan_a.bipartitions(), scan_b.bipartitions()
+            scan_a.split_masks(), scan_b.split_masks()
         ),
-        shared_clusters=len(clusters_a & clusters_b),
-        n_clusters_a=len(clusters_a),
-        n_clusters_b=len(clusters_b),
+        shared_clusters=len(shared),
+        n_clusters_a=len(scan_a.clusters),
+        n_clusters_b=len(scan_b.clusters),
     )
 
 
 def rf_matrix(handles: Sequence[StoredTree]) -> list[list[int]]:
     """All-pairs Robinson–Foulds distances over a catalogue subset.
 
-    Each tree is scanned once and its splits extracted once, so the
-    cost is ``O(N)`` scans plus ``O(N²)`` set differences — not
-    ``O(N²)`` scans.  The matrix is symmetric with a zero diagonal,
-    rows/columns in input order.
+    Each tree's cluster table is read once and its splits extracted
+    once, so the cost is ``O(N)`` scans plus ``O(N²)`` set differences
+    of ints — not ``O(N²)`` scans.  The matrix is symmetric with a zero
+    diagonal, rows/columns in input order.
 
     Raises
     ------
@@ -84,10 +84,9 @@ def rf_matrix(handles: Sequence[StoredTree]) -> list[list[int]]:
     """
     scans = [scan_tree(handle) for handle in handles]
     for later in scans[1:]:
-        check_same_leaf_sets(
-            set(scans[0].leaf_names), set(later.leaf_names)
-        )
-    splits = [scan.bipartitions() for scan in scans]
+        if later.names != scans[0].names:
+            check_same_leaf_sets(set(scans[0].names), set(later.names))
+    splits = [scan.split_masks() for scan in scans]
     size = len(handles)
     matrix = [[0] * size for _ in range(size)]
     for i in range(size):

@@ -3,16 +3,17 @@
 The in-memory reference (:mod:`repro.benchmark.consensus`, after the
 linear-time majority-rule line of Amenta et al.) needs every input
 tree materialized at once.  This version streams instead: trees are
-visited one at a time, each contributing its rooted cluster set
-(extracted from one narrow range scan of its stored rows,
-:func:`~repro.analytics.bipartitions.scan_tree`) to a running
-counter, so peak memory is one cluster table plus the counter — never
-N trees.  Tree assembly is shared with the in-memory path
-(:func:`repro.benchmark.consensus.build_tree_from_clusters`), so the
-returned topology is identical — byte-identical as Newick — to
+visited one at a time, each contributing its rooted clusters — ``int``
+bitmasks over the sorted leaf names, from the handle's memoised
+cluster table (:func:`~repro.analytics.bipartitions.scan_tree`) — to a
+running counter, so peak memory is the counter plus the tables the
+handles already hold, never N trees.  Tree assembly is shared with the
+in-memory path (:func:`repro.benchmark.consensus.build_tree_from_masks`
+is the builder behind ``build_tree_from_clusters``), so the returned
+topology is identical — byte-identical as Newick — to
 :func:`~repro.benchmark.consensus.majority_rule_consensus` /
 :func:`~repro.benchmark.consensus.strict_consensus` over the same
-profile.
+profile.  Leaf names are looked up only for the support keys.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence
 
-from repro.analytics.bipartitions import Split, scan_tree
-from repro.benchmark.consensus import build_tree_from_clusters
+from repro.analytics.bipartitions import Split, TreeScan, scan_tree
+from repro.benchmark.consensus import build_tree_from_masks
 from repro.errors import QueryError
 from repro.storage.tree_repository import StoredTree
 from repro.trees.tree import PhyloTree
@@ -58,38 +59,35 @@ def stored_consensus(
     """
     if not handles:
         raise QueryError("consensus of an empty tree profile")
-    if not strict and (threshold < 0.5 or threshold >= 1.0 + 1e-12):
+    if not strict and not 0.5 <= threshold < 1.0 + 1e-12:
         raise QueryError(f"threshold must be in [0.5, 1.0], got {threshold}")
 
-    leaf_set: frozenset[str] | None = None
-    counts: Counter[Split] = Counter()
-    shared: set[Split] | None = None
+    first: TreeScan | None = None
+    counts: Counter[int] = Counter()
+    shared: set[int] | None = None
     for handle in handles:
-        scan = scan_tree(handle)  # one row pass: leaf set and clusters
-        names = frozenset(scan.leaf_names)
-        if leaf_set is None:
-            leaf_set = names
-        elif names != leaf_set:
+        scan = scan_tree(handle)
+        if first is None:
+            first = scan
+        elif scan.names != first.names:
             raise QueryError("consensus input trees have different leaf sets")
-        clusters = scan.clusters()
         if strict:
-            shared = clusters if shared is None else shared & clusters
+            if shared is None:
+                shared = set(scan.clusters)
+            else:
+                shared.intersection_update(scan.clusters)
         else:
-            counts.update(clusters)
-    assert leaf_set is not None
+            counts.update(scan.clusters)
+    assert first is not None
 
     if strict:
         assert shared is not None
-        tree = build_tree_from_clusters(
-            sorted(leaf_set), sorted(shared, key=len)
-        )
-        return tree, {cluster: 1.0 for cluster in shared}
+        support = {first.leaf_set(mask): 1.0 for mask in shared}
+        return build_tree_from_masks(first.names, shared), support
 
     needed = threshold * len(handles)
-    majority = [
-        cluster for cluster, count in counts.items() if count > needed
-    ]
+    majority = [mask for mask, count in counts.items() if count > needed]
     support = {
-        cluster: counts[cluster] / len(handles) for cluster in majority
+        first.leaf_set(mask): counts[mask] / len(handles) for mask in majority
     }
-    return build_tree_from_clusters(sorted(leaf_set), majority), support
+    return build_tree_from_masks(first.names, majority), support

@@ -4,9 +4,9 @@ Given a profile of rooted trees over the same leaf set, the majority
 tree contains exactly the clusters appearing in more than half of the
 input trees.  Majority clusters are pairwise compatible, so they nest
 into a unique tree; construction here is cluster counting with hashed
-leaf sets followed by containment nesting — linear in the total input
-size up to hashing, the spirit of the linear-time algorithm the paper
-cites.
+leaf sets, then one pass that hangs each cluster (as a bitmask over the
+sorted leaf names) under the current owner of its lowest leaf — the
+spirit of the linear-time algorithm the paper cites.
 
 Consensus is how the Benchmark Manager aggregates an algorithm's output
 across replicate samples into one summary topology.
@@ -15,7 +15,7 @@ across replicate samples into one summary topology.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.benchmark.metrics import clusters
 from repro.errors import QueryError
@@ -48,7 +48,7 @@ def majority_rule_consensus(
     """
     if not trees:
         raise QueryError("consensus of an empty tree profile")
-    if threshold < 0.5 or threshold >= 1.0 + 1e-12:
+    if not 0.5 <= threshold < 1.0 + 1e-12:
         raise QueryError(f"threshold must be in [0.5, 1.0], got {threshold}")
 
     leaf_set = frozenset(trees[0].leaf_names())
@@ -93,66 +93,102 @@ def strict_consensus(trees: Sequence[PhyloTree]) -> PhyloTree:
         if frozenset(tree.leaf_names()) != leaf_set:
             raise QueryError("consensus input trees have different leaf sets")
         shared &= clusters(tree)
-    return build_tree_from_clusters(sorted(leaf_set), sorted(shared, key=len))
+    return build_tree_from_clusters(sorted(leaf_set), list(shared))
 
 
 def build_tree_from_clusters(
     leaf_names: Sequence[str], cluster_sets: Sequence[frozenset[str]]
 ) -> PhyloTree:
     """Assemble the unique rooted tree realizing pairwise-compatible,
-    non-trivial clusters over ``leaf_names``.
+    non-trivial clusters over ``leaf_names`` (see
+    :func:`build_tree_from_masks`, which does the work).
 
     Raises
     ------
     QueryError
-        If two clusters are incompatible (overlap without containment).
+        If two clusters are incompatible (overlap without containment),
+        or a cluster names a leaf outside ``leaf_names``.
     """
+    names = sorted(set(leaf_names))
+    bit = {name: index for index, name in enumerate(names)}
+    masks = []
+    for cluster in cluster_sets:
+        if not cluster.issubset(bit):
+            raise QueryError("cluster escapes the root leaf set")
+        masks.append(sum(1 << bit[name] for name in cluster))
+    return build_tree_from_masks(names, masks)
+
+
+def build_tree_from_masks(
+    names: Sequence[str], masks: Iterable[int]
+) -> PhyloTree:
+    """Assemble the rooted tree realizing compatible clusters given as
+    bitmasks over the sorted distinct ``names`` (bit *i* is
+    ``names[i]``); the empty and full masks are ignored.
+
+    Big clusters go in first, the lowest bit (smallest name) breaking
+    ties, so children are attached in the same order whatever order the
+    clusters came in, and each node's leaves follow them in name order.
+    A cluster's parent is the current owner of its lowest leaf; it is
+    incompatible when it is not inside that parent or overlaps a sibling
+    already placed.
+
+    Raises
+    ------
+    QueryError
+        If two clusters are incompatible, or a mask has a bit beyond
+        ``names``.
+    """
+    size = len(names)
+    full = (1 << size) - 1
     root = Node()
-    root_cluster = frozenset(leaf_names)
-    # Interior nodes created so far, keyed by their cluster.
-    interior: dict[frozenset[str], Node] = {root_cluster: root}
-
-    # Insert big clusters first so parents exist before children.  Two
-    # distinct compatible clusters of one size are disjoint, so the
-    # smallest name breaks every tie: children are attached in the same
-    # order whatever order (or hash seed) the clusters came in.
-    by_size = sorted(
-        set(cluster_sets), key=lambda c: (-len(c), min(c, default=""))
+    nodes = [root]  # placed interior nodes
+    spans = [full]  # their clusters
+    taken = [0]  # the union of each one's placed interior children
+    owner = [0] * size  # innermost placed node holding each leaf
+    ordered = sorted(
+        set(masks) - {0, full},
+        key=lambda mask: (-mask.bit_count(), mask & -mask),
     )
-    for cluster in by_size:
-        if not cluster or cluster == root_cluster:
-            continue
-        parent_cluster = _smallest_superset(interior, cluster)
-        for existing in interior:
-            if existing & cluster and not (
-                existing >= cluster or cluster >= existing
-            ):
-                raise QueryError(
-                    f"incompatible clusters: {sorted(existing)} vs {sorted(cluster)}"
-                )
-        node = Node()
-        interior[parent_cluster].add_child(node)
-        interior[cluster] = node
-
-    # Hang each leaf under the smallest cluster containing it.
-    for name in leaf_names:
-        parent_cluster = _smallest_superset(interior, frozenset([name]))
-        interior[parent_cluster].new_child(name, 1.0)
-
-    # Give interior edges unit length for renderability.
-    for node in root.preorder():
-        if node.parent is not None and not node.is_leaf:
-            node.length = 1.0
+    for mask in ordered:
+        if mask >> size:
+            raise QueryError("cluster escapes the root leaf set")
+        parent = owner[(mask & -mask).bit_length() - 1]
+        if mask & ~spans[parent] or mask & taken[parent]:
+            other = next(
+                span
+                for span in spans
+                if span & mask and span & mask not in (span, mask)
+            )
+            raise QueryError(
+                "incompatible clusters: "
+                f"{[names[i] for i in mask_bits(other)]} vs "
+                f"{[names[i] for i in mask_bits(mask)]}"
+            )
+        node = _attach(nodes[parent], Node(length=1.0))
+        taken[parent] |= mask
+        for index in mask_bits(mask):
+            owner[index] = len(nodes)
+        nodes.append(node)
+        spans.append(mask)
+        taken.append(0)
+    for index, name in enumerate(names):
+        _attach(nodes[owner[index]], Node(name, 1.0))
     return PhyloTree(root, name="consensus")
 
 
-def _smallest_superset(
-    interior: dict[frozenset[str], Node], cluster: frozenset[str]
-) -> frozenset[str]:
-    best: frozenset[str] | None = None
-    for candidate in interior:
-        if candidate >= cluster and (best is None or len(candidate) < len(best)):
-            best = candidate
-    if best is None:
-        raise QueryError("cluster escapes the root leaf set")
-    return best
+def _attach(parent: Node, child: Node) -> Node:
+    """``parent.add_child`` without its cycle walk: ``child`` is fresh."""
+    child.parent = parent
+    parent.children.append(child)
+    return child
+
+
+def mask_bits(mask: int) -> list[int]:
+    """The set bit positions of ``mask``, lowest first."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits

@@ -20,7 +20,9 @@ in linear time" remark.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Hashable
 from dataclasses import dataclass
+from typing import AbstractSet
 
 import numpy as np
 
@@ -130,12 +132,13 @@ class SplitComparison:
 
 
 def comparison_from_splits(
-    splits_ref: set[Split], splits_est: set[Split]
+    splits_ref: AbstractSet[Hashable], splits_est: AbstractSet[Hashable]
 ) -> SplitComparison:
     """Assemble a :class:`SplitComparison` from two extracted split sets.
 
     Shared by :func:`compare_splits` and the stored-tree analytics
-    (:mod:`repro.analytics.compare`), so the two paths cannot drift.
+    (:mod:`repro.analytics.compare`, whose splits are ``int`` bitmasks),
+    so the two paths cannot drift.
     """
     false_neg = len(splits_ref - splits_est)
     false_pos = len(splits_est - splits_ref)

@@ -41,11 +41,13 @@ cheap in four ways:
    once; a hit on an inode that is already pinned is a single ``get``
    with no re-put, so a warm walk writes nothing to the caches.
 4. **A narrow scan beside the caches.**  The analytics subsystem needs
-   four columns of every row, once per tree.  :meth:`scan_rows` reads
+   four columns of every row, once per tree.  :meth:`scan_table` reads
    them with one primary-key range statement as plain tuples, without
-   touching the row caches, and memoises the result when the tree has
-   at most ``cache_size`` nodes — so a warm repeat runs zero SQL, and
-   analytics never churns the point-query caches.
+   touching the row caches, hands them to a builder (the analytics
+   cluster-bitmask table), and memoises the *built table* — not the
+   rows — when the tree has at most ``cache_size`` nodes.  A warm
+   repeat runs zero SQL and no build, and analytics never churns the
+   point-query caches.
 
 Cache knobs
 -----------
@@ -54,9 +56,12 @@ bounds **each segment** of each of the six row caches; memory is
 therefore at most ``6 · cache_size`` probationary rows plus the pinned
 index rows (at most ``cache_size`` each for the inode/block caches,
 and in practice only the ``O(n/f)`` upper-layer rows) per open handle,
-plus at most ``cache_size`` four-column tuples of scan memo.  The six
-caches and the scan memo are the only state: there is no module-level
-memo, so nothing outlives the handle.  A cached row is a slotted record
+plus one scan table of a tree of at most ``cache_size`` nodes (for
+analytics, the distinct non-trivial cluster bitmasks and two tuples of
+leaf names: about 570 KB for a 2,000-leaf Yule tree, below the
+four-column rows it is built from).  The six caches and the scan table
+are the only state: there is no module-level memo, so nothing outlives
+the handle.  A cached row is a slotted record
 no larger than the ``sqlite3.Row`` (and its value tuple) it replaces;
 an inode's label tuple takes the place of its dotted string, and the
 inode caches share one record per row.  Pass ``cache_size`` through
@@ -80,7 +85,7 @@ no locking and hit/miss counters stay exact per thread.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar, cast
 
 from repro.core.dewey import DeweyLabel, label_to_string
 from repro.storage.cache import CacheStats, LRUCache
@@ -93,6 +98,8 @@ from repro.storage.rows import (
     as_inode_row,
     as_node_row,
 )
+
+T = TypeVar("T")
 
 DEFAULT_CACHE_SIZE = 4096
 """Default per-cache entry bound (see module docstring for sizing)."""
@@ -146,8 +153,9 @@ class StoredQueryEngine:
         self._inodes = LRUCache(cache_size)  # inode_id -> InodeRow
         self._inode_at = LRUCache(cache_size)  # (block, label) -> InodeRow
         self._blocks = LRUCache(cache_size)  # block_id -> BlockRow
-        # The whole-tree narrow scan, kept only when it fits one cache.
-        self._scan: list[tuple] | None = None
+        # The table built from the whole-tree narrow scan, kept only
+        # when the tree fits one cache.
+        self._scan: object | None = None
 
     # ------------------------------------------------------------------
     # Cache plumbing
@@ -256,32 +264,39 @@ class StoredQueryEngine:
                 found[row.name] = row
         return found
 
-    def scan_rows(self, n_nodes: int) -> list[tuple]:
-        """Every node's ``(node_id, pre_order_end, is_leaf, name)``.
+    def scan_table(
+        self, n_nodes: int, build: Callable[[list[tuple]], T]
+    ) -> T | None:
+        """``build`` over every node's ``(node_id, pre_order_end,
+        is_leaf, name)``, in pre-order.
 
-        One primary-key range statement in pre-order, read as plain
-        tuples and never through the row caches.  The result is
+        One primary-key range statement, read as plain tuples and never
+        through the row caches.  The built table — not the rows — is
         memoised when ``n_nodes <= cache_size`` (the bound under which
         the row caches could hold the whole tree), so a warm repeat
-        executes zero SQL; a larger tree is re-read on every call.  A
-        short read — the tree was deleted under the handle — is
-        returned but never memoised.
+        executes zero SQL and skips ``build``; a larger tree is re-read
+        on every call.  A short read — the tree was deleted under the
+        handle — returns ``None`` and is never memoised.  The slot holds
+        one table, so every caller passes the same ``build``.
         """
         if self._scan is not None:
-            return self._scan
+            return cast(T, self._scan)
         rows = self.db.query_all(
             "SELECT node_id, pre_order_end, is_leaf, name FROM nodes "
             "WHERE tree_id = ? AND node_id BETWEEN 0 AND ? ORDER BY node_id",
             (self.tree_id, n_nodes - 1),
             plain=True,
         )
-        if len(rows) == n_nodes and n_nodes <= self.cache_size:
-            self._scan = rows
-        return rows
+        if len(rows) != n_nodes:
+            return None
+        table = build(rows)
+        if n_nodes <= self.cache_size:
+            self._scan = table
+        return table
 
     @property
     def scan_resident(self) -> bool:
-        """Whether :meth:`scan_rows` would run without SQL."""
+        """Whether :meth:`scan_table` would run without SQL."""
         return self._scan is not None
 
     # ------------------------------------------------------------------
@@ -516,7 +531,7 @@ class StoredQueryEngine:
         return resident / len(probed)
 
     def clear_cache(self) -> None:
-        """Drop all cached rows and the scan memo (cold-start; counters
+        """Drop all cached rows and the scan table (cold-start; counters
         are kept)."""
         for cache in self._caches().values():
             cache.clear()

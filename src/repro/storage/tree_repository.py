@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import datetime as _datetime
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.core.dewey import DeweyLabel, common_prefix, label_to_string
 from repro.core.hindex import HierarchicalIndex
@@ -32,7 +32,7 @@ from repro.core.lca import DEFAULT_LABEL_BOUND
 from repro.errors import QueryError, StorageError
 from repro.storage.cache import CacheStats
 from repro.storage.database import CrimsonDatabase, unwrap_database
-from repro.storage.engine import DEFAULT_CACHE_SIZE, StoredQueryEngine
+from repro.storage.engine import DEFAULT_CACHE_SIZE, StoredQueryEngine, T
 from repro.storage.rows import BlockRow, InodeRow, NodeRow, as_node_row
 from repro.trees.node import Node
 from repro.trees.traversal import preorder_intervals
@@ -610,7 +610,7 @@ class StoredTree:
         costs **zero** — while the engine's segmented admission keeps
         the scan from evicting the pinned upper-layer index rows the
         point-query warm path depends on.  Analytics reads the narrower
-        :meth:`scan_rows` instead.
+        :meth:`scan_table` instead.
 
         Raises
         ------
@@ -625,26 +625,26 @@ class StoredTree:
             )
         return [found[node_id] for node_id in range(self.info.n_nodes)]
 
-    def scan_rows(self) -> list[tuple[int, int, int, str | None]]:
-        """Every node's ``(node_id, pre_order_end, is_leaf, name)`` in
-        pre-order — the four columns cluster extraction reads.
+    def scan_table(self, build: Callable[[list[tuple]], T]) -> T:
+        """``build`` over every node's ``(node_id, pre_order_end,
+        is_leaf, name)`` in pre-order — the four columns cluster
+        extraction reads.
 
-        One primary-key range statement cold, zero when the engine has
-        the tree memoised
-        (:meth:`~repro.storage.engine.StoredQueryEngine.scan_rows`).
+        One primary-key range statement cold; zero, and no ``build``,
+        when the engine has the built table memoised
+        (:meth:`~repro.storage.engine.StoredQueryEngine.scan_table`).
 
         Raises
         ------
         StorageError
             If the tree was deleted out from under this handle.
         """
-        rows = self.engine.scan_rows(self.info.n_nodes)
-        if len(rows) != self.info.n_nodes:
+        table = self.engine.scan_table(self.info.n_nodes, build)
+        if table is None:
             self._raise_missing(
-                f"tree {self.info.name!r} is missing node rows "
-                f"({len(rows)} of {self.info.n_nodes})"
+                f"tree {self.info.name!r} is missing node rows"
             )
-        return rows
+        return table
 
     def leaves(self) -> list[NodeRow]:
         """All leaf rows in pre-order."""

@@ -11,8 +11,12 @@ disjoint leaf sets, unnamed/duplicate leaves, threshold boundaries).
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.admission import estimate_analytics
 from repro.analytics import (
@@ -236,6 +240,14 @@ class TestConsensusMatchesInMemory:
             with pytest.raises(QueryError, match="threshold"):
                 stored_consensus(handles, threshold=threshold)
 
+    def test_nan_threshold_raises(self, handles, profile):
+        # A NaN fails every comparison, so a negative-form range check
+        # let it through and returned a star tree with empty support.
+        with pytest.raises(QueryError, match="threshold"):
+            stored_consensus(handles, threshold=float("nan"))
+        with pytest.raises(QueryError, match="threshold"):
+            majority_rule_consensus(profile, threshold=float("nan"))
+
 
 class TestAnalyticsRequestValidation:
     def test_unknown_operation(self):
@@ -405,14 +417,12 @@ class TestSessionSurface:
 
 def _row_scan(handle) -> TreeScan:
     """The NodeRow-based extraction the narrow kernel replaced."""
-    leaf_ids, leaf_names, intervals = [], [], []
-    for row in handle.preorder_rows():
-        if row.is_leaf:
-            leaf_ids.append(row.node_id)
-            leaf_names.append(row.name)
-        else:
-            intervals.append((row.node_id, row.pre_order_end))
-    return TreeScan(tuple(leaf_ids), tuple(leaf_names), tuple(intervals))
+    return TreeScan.from_rows(
+        [
+            (row.node_id, row.pre_order_end, row.is_leaf, row.name)
+            for row in handle.preorder_rows()
+        ]
+    )
 
 
 def _named_random_tree(seed: int, leaves: int = 260) -> PhyloTree:
@@ -533,3 +543,139 @@ class TestNarrowScanKernel:
         else:
             assert counter.count == estimate.statements == len(names)
             assert estimate.rows == sum(h.info.n_nodes for h in handles)
+
+
+class TestScanTableLifecycle:
+    """The per-handle cluster table across a delete and a re-load."""
+
+    SCAN = "SELECT node_id, pre_order_end, is_leaf, name FROM nodes"
+
+    def test_replaced_slot_rescans_only_the_new_tree(
+        self, profile, monkeypatch
+    ):
+        names = [f"rep{i}" for i in range(4)]
+        with CrimsonStore.open() as store:
+            for name, tree in zip(names, profile):
+                store.load_tree(tree, name=name, f=4)
+            request = AnalyticsRequest.consensus(*names)
+            store.analyze(request)
+            store.trees.delete_tree("rep0")
+            replacement = profile[N_PROFILE - 1]
+            new = store.load_tree(replacement, name="rep0", f=4)
+            scanned = []
+            query_all = store.db.query_all
+
+            def recording(sql, parameters=(), **kwargs):
+                if sql.startswith(self.SCAN):
+                    scanned.append(parameters[0])
+                return query_all(sql, parameters, **kwargs)
+
+            monkeypatch.setattr(store.db, "query_all", recording)
+            result = store.analyze(request)
+            assert scanned == [new.info.tree_id]
+            expected, support = majority_rule_consensus(
+                [replacement, *profile[1:4]]
+            )
+            assert write_newick(result.consensus) == write_newick(expected)
+            assert result.support == support
+
+
+@st.composite
+def cluster_profiles(draw):
+    """Same-leaf-set profiles of random rooted trees.
+
+    Names ``t0..t<n-1>`` sort lexicographically (``t10`` before ``t2``)
+    and are placed at random, so bit order differs from pre-order.
+    Random edges are collapsed into multifurcations, and half the trees
+    are collapsed copies of one base tree, so some clusters win a
+    majority.
+    """
+    n_leaves = draw(st.integers(min_value=1, max_value=12))
+    n_trees = draw(st.integers(min_value=1, max_value=6))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**31)))
+    names = [f"t{i}" for i in range(n_leaves)]
+
+    def random_tree() -> PhyloTree:
+        if n_leaves == 1:
+            root = Node()
+            root.new_child(names[0], 1.0)
+            return PhyloTree(root)
+        parts = [Node(name, 1.0) for name in rng.sample(names, n_leaves)]
+        while len(parts) > 1:
+            first, second = sorted(rng.sample(range(len(parts)), 2))
+            node = Node(None, 1.0)
+            node.add_child(parts.pop(second))
+            node.add_child(parts.pop(first))
+            parts.append(node)
+        parts[0].length = 0.0
+        return PhyloTree(parts[0])
+
+    def collapsed(tree: PhyloTree) -> PhyloTree:
+        tree = tree.copy()
+        inner = [
+            node
+            for node in tree.preorder()
+            if node.parent is not None and not node.is_leaf
+        ]
+        for node in inner:
+            if rng.random() < 0.3:
+                parent = node.parent
+                for child in list(node.children):
+                    node.remove_child(child)
+                    parent.add_child(child)
+                parent.remove_child(node)
+        tree.invalidate_caches()
+        return tree
+
+    base = random_tree()
+    return [
+        collapsed(base if rng.random() < 0.5 else random_tree())
+        for _ in range(n_trees)
+    ]
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    trees=cluster_profiles(),
+    threshold=st.floats(min_value=0.5, max_value=1.0),
+)
+def test_stored_analytics_match_in_memory(trees, threshold):
+    with CrimsonStore.open() as store:
+        handles = [
+            store.load_tree(tree, name=f"p{index}", f=3)
+            for index, tree in enumerate(trees)
+        ]
+        for handle, tree in zip(handles, trees):
+            assert stored_clusters(handle, include_trivial=True) == clusters(
+                tree, include_trivial=True
+            )
+            assert stored_bipartitions(handle) == bipartitions(tree)
+            assert stored_leaf_names(handle) == tree.leaf_names()
+        for kind in (threshold, 0.5, 1.0):
+            stored_tree, stored_support = stored_consensus(
+                handles, threshold=kind
+            )
+            tree, support = majority_rule_consensus(trees, threshold=kind)
+            assert write_newick(stored_tree) == write_newick(tree)
+            assert stored_support == support
+
+        stored_tree, stored_support = stored_consensus(handles, strict=True)
+        assert write_newick(stored_tree) == write_newick(
+            strict_consensus(trees)
+        )
+        shared = set.intersection(*(clusters(tree) for tree in trees))
+        assert stored_support == {cluster: 1.0 for cluster in shared}
+
+        if len(trees) >= 2:
+            outcome = compare_stored(handles[0], handles[1])
+            assert outcome.splits == compare_splits(trees[0], trees[1])
+            assert outcome.shared_clusters == len(
+                clusters(trees[0]) & clusters(trees[1])
+            )
+            assert rf_matrix(handles) == [
+                [robinson_foulds(a, b) for b in trees] for a in trees
+            ]

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.benchmark.consensus import (
     build_tree_from_clusters,
@@ -93,6 +95,11 @@ class TestMajorityRule:
         with pytest.raises(QueryError):
             majority_consensus_tree([tree], threshold=0.3)
 
+    def test_nan_threshold_rejected(self):
+        tree = parse_newick("((a,b),c);")
+        with pytest.raises(QueryError, match="threshold"):
+            majority_consensus_tree([tree], threshold=float("nan"))
+
     def test_leafset_preserved(self):
         profile = [
             parse_newick("((a,b),(c,d));"),
@@ -140,3 +147,72 @@ class TestBuildFromClusters:
                 ["a", "b", "c"],
                 [frozenset({"a", "b"}), frozenset({"b", "c"})],
             )
+
+    def test_unknown_name_escapes_the_root(self):
+        with pytest.raises(QueryError, match="escapes the root leaf set"):
+            build_tree_from_clusters(
+                ["a", "b", "c"], [frozenset({"a", "z"})]
+            )
+
+
+PROPERTY_SETTINGS = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _random_leaf_tree(rng: random.Random, names: list[str]) -> str:
+    """A random binary Newick over ``names`` by random joining."""
+    parts = list(names)
+    rng.shuffle(parts)
+    while len(parts) > 1:
+        first, second = sorted(rng.sample(range(len(parts)), 2))
+        joined = f"({parts[second]},{parts[first]})"
+        parts.pop(second)
+        parts.pop(first)
+        parts.append(joined)
+    return parts[0] + ";"
+
+
+class TestBuilderProperties:
+    @PROPERTY_SETTINGS
+    @given(
+        n_leaves=st.integers(min_value=2, max_value=16),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_laminar_family_round_trips_in_any_order(self, n_leaves, seed):
+        rng = random.Random(seed)
+        names = [f"t{i}" for i in range(n_leaves)]
+        tree = parse_newick(_random_leaf_tree(rng, names))
+        family = [
+            cluster for cluster in clusters(tree) if rng.random() < 0.6
+        ]
+        rng.shuffle(family)
+        built = build_tree_from_clusters(sorted(names), family)
+        assert clusters(built) == set(family)
+        assert sorted(built.leaf_names()) == sorted(names)
+        reordered = list(family)
+        rng.shuffle(reordered)
+        assert write_newick(
+            build_tree_from_clusters(sorted(names), reordered)
+        ) == write_newick(built)
+
+    @PROPERTY_SETTINGS
+    @given(
+        n_leaves=st.integers(min_value=3, max_value=16),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_overlapping_pair_raises(self, n_leaves, seed):
+        rng = random.Random(seed)
+        names = [f"t{i}" for i in range(n_leaves)]
+        shared, only_a, only_b = rng.sample(names, 3)
+        rest = [name for name in names if name not in (shared, only_a, only_b)]
+        first = {shared, only_a, *rng.sample(rest, rng.randint(0, len(rest)))}
+        second = {shared, only_b} | {
+            name for name in rest if name not in first and rng.random() < 0.5
+        }
+        family = [frozenset(first), frozenset(second)]
+        rng.shuffle(family)
+        with pytest.raises(QueryError, match="incompatible clusters"):
+            build_tree_from_clusters(names, family)

@@ -15,6 +15,7 @@ import warnings
 
 import pytest
 
+from repro.analytics.bipartitions import scan_tree
 from repro.errors import CrimsonError, QueryError, StorageError
 from repro.storage.api import QueryRequest, QueryResult
 from repro.storage.cache import LRUCache
@@ -697,7 +698,7 @@ class TestHandleRevalidation:
             store.load_tree(caterpillar(30), name="a")
             store.load_tree(caterpillar(40), name="b")
             handle = store.open_tree("b")
-            handle.scan_rows()
+            scan_tree(handle)
             assert handle.engine.scan_resident
             store.trees.delete_tree("a")
             assert store.open_tree("b") is handle
