@@ -25,8 +25,7 @@ from repro.simulation.birth_death import birth_death_tree
 from repro.simulation.models import hky85
 from repro.simulation.rates import SiteRates
 from repro.simulation.seqgen import evolve_sequences
-from repro.storage.database import CrimsonDatabase
-from repro.storage.loader import DataLoader
+from repro.storage.store import CrimsonStore
 
 SAMPLE_SIZES = (8, 16, 32)
 TRIALS = 3
@@ -40,10 +39,9 @@ def store():
     sequences = evolve_sequences(
         gold, hky85(2.0), 400, rng=rng, site_rates=rates, scale=0.15
     )
-    db = CrimsonDatabase()
-    DataLoader(db).load_tree(gold, name="gold", sequences=sequences)
-    yield db
-    db.close()
+    with CrimsonStore.open() as crimson:
+        crimson.load_tree(gold, name="gold", sequences=sequences)
+        yield crimson
 
 
 def test_single_trial(benchmark, store):

@@ -16,18 +16,16 @@ import pytest
 from repro.core.clade import minimal_spanning_clade
 from repro.core.lca import LcaService
 from repro.simulation.birth_death import yule_tree
-from repro.storage.database import CrimsonDatabase
-from repro.storage.tree_repository import TreeRepository
+from repro.storage.store import CrimsonStore
 
 
 @pytest.fixture(scope="module")
 def setup():
     tree = yule_tree(2000, rng=np.random.default_rng(13))
-    db = CrimsonDatabase()
-    handle = TreeRepository(db).store_tree(tree, name="gold", f=8)
-    service = LcaService(tree, "layered", f=8)
-    yield tree, handle, service
-    db.close()
+    with CrimsonStore.open() as store:
+        handle = store.trees.store_tree(tree, name="gold", f=8)
+        service = LcaService(tree, "layered", f=8)
+        yield tree, handle, service
 
 
 def _recursive_clade(handle, names):

@@ -14,8 +14,7 @@ import time
 import pytest
 
 from repro.core.lca import LcaService
-from repro.storage.database import CrimsonDatabase
-from repro.storage.tree_repository import TreeRepository
+from repro.storage.store import CrimsonStore
 from repro.trees.build import caterpillar
 
 DEPTHS = (200, 1000, 5000)
@@ -73,8 +72,8 @@ def test_lca_depth_sweep(benchmark, report):
 def test_lca_sql_backed(benchmark, report):
     """Index-backed point queries through the relational store."""
     tree = caterpillar(2000)
-    db = CrimsonDatabase()
-    handle = TreeRepository(db).store_tree(tree, name="deep", f=8)
+    store = CrimsonStore.open()
+    handle = store.trees.store_tree(tree, name="deep", f=8)
     names = [(f"t{i + 1}", f"t{2000 - i}") for i in range(25)]
 
     def run():
@@ -89,4 +88,4 @@ def test_lca_sql_backed(benchmark, report):
         "E4 — SQL-backed layered LCA on a depth-1999 tree: each query is a "
         "handful of indexed point lookups, no full-tree materialization"
     )
-    db.close()
+    store.close()

@@ -15,9 +15,7 @@ import pytest
 from repro.simulation.birth_death import yule_tree
 from repro.simulation.models import jc69
 from repro.simulation.seqgen import evolve_sequences
-from repro.storage.database import CrimsonDatabase
-from repro.storage.loader import DataLoader
-from repro.storage.tree_repository import TreeRepository
+from repro.storage.store import CrimsonStore
 
 SIZES = (100, 1000, 5000)
 
@@ -34,9 +32,8 @@ def test_store_structure_only(benchmark, trees, n):
     counter = iter(range(10**6))
 
     def run():
-        db = CrimsonDatabase()
-        TreeRepository(db).store_tree(tree, name=f"t{next(counter)}", f=8)
-        db.close()
+        with CrimsonStore.open() as store:
+            store.trees.store_tree(tree, name=f"t{next(counter)}", f=8)
 
     benchmark(run)
 
@@ -51,15 +48,15 @@ def test_loading_throughput_table(benchmark, trees, report):
     )
     for n in SIZES:
         tree = trees[n]
-        db = CrimsonDatabase()
+        store = CrimsonStore.open()
         start = time.perf_counter()
-        TreeRepository(db).store_tree(tree, name="structure", f=8)
+        store.trees.store_tree(tree, name="structure", f=8)
         structure_rate = tree.size() / (time.perf_counter() - start) / 1000
         sequences = evolve_sequences(tree, jc69(), 100, rng=rng, scale=0.2)
         start = time.perf_counter()
-        DataLoader(db).load_tree(tree, name="full", sequences=sequences)
+        store.load_tree(tree, name="full", sequences=sequences)
         full_rate = tree.size() / (time.perf_counter() - start) / 1000
-        db.close()
+        store.close()
         report(
             f"  {n:>7} {tree.size():>7} {structure_rate:>15.1f} "
             f"{full_rate:>18.1f}"
@@ -78,11 +75,11 @@ def test_index_overhead_by_f(benchmark, report):
     report("E8 ablation — index rows per node vs label bound f (2000 leaves)")
     report(f"  {'f':>4} {'blocks':>8} {'inode rows':>11} {'rows/node':>10}")
     for f in (2, 4, 8, 16):
-        db = CrimsonDatabase()
-        handle = TreeRepository(db).store_tree(tree, name="g", f=f)
-        inodes = db.query_one("SELECT COUNT(*) AS n FROM inodes")["n"]
+        store = CrimsonStore.open()
+        handle = store.trees.store_tree(tree, name="g", f=f)
+        inodes = store.db.query_one("SELECT COUNT(*) AS n FROM inodes")["n"]
         report(
             f"  {f:>4} {handle.info.n_blocks:>8} {inodes:>11} "
             f"{inodes / tree.size():>10.2f}"
         )
-        db.close()
+        store.close()

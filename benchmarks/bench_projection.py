@@ -39,13 +39,12 @@ def test_projection_indexed(benchmark, gold, k):
 def test_projection_sql_backed(benchmark, gold, report):
     """E5 extension: the projection computed entirely over SQL — no
     gold-standard materialization at all (DESIGN.md challenge 1)."""
-    from repro.storage.database import CrimsonDatabase
     from repro.storage.projection import project_stored
-    from repro.storage.tree_repository import TreeRepository
+    from repro.storage.store import CrimsonStore
 
     tree, service = gold
-    db = CrimsonDatabase()
-    handle = TreeRepository(db).store_tree(tree, name="gold", f=8)
+    store = CrimsonStore.open()
+    handle = store.trees.store_tree(tree, name="gold", f=8)
     rng = np.random.default_rng(1)
     sample = random_sample(tree, 32, rng)
 
@@ -56,7 +55,7 @@ def test_projection_sql_backed(benchmark, gold, report):
         "E5 — SQL-backed projection (k=32) fetches only sample + LCA rows; "
         "result identical to the in-memory algorithm"
     )
-    db.close()
+    store.close()
 
 
 def test_projection_vs_brute_force(benchmark, gold, report):

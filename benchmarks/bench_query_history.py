@@ -13,20 +13,19 @@ import numpy as np
 import pytest
 
 from repro.simulation.birth_death import yule_tree
-from repro.storage.database import CrimsonDatabase
-from repro.storage.query_repository import QueryRepository
-from repro.storage.tree_repository import TreeRepository
+from repro.storage.store import CrimsonStore
 
 
 @pytest.fixture(scope="module")
 def setup():
-    db = CrimsonDatabase()
-    tree = yule_tree(500, rng=np.random.default_rng(23))
-    handle = TreeRepository(db).store_tree(tree, name="gold", f=8)
-    history = QueryRepository(db)
-    history.register_operation("lca", lambda a, b: handle.lca(a, b).node_id)
-    yield db, handle, history
-    db.close()
+    with CrimsonStore.open() as store:
+        tree = yule_tree(500, rng=np.random.default_rng(23))
+        handle = store.trees.store_tree(tree, name="gold", f=8)
+        history = store.history
+        history.register_operation(
+            "lca", lambda a, b: handle.lca(a, b).node_id
+        )
+        yield store.db, handle, history
 
 
 def test_record_throughput(benchmark, setup):

@@ -22,18 +22,17 @@ from repro.benchmark.sampling import (
     time_frontier,
 )
 from repro.simulation.birth_death import yule_tree
-from repro.storage.database import CrimsonDatabase
-from repro.storage.tree_repository import StoredTree, TreeRepository
+from repro.storage.store import CrimsonStore
+from repro.storage.tree_repository import StoredTree
 
 
 @pytest.fixture(scope="module")
 def gold():
     tree = yule_tree(2000, rng=np.random.default_rng(7))
     horizon = max(tree.distances_from_root().values())
-    db = CrimsonDatabase()
-    handle = TreeRepository(db).store_tree(tree, name="gold", f=8)
-    yield tree, handle, horizon
-    db.close()
+    with CrimsonStore.open() as store:
+        handle = store.trees.store_tree(tree, name="gold", f=8)
+        yield tree, handle, horizon
 
 
 def test_frontier_in_memory(benchmark, gold):

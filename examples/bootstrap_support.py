@@ -25,10 +25,8 @@ from repro.simulation.birth_death import birth_death_tree
 from repro.simulation.models import tn93
 from repro.simulation.rates import SiteRates
 from repro.simulation.seqgen import evolve_sequences
-from repro.storage.database import CrimsonDatabase
-from repro.storage.loader import DataLoader
 from repro.storage.projection import project_stored
-from repro.storage.species_repository import SpeciesRepository
+from repro.storage.store import CrimsonStore
 
 N_SPECIES = 200
 SEQ_LENGTH = 600
@@ -45,8 +43,8 @@ def main() -> None:
     sequences = evolve_sequences(
         gold, tn93(2.0, 4.0), SEQ_LENGTH, rng=rng, site_rates=rates, scale=0.2
     )
-    db = CrimsonDatabase()
-    handle = DataLoader(db).load_tree(gold, name="gold", sequences=sequences)
+    store = CrimsonStore.open()
+    handle = store.load_tree(gold, name="gold", sequences=sequences)
 
     print(f"sampling {SAMPLE_SIZE} species and projecting the true subtree ...")
     sample = random_sample_stored(handle, SAMPLE_SIZE, rng)
@@ -54,7 +52,7 @@ def main() -> None:
     print(render_ascii(truth, show_lengths=False))
 
     print(f"\nrunning a {REPLICATES}-replicate NJ bootstrap ...")
-    species = SpeciesRepository(db)
+    species = store.species
     sample_sequences = species.sequences_for(handle, sample)
     result = bootstrap_support(
         sample_sequences,
@@ -82,7 +80,7 @@ def main() -> None:
         f"{summary['mean_support_false'] * 100:.1f}%; "
         f"true-clade recall {summary['true_cluster_recall'] * 100:.1f}%"
     )
-    db.close()
+    store.close()
 
 
 if __name__ == "__main__":

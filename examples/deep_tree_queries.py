@@ -21,8 +21,7 @@ import time
 from repro.core.dewey import DeweyIndex
 from repro.core.hindex import HierarchicalIndex
 from repro.core.lca import LcaService
-from repro.storage.database import CrimsonDatabase
-from repro.storage.tree_repository import TreeRepository
+from repro.storage.store import CrimsonStore
 from repro.trees.build import balanced, caterpillar
 
 DEPTH = 5000
@@ -64,8 +63,8 @@ def main() -> None:
         print(f"  {strategy:<8} {len(pairs)} queries in {elapsed:8.2f} ms")
 
     print("\n-- the same tree, queried relationally --")
-    db = CrimsonDatabase()
-    handle = TreeRepository(db).store_tree(deep, name="deep", f=LABEL_BOUND)
+    store = CrimsonStore.open()
+    handle = store.trees.store_tree(deep, name="deep", f=LABEL_BOUND)
     info = handle.info
     print(
         f"  stored: {info.n_nodes} node rows, {info.n_blocks} blocks, "
@@ -84,7 +83,7 @@ def main() -> None:
         f"  clade of two mid-tree leaves: {clade_size} nodes via one "
         f"pre-order BETWEEN in {elapsed:.2f} ms"
     )
-    db.close()
+    store.close()
 
 
 if __name__ == "__main__":

@@ -25,8 +25,7 @@ from repro.simulation.birth_death import birth_death_tree
 from repro.simulation.models import hky85
 from repro.simulation.rates import SiteRates
 from repro.simulation.seqgen import evolve_sequences
-from repro.storage.database import CrimsonDatabase
-from repro.storage.loader import DataLoader
+from repro.storage.store import CrimsonStore
 
 N_SPECIES = 300
 SEQ_LENGTH = 500
@@ -50,16 +49,14 @@ def main() -> None:
         gold, hky85(kappa=2.5), SEQ_LENGTH, rng=rng, site_rates=rates, scale=0.15
     )
 
-    db = CrimsonDatabase()
-    DataLoader(db, report=lambda msg: print(f"  {msg}")).load_tree(
-        gold, name="gold", sequences=sequences
-    )
+    store = CrimsonStore.open(report=lambda msg: print(f"  {msg}"))
+    store.load_tree(gold, name="gold", sequences=sequences)
 
     algorithms = {
         name: ALL_ALGORITHMS[name]
         for name in ("nj-jc69", "nj-k2p", "upgma-jc69", "random")
     }
-    manager = BenchmarkManager(db, algorithms=algorithms)
+    manager = BenchmarkManager(store, algorithms=algorithms)
 
     print(
         f"\nbenchmarking {sorted(algorithms)} on random samples "
@@ -76,7 +73,7 @@ def main() -> None:
     for entry in manager.history.recent(limit=3):
         print(f"  #{entry.query_id} {entry.operation} {entry.result_summary}")
 
-    db.close()
+    store.close()
 
 
 if __name__ == "__main__":

@@ -15,10 +15,7 @@ from __future__ import annotations
 
 from repro.cli.render import render_ascii, render_phylogram
 from repro.cli.walrus import to_walrus_json
-from repro.storage.database import CrimsonDatabase
-from repro.storage.loader import DataLoader
-from repro.storage.query_repository import QueryRepository
-from repro.storage.species_repository import SpeciesRepository
+from repro.storage.store import CrimsonStore
 from repro.trees.nexus import NexusDocument, write_nexus
 
 PRIMATES_NEXUS = """#NEXUS
@@ -45,18 +42,19 @@ END;
 
 
 def main() -> None:
-    db = CrimsonDatabase()
-    loader = DataLoader(db, report=lambda message: print(f"  [loader] {message}"))
+    store = CrimsonStore.open(
+        report=lambda message: print(f"  [loader] {message}")
+    )
 
     print("-- loading a NEXUS document with tree + character matrix --")
-    (handle,) = loader.load_nexus_text(PRIMATES_NEXUS)
+    (handle,) = store.load_nexus_text(PRIMATES_NEXUS)
 
-    species = SpeciesRepository(db)
+    species = store.species
     print(f"\n  species rows: {species.count(handle)}")
     print(f"  Homo sequence: {species.sequence_of(handle, 'Homo')}")
 
     print("\n-- recording queries in the Query Repository --")
-    history = QueryRepository(db)
+    history = store.history
     history.register_operation(
         "lca", lambda a, b: handle.lca(a, b).name or "(anonymous interior)"
     )
@@ -90,7 +88,7 @@ def main() -> None:
     walrus = to_walrus_json(tree, indent=None)
     print(f"Walrus-style JSON export: {len(walrus)} bytes "
           f"({tree.size()} nodes, {tree.size() - 1} links)")
-    db.close()
+    store.close()
 
 
 if __name__ == "__main__":

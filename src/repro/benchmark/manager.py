@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,16 +41,12 @@ from repro.reconstruction.nj import neighbor_joining
 from repro.reconstruction.random_tree import random_topology
 from repro.reconstruction.upgma import upgma
 from repro.reconstruction.parsimony import parsimony_greedy
-from repro.storage.database import (
-    DatabaseFacade,
-    reuse_namespace,
-    unwrap_database,
-)
 from repro.storage.projection import project_stored
-from repro.storage.query_repository import QueryRepository
-from repro.storage.species_repository import SpeciesRepository
-from repro.storage.tree_repository import StoredTree, TreeRepository
+from repro.storage.tree_repository import StoredTree
 from repro.trees.tree import PhyloTree
+
+if TYPE_CHECKING:
+    from repro.storage.store import CrimsonStore
 
 Algorithm = Callable[[Mapping[str, str]], PhyloTree]
 
@@ -162,26 +158,20 @@ def evaluate_sample(
 class BenchmarkManager:
     """Evaluates reconstruction algorithms against a stored gold standard.
 
-    ``owner`` is a :class:`~repro.storage.store.CrimsonStore` (whose
-    repository namespaces are reused) or a raw
-    :class:`~repro.storage.database.CrimsonDatabase`.
+    Trials read the gold standard and its sequences through the
+    ``store``'s ``trees`` and ``species`` namespaces and record into its
+    ``history``.
     """
 
     def __init__(
         self,
-        owner,
+        store: CrimsonStore,
         algorithms: Mapping[str, Algorithm] | None = None,
         record_history: bool = True,
     ) -> None:
-        self.db = unwrap_database(owner, "BenchmarkManager", warn=False)
-        facade = DatabaseFacade(self.db)
-        self.trees = reuse_namespace(owner, "trees", TreeRepository, facade)
-        self.species = reuse_namespace(
-            owner, "species", SpeciesRepository, facade
-        )
-        self.history = reuse_namespace(
-            owner, "history", QueryRepository, facade
-        )
+        self.trees = store.trees
+        self.species = store.species
+        self.history = store.history
         self.algorithms = dict(algorithms or DEFAULT_ALGORITHMS)
         self.record_history = record_history
 

@@ -27,8 +27,8 @@ as namespaces.  The layers underneath:
 * :mod:`repro.storage.query_repository` — query history with recall/re-run,
 * :mod:`repro.storage.loader` — NEXUS/Newick ingestion.
 
-Constructing repositories from a raw :class:`CrimsonDatabase` still
-works but is deprecated; open a store and use its namespaces.
+The repositories, the loader and ``verify_*`` all take the store they
+belong to; reach them through its namespaces.
 """
 
 from repro.storage.cache import CacheStats, LRUCache

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import sqlite3
 import threading
-import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator
@@ -34,67 +33,6 @@ Modules outside this one annotate and inspect rows as
 an implementation detail of this module (the ``layering-sqlite3`` lint
 rule enforces exactly that boundary).
 """
-
-
-def unwrap_database(owner: object, what: str, *, warn: bool = True) -> "CrimsonDatabase":
-    """Return the :class:`CrimsonDatabase` behind a façade object.
-
-    Repositories are constructed from an owner exposing a ``db``
-    attribute — normally a :class:`~repro.storage.store.CrimsonStore`.
-    Passing a raw :class:`CrimsonDatabase` still works, but (when
-    ``warn`` is set) emits a :class:`DeprecationWarning` steering callers
-    to ``CrimsonStore.open``.
-
-    Raises
-    ------
-    StorageError
-        If ``owner`` is neither a database nor an object holding one.
-    """
-    if isinstance(owner, CrimsonDatabase):
-        if warn:
-            warnings.warn(
-                f"constructing {what} from a raw CrimsonDatabase is "
-                "deprecated; open a repro.storage.store.CrimsonStore and "
-                "use its namespaces instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return owner
-    inner = getattr(owner, "db", None)
-    if isinstance(inner, CrimsonDatabase):
-        return inner
-    raise StorageError(
-        f"{what} needs a CrimsonStore or CrimsonDatabase, "
-        f"got {type(owner).__name__}"
-    )
-
-
-def reuse_namespace(owner, attribute: str, cls, fallback_owner):
-    """Reuse ``owner``'s repository namespace, or build a private one.
-
-    Composite objects (the loader, the Benchmark Manager) share the
-    owning store's repositories when given a store, and fall back to
-    constructing their own — from ``fallback_owner``, an object exposing
-    ``.db`` so the deprecation shim stays quiet — when given a raw
-    database.
-    """
-    existing = getattr(owner, attribute, None)
-    return existing if isinstance(existing, cls) else cls(fallback_owner)
-
-
-class DatabaseFacade:
-    """Minimal repository owner around a raw database.
-
-    Internal code that holds only a :class:`CrimsonDatabase` (legacy
-    call paths, maintenance functions) wraps it in this façade before
-    constructing repositories, so the raw-database deprecation shim in
-    :func:`unwrap_database` fires only for genuinely external callers.
-    """
-
-    __slots__ = ("db",)
-
-    def __init__(self, db: "CrimsonDatabase") -> None:
-        self.db = db
 
 
 def _read_only_uri(path: str) -> str:

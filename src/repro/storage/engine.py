@@ -65,8 +65,10 @@ the handle.  A cached row is a slotted record
 no larger than the ``sqlite3.Row`` (and its value tuple) it replaces;
 an inode's label tuple takes the place of its dotted string, and the
 inode caches share one record per row.  Pass ``cache_size`` through
-``TreeRepository(db, cache_size=...)``, ``TreeRepository.open(name,
-cache_size=...)``, or the CLI's global ``--cache-size`` flag.  Sizing
+``CrimsonStore.open(path, cache_size=...)`` (every handle the store
+opens), ``CrimsonStore.open_tree`` / ``TreeRepository.open(name,
+cache_size=...)`` (one handle), or the CLI's global ``--cache-size``
+flag.  Sizing
 guidance: blocks and inodes above layer 0 number about ``n/f`` and
 ``n/(f-1)`` rows, so a cache of ``n/f`` entries makes every upper-layer
 hop a hit; layer-0 node rows are only worth caching for skewed (hot-key)

@@ -17,16 +17,17 @@ Crimson GUI.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.core.lca import DEFAULT_LABEL_BOUND
 from repro.errors import ParseError, StorageError
-from repro.storage.database import reuse_namespace, unwrap_database
-from repro.storage.species_repository import SpeciesRepository
-from repro.storage.tree_repository import StoredTree, TreeRepository
+from repro.storage.tree_repository import StoredTree
 from repro.trees.nexus import parse_nexus
 from repro.trees.newick import parse_newick
 from repro.trees.tree import PhyloTree, validate_tree
+
+if TYPE_CHECKING:
+    from repro.storage.store import CrimsonStore
 
 Reporter = Callable[[str], None]
 
@@ -52,19 +53,14 @@ def _read_text(path: str | Path) -> str:
 class DataLoader:
     """Loads NEXUS/Newick content into the Tree and Species Repositories.
 
-    Reach it through the store's ``load_*`` methods; constructing one
-    from a raw :class:`~repro.storage.database.CrimsonDatabase` is
-    deprecated.  When constructed from a store, the store's repository
-    namespaces are reused (same cache configuration); the deprecated
-    path builds private ones.
+    Reach it through the store's ``load_*`` methods.  It writes through
+    the store's own ``trees`` and ``species`` namespaces.
     """
 
-    def __init__(self, owner, report: Reporter = _silent) -> None:
-        self.db = unwrap_database(owner, "DataLoader")
-        self.trees = reuse_namespace(owner, "trees", TreeRepository, self)
-        self.species = reuse_namespace(
-            owner, "species", SpeciesRepository, self
-        )
+    def __init__(self, store: CrimsonStore, report: Reporter = _silent) -> None:
+        self.db = store.db
+        self.trees = store.trees
+        self.species = store.species
         self.report = report
 
     # ------------------------------------------------------------------

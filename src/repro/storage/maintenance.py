@@ -5,15 +5,14 @@ decomposition and labeling promise.  It is the guard a long-lived
 repository needs between loads — precisely the class of tooling a
 "gold standard" archive (curated once, queried for years) depends on.
 
-Given a :class:`~repro.storage.store.CrimsonStore`, verification runs
-entirely on **pooled read-only connections**: the catalogue is read on
-the calling thread's primary reader and each tree's rows on its shard's
-reader, so an integrity sweep never contends with — or blocks — the
-writers a concurrent load is using.  It also sweeps every shard for
-**orphan rows** (tree data whose catalogue row is gone, the residue a
-crash between the two commits of a cross-file delete can leave) and
-reports them per shard.  Raw databases keep the historical single-file
-behaviour.
+Both checks take a :class:`~repro.storage.store.CrimsonStore` and run
+entirely on its **pooled read-only connections**: the catalogue is read
+on the calling thread's primary reader and each tree's rows on its
+shard's reader, so an integrity sweep never contends with — or blocks —
+the writers a concurrent load is using.  `verify_store` also sweeps
+every shard for **orphan rows** (tree data whose catalogue row is gone,
+the residue a crash between the two commits of a cross-file delete can
+leave) and reports them per shard.
 
 Checked invariants, per tree:
 
@@ -31,13 +30,17 @@ Checked invariants, per tree:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.storage.database import (
-    CrimsonDatabase,
-    DatabaseFacade,
-    unwrap_database,
+from repro.storage.database import CrimsonDatabase
+from repro.storage.tree_repository import (
+    TreeInfo,
+    catalogue_info,
+    catalogue_infos,
 )
-from repro.storage.tree_repository import TreeInfo, TreeRepository
+
+if TYPE_CHECKING:
+    from repro.storage.store import CrimsonStore
 
 
 @dataclass
@@ -58,37 +61,21 @@ class IntegrityReport:
         return f"{self.tree_name}: {len(self.problems)} problem(s)\n  {listed}"
 
 
-def _is_store(owner) -> bool:
-    """Is ``owner`` a store with pooled readers and shard routing?"""
-    return callable(getattr(owner, "reader_database", None)) and callable(
-        getattr(owner, "shard_reader", None)
-    )
-
-
-def verify_store(owner) -> list[IntegrityReport]:
+def verify_store(store: CrimsonStore) -> list[IntegrityReport]:
     """Verify every tree in the store; one report per tree.
 
-    ``owner`` is a :class:`~repro.storage.store.CrimsonStore` (or,
-    equivalently, a raw database).  Given a store, all verification
-    traffic runs on read-only pooled connections — catalogue reads on
-    the primary reader, row checks on each tree's shard reader — and a
-    per-shard orphan sweep appends one extra report for any shard
-    carrying rows of uncatalogued trees.
+    All verification traffic runs on read-only pooled connections —
+    catalogue reads on the primary reader, row checks on each tree's
+    shard reader — and a per-shard orphan sweep appends one extra
+    report for any shard carrying rows of uncatalogued trees.
     """
-    if _is_store(owner):
-        catalogue = owner.reader_database()
-        repo = TreeRepository(DatabaseFacade(catalogue))
-        reports = [
-            _verify_tree_rows(owner.shard_reader(info.shard), info)
-            for info in repo.list_trees()
-        ]
-        reports.extend(_orphan_reports(owner, catalogue))
-        return reports
-    db = unwrap_database(owner, "verify_store", warn=False)
-    repo = TreeRepository(DatabaseFacade(db))
-    return [
-        _verify_tree_rows(db, info) for info in repo.list_trees()
+    catalogue = store.reader_database()
+    reports = [
+        _verify_tree_rows(store.shard_reader(info.shard), info)
+        for info in catalogue_infos(catalogue)
     ]
+    reports.extend(_orphan_reports(store, catalogue))
+    return reports
 
 
 def _orphan_reports(store, catalogue: CrimsonDatabase) -> list[IntegrityReport]:
@@ -122,20 +109,11 @@ def _orphan_reports(store, catalogue: CrimsonDatabase) -> list[IntegrityReport]:
     return reports
 
 
-def verify_tree(owner, name: str) -> IntegrityReport:
-    """Run all integrity checks on one stored tree.
-
-    Given a store, the checks run on pooled read-only connections (the
-    tree's shard reader); a raw database is checked directly.
-    """
-    if _is_store(owner):
-        info = TreeRepository(
-            DatabaseFacade(owner.reader_database())
-        ).info(name)
-        return _verify_tree_rows(owner.shard_reader(info.shard), info)
-    db = unwrap_database(owner, "verify_tree", warn=False)
-    info = TreeRepository(DatabaseFacade(db)).info(name)
-    return _verify_tree_rows(db, info)
+def verify_tree(store: CrimsonStore, name: str) -> IntegrityReport:
+    """Run all integrity checks on one stored tree, on the pooled
+    read-only connections (the tree's shard reader)."""
+    info = catalogue_info(store.reader_database(), name)
+    return _verify_tree_rows(store.shard_reader(info.shard), info)
 
 
 def _verify_tree_rows(db: CrimsonDatabase, info: TreeInfo) -> IntegrityReport:

@@ -13,10 +13,12 @@ import datetime as _datetime
 import json
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import QueryError, StorageError
-from repro.storage.database import unwrap_database
+
+if TYPE_CHECKING:
+    from repro.storage.store import CrimsonStore
 
 
 @dataclass(frozen=True)
@@ -35,12 +37,12 @@ class HistoryEntry:
 class QueryRepository:
     """Records, lists, and re-runs queries.
 
-    Reach it as ``store.history``; constructing one from a raw
-    :class:`~repro.storage.database.CrimsonDatabase` is deprecated.
+    Reach it as ``store.history``; its rows live on the store's
+    primary writer.
     """
 
-    def __init__(self, owner) -> None:
-        self.db = unwrap_database(owner, "QueryRepository")
+    def __init__(self, store: CrimsonStore) -> None:
+        self.db = store.db
         self._operations: dict[str, Callable[..., Any]] = {}
 
     # ------------------------------------------------------------------

@@ -8,12 +8,14 @@ pre-order id inside its tree; convenience methods accept taxon names.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.errors import QueryError, StorageError
-from repro.storage.database import unwrap_database
 from repro.storage.engine import chunked
 from repro.storage.tree_repository import StoredTree
+
+if TYPE_CHECKING:
+    from repro.storage.store import CrimsonStore
 
 _BATCH = 5000
 
@@ -21,12 +23,12 @@ _BATCH = 5000
 class SpeciesRepository:
     """Stores and serves per-species character data.
 
-    Reach it as ``store.species``; constructing one from a raw
-    :class:`~repro.storage.database.CrimsonDatabase` is deprecated.
+    Reach it as ``store.species``; its rows live on the store's primary
+    writer, beside the catalogue.
     """
 
-    def __init__(self, owner) -> None:
-        self.db = unwrap_database(owner, "SpeciesRepository")
+    def __init__(self, store: CrimsonStore) -> None:
+        self.db = store.db
 
     def attach_sequences(
         self,

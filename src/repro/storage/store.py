@@ -97,13 +97,18 @@ from repro.storage.api import (
     service_info,
 )
 from repro.storage.cache import CacheStats
-from repro.storage.database import CrimsonDatabase, DatabaseFacade
+from repro.storage.database import CrimsonDatabase
 from repro.storage.engine import DEFAULT_CACHE_SIZE
 from repro.storage.loader import DataLoader, Reporter, _silent
 from repro.storage.pool import ReaderPool, Shard
 from repro.storage.query_repository import QueryRepository
 from repro.storage.species_repository import SpeciesRepository
-from repro.storage.tree_repository import StoredTree, TreeRepository
+from repro.storage.tree_repository import (
+    StoredTree,
+    TreeRepository,
+    catalogue_info,
+    catalogue_infos,
+)
 
 
 def shard_path(path: str | Path, shard: int) -> str:
@@ -206,7 +211,7 @@ class CrimsonStore:
             self.close()
             raise
         #: The Tree Repository namespace (catalogue, store/open/delete).
-        self.trees = TreeRepository(self, cache_size=self.cache_size)
+        self.trees = TreeRepository(self)
         #: The Species Repository namespace (sequence data).
         self.species = SpeciesRepository(self)
         #: The Query Repository namespace (history, recall, re-run).
@@ -432,11 +437,6 @@ class CrimsonStore:
         """Make every thread's cached handles revalidate on next use."""
         self._catalogue_epoch += 1
 
-    def _resolve_info(self, reader: CrimsonDatabase, name: str):
-        # The catalogue lookup must run on this thread's connection too,
-        # so pooled readers never serialize behind the writer.
-        return TreeRepository(DatabaseFacade(reader)).info(name)
-
     def list_trees(self):
         """Catalogue rows of every stored tree, on this thread's reader.
 
@@ -446,9 +446,7 @@ class CrimsonStore:
         the writer.  Returns a list of
         :class:`~repro.storage.tree_repository.TreeInfo`.
         """
-        return TreeRepository(
-            DatabaseFacade(self.reader_database())
-        ).list_trees()
+        return catalogue_infos(self.reader_database())
 
     def tree_count(self) -> int:
         """Number of stored trees — one aggregate on this thread's reader."""
@@ -465,7 +463,7 @@ class CrimsonStore:
         StorageError
             If no tree of that name is stored.
         """
-        return self._resolve_info(self.reader_database(), name)
+        return catalogue_info(self.reader_database(), name)
 
     def session(self):
         """A :class:`~repro.storage.verbs.LocalSession` over this store.
@@ -504,7 +502,7 @@ class CrimsonStore:
             If no tree of that name is stored.
         """
         if cache_size is not None:
-            info = self._resolve_info(self.reader_database(), name)
+            info = catalogue_info(self.reader_database(), name)
             return StoredTree(self.shard_reader(info.shard), info, cache_size)
         handles: dict[str, tuple[int, StoredTree]] | None = getattr(
             self._local, "handles", None
@@ -518,7 +516,7 @@ class CrimsonStore:
             cached_epoch, cached = entry
             if cached_epoch == epoch:
                 return cached
-        info = self._resolve_info(self.reader_database(), name)
+        info = catalogue_info(self.reader_database(), name)
         if cached is not None and cached.info.tree_id == info.tree_id:
             handles[name] = (epoch, cached)
             return cached

@@ -24,19 +24,22 @@ from __future__ import annotations
 
 import datetime as _datetime
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.dewey import DeweyLabel, common_prefix, label_to_string
 from repro.core.hindex import HierarchicalIndex
 from repro.core.lca import DEFAULT_LABEL_BOUND
 from repro.errors import QueryError, StorageError
 from repro.storage.cache import CacheStats
-from repro.storage.database import CrimsonDatabase, unwrap_database
+from repro.storage.database import CrimsonDatabase, Row
 from repro.storage.engine import DEFAULT_CACHE_SIZE, StoredQueryEngine, T
 from repro.storage.rows import BlockRow, InodeRow, NodeRow, as_node_row
 from repro.trees.node import Node
 from repro.trees.traversal import preorder_intervals
 from repro.trees.tree import PhyloTree
+
+if TYPE_CHECKING:
+    from repro.storage.store import CrimsonStore
 
 
 @dataclass(frozen=True)
@@ -71,64 +74,61 @@ class TreeInfo:
         return self.n_leaves
 
 
+def _info_of(row: Row) -> TreeInfo:
+    """The :class:`TreeInfo` of one ``trees`` row."""
+    return TreeInfo(
+        tree_id=row["tree_id"],
+        name=row["name"],
+        n_nodes=row["n_nodes"],
+        n_leaves=row["n_leaves"],
+        max_depth=row["max_depth"],
+        f=row["f"],
+        n_layers=row["n_layers"],
+        n_blocks=row["n_blocks"],
+        created_at=row["created_at"],
+        description=row["description"],
+        # Read-only snapshots of pre-migration files lack the column.
+        shard=row["shard"] if "shard" in row.keys() else 0,
+    )
+
+
+def catalogue_info(db: CrimsonDatabase, name: str) -> TreeInfo:
+    """Catalogue entry of one stored tree, read on ``db``.
+
+    ``db`` is any connection to the primary file: the store's writer,
+    or a pooled reader so catalogue lookups never queue behind it.
+
+    Raises
+    ------
+    StorageError
+        If no tree of that name is stored.
+    """
+    row = db.query_one("SELECT * FROM trees WHERE name = ?", (name,))
+    if row is None:
+        raise StorageError(f"no tree named {name!r} in the repository")
+    return _info_of(row)
+
+
+def catalogue_infos(db: CrimsonDatabase) -> list[TreeInfo]:
+    """Every catalogue entry, ordered by name, in one statement on ``db``."""
+    return [
+        _info_of(row)
+        for row in db.query_all("SELECT * FROM trees ORDER BY name")
+    ]
+
+
 class TreeRepository:
     """Stores and serves phylogenetic trees of one Crimson store.
 
-    Parameters
-    ----------
-    owner:
-        The owning :class:`~repro.storage.store.CrimsonStore` (reach it
-        as ``store.trees`` rather than constructing one).  Passing a raw
-        :class:`CrimsonDatabase` is deprecated but still works.
-    cache_size:
-        Per-cache row bound applied to every :class:`StoredTree` handle
-        this repository creates (see :mod:`repro.storage.engine` for
-        sizing guidance).  ``None`` uses the engine default.
+    Reach it as ``store.trees``.  Catalogue rows live on the store's
+    primary writer; each new tree's data rows go to the shard
+    :meth:`~repro.storage.store.CrimsonStore.place_tree` picks, and
+    every handle it opens is bounded by the store's ``cache_size``.
     """
 
-    def __init__(self, owner, cache_size: int | None = None) -> None:
-        self.db = unwrap_database(owner, "TreeRepository")
-        self.cache_size = (
-            cache_size if cache_size is not None else DEFAULT_CACHE_SIZE
-        )
-        # A store owner gets told when the catalogue mutates, so its
-        # per-thread cached handles revalidate (see CrimsonStore.open_tree).
-        self._notify_catalogue_change = getattr(
-            owner, "_bump_catalogue_epoch", None
-        )
-        # A store owner also routes tree data to shard databases; raw
-        # databases (and the facade) keep the single-file layout.
-        self._router = (
-            owner
-            if hasattr(owner, "shard_database") and hasattr(owner, "place_tree")
-            else None
-        )
-
-    # ------------------------------------------------------------------
-    # Shard routing
-    # ------------------------------------------------------------------
-
-    def _data_database(self, shard: int) -> CrimsonDatabase:
-        """Writer connection holding a tree's data rows."""
-        if self._router is None:
-            return self.db
-        return self._router.shard_database(shard)
-
-    def _has_allocator(self) -> bool:
-        """Has this file ever allocated ids through the ``meta`` counter?
-
-        Sharded stores always have; on such a file even the deprecated
-        raw-database path must keep using the counter, because
-        AUTOINCREMENT cannot know about ids a failed cross-file load
-        burned without a catalogue row (re-issuing one would let a new
-        tree collide with orphaned shard rows).
-        """
-        return (
-            self.db.query_one(
-                "SELECT 1 FROM meta WHERE key = 'next_tree_id'"
-            )
-            is not None
-        )
+    def __init__(self, store: CrimsonStore) -> None:
+        self.store = store
+        self.db = store.db
 
     def _allocate_tree_id(self) -> int:
         """Reserve a catalogue id without inserting the catalogue row.
@@ -139,7 +139,8 @@ class TreeRepository:
         ``trees`` insert.  The counter in ``meta`` is monotonic and never
         re-issues an id — even after the highest-numbered tree is
         deleted — so orphaned data rows from a failed load can never
-        collide with a later tree.
+        collide with a later tree.  Files that predate the counter
+        start it above their highest catalogued id.
         """
         with self.db.transaction() as connection:
             row = connection.execute(
@@ -199,8 +200,8 @@ class TreeRepository:
         order: list[Node] = list(tree.preorder())
         rank = {id(node): position for position, node in enumerate(order)}
 
-        shard = self._router.place_tree() if self._router is not None else 0
-        data_db = self._data_database(shard)
+        shard = self.store.place_tree()
+        data_db = self.store.shard_database(shard)
         catalogue = (
             key,
             len(order),
@@ -220,32 +221,12 @@ class TreeRepository:
                 depths, distances,
             )
 
-        if self._router is None and not self._has_allocator():
-            # Legacy raw-database repositories on never-sharded files:
-            # the catalogue row and the data rows commit in one
-            # transaction, with sqlite's AUTOINCREMENT assigning the
-            # id — the pre-sharding behaviour, byte for byte.
-            with self.db.transaction() as connection:
-                cursor = connection.execute(
-                    """
-                    INSERT INTO trees
-                        (name, n_nodes, n_leaves, max_depth, f, n_layers,
-                         n_blocks, created_at, description, shard)
-                    VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
-                    """,
-                    catalogue,
-                )
-                tree_id = cursor.lastrowid
-                assert tree_id is not None
-                insert_rows(connection, tree_id)
-        elif data_db is self.db:
-            # Primary placement (single-file stores, shard 0, and the
-            # raw-database path on a file carrying an allocator): still
-            # one atomic transaction, but under an allocator id so this
-            # row can never collide with an id reserved by a concurrent
-            # (or crashed) load on another shard — AUTOINCREMENT only
-            # knows about ids that reached the ``trees`` table.
-            tree_id = self._allocate_tree_id()
+        tree_id = self._allocate_tree_id()
+        if data_db is self.db:
+            # Primary placement (single-file stores and shard 0): one
+            # atomic transaction, under an allocator id so this row can
+            # never collide with an id reserved by a concurrent (or
+            # crashed) load on another shard.
             with self.db.transaction() as connection:
                 connection.execute(
                     """
@@ -265,7 +246,6 @@ class TreeRepository:
             # shard rows are purged (and, being uncatalogued under a
             # never-reused id, are invisible garbage even if the purge
             # itself fails mid-crash).
-            tree_id = self._allocate_tree_id()
             with data_db.transaction() as connection:
                 insert_rows(connection, tree_id)
             try:
@@ -284,7 +264,9 @@ class TreeRepository:
                 self._purge_data_rows(data_db, tree_id)
                 raise
 
-        return StoredTree(data_db, self.info(key), cache_size=self.cache_size)
+        return StoredTree(
+            data_db, self.info(key), cache_size=self.store.cache_size
+        )
 
     @staticmethod
     def _insert_tree_rows(
@@ -394,41 +376,24 @@ class TreeRepository:
         StorageError
             If no tree of that name is stored.
         """
-        row = self.db.query_one("SELECT * FROM trees WHERE name = ?", (name,))
-        if row is None:
-            raise StorageError(f"no tree named {name!r} in the repository")
-        return TreeInfo(
-            tree_id=row["tree_id"],
-            name=row["name"],
-            n_nodes=row["n_nodes"],
-            n_leaves=row["n_leaves"],
-            max_depth=row["max_depth"],
-            f=row["f"],
-            n_layers=row["n_layers"],
-            n_blocks=row["n_blocks"],
-            created_at=row["created_at"],
-            description=row["description"],
-            # Read-only snapshots of pre-migration files lack the column.
-            shard=row["shard"] if "shard" in row.keys() else 0,
-        )
+        return catalogue_info(self.db, name)
 
     def open(self, name: str, cache_size: int | None = None) -> "StoredTree":
         """Open a query handle on a stored tree.
 
-        The handle binds to the database actually holding the tree's
-        data rows — the shard its catalogue row names when the
-        repository belongs to a sharded store, the repository's own
-        connection otherwise.  ``cache_size`` overrides the repository
-        default for this handle.
+        The handle binds to the writer of the shard the tree's catalogue
+        row names.  ``cache_size`` overrides the store's default for
+        this handle.
         """
-        size = cache_size if cache_size is not None else self.cache_size
+        size = cache_size if cache_size is not None else self.store.cache_size
         info = self.info(name)
-        return StoredTree(self._data_database(info.shard), info, cache_size=size)
+        return StoredTree(
+            self.store.shard_database(info.shard), info, cache_size=size
+        )
 
     def list_trees(self) -> list[TreeInfo]:
-        """All catalogue entries, ordered by name."""
-        rows = self.db.query_all("SELECT name FROM trees ORDER BY name")
-        return [self.info(row["name"]) for row in rows]
+        """All catalogue entries, ordered by name (one statement)."""
+        return catalogue_infos(self.db)
 
     def delete_tree(self, name: str) -> None:
         """Remove a stored tree and all dependent rows.
@@ -439,7 +404,7 @@ class TreeRepository:
             If no tree of that name is stored.
         """
         info = self.info(name)
-        data_db = self._data_database(info.shard)
+        data_db = self.store.shard_database(info.shard)
         if data_db is self.db:
             with self.db.transaction() as connection:
                 # Explicit deletes keep the behaviour identical whether or
@@ -468,8 +433,7 @@ class TreeRepository:
                     connection.execute(
                         f"DELETE FROM {table} WHERE tree_id = ?", (info.tree_id,)
                     )
-        if self._notify_catalogue_change is not None:
-            self._notify_catalogue_change()
+        self.store._bump_catalogue_epoch()
 
     def __repr__(self) -> str:
         return f"TreeRepository({self.db!r})"

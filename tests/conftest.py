@@ -1,4 +1,4 @@
-"""Shared fixtures: the paper's example tree, random trees, databases."""
+"""Shared fixtures: the paper's example tree, random trees, stores."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.storage.database import CrimsonDatabase
+from repro.storage.store import CrimsonStore
 from repro.trees.build import sample_tree
 from repro.trees.node import Node
 from repro.trees.tree import PhyloTree
@@ -25,6 +26,13 @@ def db():
     database = CrimsonDatabase()
     yield database
     database.close()
+
+
+@pytest.fixture
+def store():
+    """An in-memory Crimson store, closed after the test."""
+    with CrimsonStore.open() as crimson:
+        yield crimson
 
 
 @pytest.fixture

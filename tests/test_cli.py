@@ -422,13 +422,11 @@ class TestBootstrapCommand:
 
     def test_bootstrap_without_species_data_fails(self, loaded, capsys):
         # The 'demo' fixture tree has species data, so delete it first.
-        from repro.storage.database import CrimsonDatabase
-        from repro.storage.species_repository import SpeciesRepository
-        from repro.storage.tree_repository import TreeRepository
+        from repro.storage.store import CrimsonStore
 
-        with CrimsonDatabase(loaded) as db:
-            repo = TreeRepository(db)
-            species = SpeciesRepository(db)
+        with CrimsonStore.open(loaded) as store:
+            repo = store.trees
+            species = store.species
             species.delete_for_tree(repo.open("demo"))
         assert run(loaded, "bootstrap", "demo", "-k", "3", seed=1) == 1
         assert "error:" in capsys.readouterr().err

@@ -9,6 +9,7 @@ batch) to the same answers on random trees across several ``f`` values.
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import numpy as np
@@ -24,14 +25,23 @@ from repro.storage.cache import CacheStats, LRUCache
 from repro.storage.projection import project_stored
 from repro.storage.sanitize import record_statements, statement_budget
 from repro.storage.store import CrimsonStore
-from repro.storage.tree_repository import TreeRepository
 from repro.trees.build import balanced, caterpillar, sample_tree
 from repro.trees.traversal import naive_lca
 
 
 @pytest.fixture
-def repo(db):
-    return TreeRepository(db)
+def repo(store):
+    return store.trees
+
+
+@pytest.fixture
+def store_with_cache():
+    """Opens in-memory stores of a given ``cache_size``, closed after
+    the test."""
+    with contextlib.ExitStack() as stack:
+        yield lambda size: stack.enter_context(
+            CrimsonStore.open(cache_size=size)
+        )
 
 
 @pytest.fixture
@@ -153,7 +163,7 @@ class TestSegmentedAdmission:
         assert len(cache) == 0
         assert cache.pinned_count == 0
 
-    def test_full_tree_scan_cannot_evict_index_rows(self, db):
+    def test_full_tree_scan_cannot_evict_index_rows(self, store_with_cache):
         """The ROADMAP cache-admission item, end to end: after a warm-up,
         an adversarial layer-0 scan (every node row, every canonical
         inode — the analytics extraction pattern) must leave the pinned
@@ -161,7 +171,8 @@ class TestSegmentedAdmission:
         re-fetches only the handful of evicted layer-0 rows instead of
         re-walking the index from cold.
         """
-        repo = TreeRepository(db, cache_size=256)
+        store = store_with_cache(256)
+        repo = store.trees
         repo.store_tree(caterpillar(600), name="deep", f=4)
         handle = repo.open("deep")
 
@@ -169,10 +180,10 @@ class TestSegmentedAdmission:
             handle.lca("t1", "t600")
             handle.lca("t3", "t300")
 
-        with db.count_statements() as counter:
+        with store.db.count_statements() as counter:
             workload()
         cold = counter.count
-        with db.count_statements() as counter:
+        with store.db.count_statements() as counter:
             workload()
         assert counter.count == 0  # fully warm before the scan
 
@@ -189,7 +200,7 @@ class TestSegmentedAdmission:
             name: stats.misses
             for name, stats in handle.cache_stats().items()
         }
-        with db.count_statements() as counter:
+        with store.db.count_statements() as counter:
             workload()
         after = handle.cache_stats()
         # The index skeleton (blocks, pinned inodes) never misses ...
@@ -202,20 +213,20 @@ class TestSegmentedAdmission:
 
 
 class TestWarmPath:
-    def test_warm_repeat_lca_executes_zero_sql(self, db, stored):
+    def test_warm_repeat_lca_executes_zero_sql(self, store, stored):
         assert stored.lca("Lla", "Spy").name == "x"
-        with db.count_statements() as counter:
+        with store.db.count_statements() as counter:
             assert stored.lca("Lla", "Spy").name == "x"
         assert counter.count == 0
 
-    def test_warm_lca_many_executes_zero_sql(self, db, stored):
+    def test_warm_lca_many_executes_zero_sql(self, store, stored):
         stored.lca_many(["Lla", "Spy", "Bha"])
-        with db.count_statements() as counter:
+        with store.db.count_statements() as counter:
             assert stored.lca_many(["Lla", "Spy", "Bha"]).name == "A"
         assert counter.count == 0
 
-    def test_cold_query_counts_statements(self, db, stored):
-        with db.count_statements() as counter:
+    def test_cold_query_counts_statements(self, store, stored):
+        with store.db.count_statements() as counter:
             stored.lca("Lla", "Syn")
         assert counter.count > 0
 
@@ -227,10 +238,10 @@ class TestWarmPath:
         assert second.hits > first.hits
         assert second.misses == first.misses
 
-    def test_clear_cache_restores_cold_path(self, db, stored):
+    def test_clear_cache_restores_cold_path(self, store, stored):
         stored.lca("Lla", "Spy")
         stored.clear_cache()
-        with db.count_statements() as counter:
+        with store.db.count_statements() as counter:
             stored.lca("Lla", "Spy")
         assert counter.count > 0
 
@@ -240,8 +251,8 @@ class TestWarmPath:
         total = stored.cache_stats()["total"]
         assert total.hits == 0 and total.misses == 0
 
-    def test_tiny_cache_still_correct_and_evicts(self, db, fig1):
-        handle = TreeRepository(db, cache_size=2).store_tree(
+    def test_tiny_cache_still_correct_and_evicts(self, store_with_cache, fig1):
+        handle = store_with_cache(2).trees.store_tree(
             fig1, name="tiny", f=2
         )
         for _ in range(3):
@@ -249,8 +260,8 @@ class TestWarmPath:
             assert handle.lca("Lla", "Spy").name == "x"
         assert handle.cache_stats()["total"].evictions > 0
 
-    def test_statement_counter_stops(self, db, stored):
-        with db.count_statements() as counter:
+    def test_statement_counter_stops(self, store, stored):
+        with store.db.count_statements() as counter:
             pass
         stored.clear_cache()
         stored.lca("Lla", "Syn")
@@ -263,10 +274,10 @@ class TestTypedRowCaches:
     the untyped-row engine."""
 
     def test_warm_repeat_makes_no_sql_and_no_cache_puts(
-        self, db, random_tree_factory, monkeypatch
+        self, store, random_tree_factory, monkeypatch
     ):
         tree = random_tree_factory(200, seed=4)
-        handle = TreeRepository(db).store_tree(tree, name="warm", f=3)
+        handle = store.trees.store_tree(tree, name="warm", f=3)
         names = [leaf.name for leaf in tree.root.leaves()]
 
         def workload():
@@ -284,7 +295,7 @@ class TestTypedRowCaches:
             original(cache, key, value, pinned)
 
         monkeypatch.setattr(LRUCache, "put", counting_put)
-        with db.count_statements() as counter:
+        with store.db.count_statements() as counter:
             workload()
         assert counter.count == 0
         assert puts == []
@@ -338,8 +349,8 @@ class TestTypedRowCaches:
             "total": (2227, 283, 0, 638, 154),
         }
 
-    def test_probationary_skeleton_inode_is_promoted(self, db):
-        repo = TreeRepository(db, cache_size=4096)
+    def test_probationary_skeleton_inode_is_promoted(self, store_with_cache):
+        repo = store_with_cache(4096).trees
         repo.store_tree(caterpillar(600), name="deep", f=4)
         handle = repo.open("deep")
         engine = handle.engine
@@ -358,13 +369,13 @@ class TestTypedRowCaches:
 
     @pytest.mark.parametrize("seed", [2, 9])
     def test_constant_eviction_agrees_with_dewey(
-        self, db, seed, random_tree_factory
+        self, store_with_cache, seed, random_tree_factory
     ):
         tree = random_tree_factory(120, seed=seed)
         rank = _preorder_rank(tree)
         nodes = list(tree.preorder())
         dewey = DeweyIndex(tree)
-        handle = TreeRepository(db, cache_size=4).store_tree(
+        handle = store_with_cache(4).trees.store_tree(
             tree, name=f"tiny{seed}", f=3
         )
         rng = random.Random(seed)
@@ -395,7 +406,7 @@ class TestBatchApis:
         with pytest.raises(QueryError, match="alien"):
             stored.nodes_by_name(["Lla", "alien"])
 
-    def test_lca_batch_matches_single_calls(self, db, repo):
+    def test_lca_batch_matches_single_calls(self, store, repo):
         tree = balanced(4)
         handle = repo.store_tree(tree, name="bal", f=2)
         leaves = handle.leaves()
@@ -421,18 +432,18 @@ class TestBatchApis:
         (row,) = stored.lca_batch([(lla.node_id, "Syn")])
         assert row.name == "R"
 
-    def test_lca_batch_fewer_statements_than_singles(self, db, repo):
+    def test_lca_batch_fewer_statements_than_singles(self, store, repo):
         tree = caterpillar(120)
         repo.store_tree(tree, name="deep", f=4)
         pairs = [(f"t{i + 1}", f"t{120 - i}") for i in range(40)]
 
         single_handle = repo.open("deep")
-        with db.count_statements() as single_counter:
+        with store.db.count_statements() as single_counter:
             for a, b in pairs:
                 single_handle.lca(a, b)
 
         batch_handle = repo.open("deep")
-        with db.count_statements() as batch_counter:
+        with store.db.count_statements() as batch_counter:
             batch_handle.lca_batch(pairs)
 
         assert batch_counter.count < single_counter.count
@@ -444,11 +455,11 @@ class TestBatchApis:
         with pytest.raises(QueryError):
             stored.lca_many(["Lla", "alien"])
 
-    def test_lca_many_threads_rows_without_refetch(self, db, stored):
+    def test_lca_many_threads_rows_without_refetch(self, store, stored):
         # The fold must not re-fetch the running result's row: after a
         # first warming pass the entire fold is cache-served.
         stored.lca_many(["Lla", "Spy", "Bsu", "Bha"])
-        with db.count_statements() as counter:
+        with store.db.count_statements() as counter:
             stored.lca_many(["Lla", "Spy", "Bsu", "Bha"])
         assert counter.count == 0
 
@@ -476,7 +487,7 @@ class TestLevelSynchronousWalk:
     """``lca_batch`` pays one round of SQL per index layer and hop, not
     one statement per pair and hop."""
 
-    def test_cold_statements_do_not_grow_with_pairs(self, db, repo):
+    def test_cold_statements_do_not_grow_with_pairs(self, store, repo):
         # balanced(8) with f = 4: a top block over 16 blocks of 16
         # leaves each.  The first 40 pairs reach every block and every
         # hop round: (t1, t256) crosses blocks, and one pair per lower
@@ -494,7 +505,7 @@ class TestLevelSynchronousWalk:
         counts = []
         for pairs in (base, more):
             handle = repo.open("bal")
-            with db.count_statements() as counter:
+            with store.db.count_statements() as counter:
                 handle.lca_batch(pairs)
             counts.append(counter.count)
         assert len(base) == 40 and len(more) == 400
@@ -538,11 +549,11 @@ class TestDifferentialProperty:
     @pytest.mark.parametrize("f", [1, 2, 3, 8])
     @pytest.mark.parametrize("seed", [3, 11])
     def test_all_strategies_agree_on_random_trees(
-        self, db, f, seed, random_tree_factory
+        self, store, f, seed, random_tree_factory
     ):
         tree = random_tree_factory(70, seed=seed)
         rank = _preorder_rank(tree)
-        handle = TreeRepository(db).store_tree(tree, name=f"r{f}-{seed}", f=f)
+        handle = store.trees.store_tree(tree, name=f"r{f}-{seed}", f=f)
         naive = LcaService(tree, "naive")
         dewey = LcaService(tree, "dewey")
         layered = LcaService(tree, "layered", f=f)
@@ -564,10 +575,10 @@ class TestDifferentialProperty:
             assert stored_row.node_id == rank[id(expected)]
             assert batch_row.node_id == rank[id(expected)]
 
-    def test_figure1_tree_all_strategies(self, db):
+    def test_figure1_tree_all_strategies(self, store):
         tree = sample_tree()
         rank = _preorder_rank(tree)
-        handle = TreeRepository(db).store_tree(tree, name="fig1", f=2)
+        handle = store.trees.store_tree(tree, name="fig1", f=2)
         dewey = LcaService(tree, "dewey")
         layered = LcaService(tree, "layered", f=2)
         leaves = list(tree.root.leaves())
@@ -582,22 +593,22 @@ class TestDifferentialProperty:
 
 
 class TestBatchedProjection:
-    def test_projection_unchanged_by_batching(self, db, random_tree_factory):
+    def test_projection_unchanged_by_batching(self, store, random_tree_factory):
         from repro.benchmark.metrics import robinson_foulds
         from repro.core.projection import project_tree
 
         tree = random_tree_factory(80, seed=5)
-        handle = TreeRepository(db).store_tree(tree, name="proj", f=3)
+        handle = store.trees.store_tree(tree, name="proj", f=3)
         names = [leaf.name for leaf in tree.root.leaves()][::2]
         via_sql = project_stored(handle, names)
         in_memory = project_tree(tree, names)
         assert sorted(via_sql.leaf_names()) == sorted(in_memory.leaf_names())
         assert robinson_foulds(via_sql, in_memory) == 0
 
-    def test_warm_projection_executes_zero_sql(self, db, stored):
+    def test_warm_projection_executes_zero_sql(self, store, stored):
         names = ["Lla", "Spy", "Bha", "Syn"]
         project_stored(stored, names)
-        with db.count_statements() as counter:
+        with store.db.count_statements() as counter:
             project_stored(stored, names)
         assert counter.count == 0
 

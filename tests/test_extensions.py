@@ -206,10 +206,9 @@ class TestCliRerun:
 
     def test_rerun_unreplayable_operation(self, dbpath, capsys):
         from repro.cli.main import main
-        from repro.storage.database import CrimsonDatabase
-        from repro.storage.query_repository import QueryRepository
+        from repro.storage.store import CrimsonStore
 
-        with CrimsonDatabase(dbpath) as db:
-            QueryRepository(db).record("benchmark-trial", {}, tree_name="demo")
+        with CrimsonStore.open(dbpath) as store:
+            store.history.record("benchmark-trial", {}, tree_name="demo")
         assert main(["--db", dbpath, "rerun", "1"]) == 1
         assert "cannot be re-run" in capsys.readouterr().err

@@ -12,17 +12,13 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import CrimsonError, ParseError, QueryError, StorageError
-from repro.storage.database import CrimsonDatabase
-from repro.storage.loader import DataLoader
 from repro.storage.projection import project_stored
-from repro.storage.query_repository import QueryRepository
-from repro.storage.species_repository import SpeciesRepository
-from repro.storage.tree_repository import TreeRepository
+from repro.storage.store import CrimsonStore
 
 
 @pytest.fixture
-def stored(db, fig1):
-    return TreeRepository(db).store_tree(fig1, f=2)
+def stored(store, fig1):
+    return store.trees.store_tree(fig1, f=2)
 
 
 def _lca(handle, a: str, b: str) -> str:
@@ -43,80 +39,80 @@ def _project(handle, a: str, b: str) -> str:
 WALKS = (_lca, _lca_batch, _project)
 
 
-def _cold(db, stored):
+def _cold(store, stored):
     """A fresh handle on the damaged tree: no row cached before."""
-    return TreeRepository(db).open(stored.info.name)
+    return store.trees.open(stored.info.name)
 
 
 class TestIndexCorruption:
     """Each damage case raises the same typed error on every walk."""
 
-    def test_missing_canonical_inode(self, db, stored):
+    def test_missing_canonical_inode(self, store, stored):
         lla = stored.node_by_name("Lla")
-        db.execute(
+        store.db.execute(
             "DELETE FROM inodes WHERE orig_node_id = ? AND is_canonical = 1",
             (lla.node_id,),
         )
         for walk in WALKS:
             with pytest.raises(StorageError, match="canonical"):
-                walk(_cold(db, stored), "Lla", "Syn")
+                walk(_cold(store, stored), "Lla", "Syn")
 
-    def test_missing_block_row(self, db, stored):
-        db.execute("DELETE FROM blocks WHERE block_id = 1")
+    def test_missing_block_row(self, store, stored):
+        store.db.execute("DELETE FROM blocks WHERE block_id = 1")
         for walk in WALKS:
             with pytest.raises(StorageError):
-                walk(_cold(db, stored), "Lla", "Syn")
+                walk(_cold(store, stored), "Lla", "Syn")
 
-    def test_missing_rep_inode(self, db, stored):
-        db.execute("UPDATE blocks SET rep_inode_id = NULL WHERE layer = 0")
+    def test_missing_rep_inode(self, store, stored):
+        store.db.execute("UPDATE blocks SET rep_inode_id = NULL WHERE layer = 0")
         for walk in WALKS:
             with pytest.raises(StorageError, match="rep"):
-                walk(_cold(db, stored), "Lla", "Syn")
+                walk(_cold(store, stored), "Lla", "Syn")
 
-    def test_broken_source_chain(self, db, stored):
-        db.execute(
+    def test_broken_source_chain(self, store, stored):
+        store.db.execute(
             "UPDATE blocks SET source_inode_id = NULL WHERE source_inode_id "
             "IS NOT NULL AND layer = 0"
         )
         for walk in WALKS:
             with pytest.raises(StorageError):
-                walk(_cold(db, stored), "Lla", "Syn")
+                walk(_cold(store, stored), "Lla", "Syn")
 
-    def test_missing_prefix_inode(self, db, stored):
+    def test_missing_prefix_inode(self, store, stored):
         # Remove the inode the common-prefix lookup lands on (the root ε).
-        db.execute(
+        store.db.execute(
             "DELETE FROM inodes WHERE local_label = '' AND layer = 0 "
             "AND block_id = 0"
         )
         for walk in WALKS:
             with pytest.raises(StorageError):
-                walk(_cold(db, stored), "Syn", "Bsu")
+                walk(_cold(store, stored), "Syn", "Bsu")
 
     def test_same_block_queries_unaffected_by_other_block_damage(
-        self, db, stored
+        self, store, stored
     ):
         """Corruption in block 2's rows must not disturb block-1-local
         queries — locality is the point of the decomposition."""
-        db.execute("DELETE FROM blocks WHERE block_id = 1")
+        store.db.execute("DELETE FROM blocks WHERE block_id = 1")
         for walk in WALKS:
-            assert walk(_cold(db, stored), "Syn", "Bsu") == "R"
+            assert walk(_cold(store, stored), "Syn", "Bsu") == "R"
 
 
 class TestClosedDatabase:
     def test_stored_tree_after_close(self, fig1):
-        db = CrimsonDatabase()
-        handle = TreeRepository(db).store_tree(fig1, f=2)
-        db.close()
+        store = CrimsonStore.open()
+        handle = store.trees.store_tree(fig1, f=2)
+        store.close()
         with pytest.raises(StorageError, match="closed"):
             handle.node_by_name("Lla")
 
     def test_repositories_after_close(self, fig1):
-        db = CrimsonDatabase()
-        repo = TreeRepository(db)
+        store = CrimsonStore.open()
+        repo = store.trees
         handle = repo.store_tree(fig1, f=2)
-        species = SpeciesRepository(db)
-        history = QueryRepository(db)
-        db.close()
+        species = store.species
+        history = store.history
+        store.close()
         with pytest.raises(StorageError):
             repo.list_trees()
         with pytest.raises(StorageError):
@@ -125,30 +121,30 @@ class TestClosedDatabase:
             history.recent()
 
     def test_projection_after_close(self, fig1):
-        db = CrimsonDatabase()
-        handle = TreeRepository(db).store_tree(fig1, f=2)
-        db.close()
+        store = CrimsonStore.open()
+        handle = store.trees.store_tree(fig1, f=2)
+        store.close()
         with pytest.raises(StorageError):
             project_stored(handle, ["Lla", "Syn"])
 
 
 class TestTransactionalAtomicity:
-    def test_failed_store_leaves_no_partial_rows(self, db, fig1):
+    def test_failed_store_leaves_no_partial_rows(self, store, fig1):
         """A storage failure mid-transaction must roll back everything:
         no orphan node/inode rows without a catalogue entry."""
-        repo = TreeRepository(db)
+        repo = store.trees
         repo.store_tree(fig1, f=2)
         clone = fig1.copy()
         with pytest.raises(StorageError):
             repo.store_tree(clone)  # duplicate name → fails before writes
-        trees = db.query_one("SELECT COUNT(*) AS n FROM trees")["n"]
-        nodes = db.query_one(
+        trees = store.db.query_one("SELECT COUNT(*) AS n FROM trees")["n"]
+        nodes = store.db.query_one(
             "SELECT COUNT(DISTINCT tree_id) AS n FROM nodes"
         )["n"]
         assert trees == nodes == 1
 
-    def test_species_attach_is_atomic(self, db, stored):
-        species = SpeciesRepository(db)
+    def test_species_attach_is_atomic(self, store, stored):
+        species = store.species
         with pytest.raises(QueryError):
             # Second row is bad → nothing may be written.
             species.attach_sequences(stored, {"Lla": "AC", "ghost": "AC"})
@@ -156,24 +152,24 @@ class TestTransactionalAtomicity:
 
 
 class TestBadInputFiles:
-    def test_loader_on_missing_file(self, db, tmp_path):
-        loader = DataLoader(db)
+    def test_loader_on_missing_file(self, store, tmp_path):
+        loader = store.loader
         # I/O failures are part of the CrimsonError hierarchy now.
         with pytest.raises(StorageError):
             loader.load_nexus_file(tmp_path / "missing.nex")
 
-    def test_loader_on_binary_garbage(self, db, tmp_path):
+    def test_loader_on_binary_garbage(self, store, tmp_path):
         path = tmp_path / "garbage.nex"
         path.write_bytes(bytes(range(256)))
-        loader = DataLoader(db)
+        loader = store.loader
         with pytest.raises((ParseError, UnicodeDecodeError)):
             loader.load_nexus_file(path)
 
-    def test_loader_reports_nothing_stored_after_parse_error(self, db):
-        loader = DataLoader(db)
+    def test_loader_reports_nothing_stored_after_parse_error(self, store):
+        loader = store.loader
         with pytest.raises(ParseError):
             loader.load_nexus_text("#NEXUS\nBEGIN TREES;\nTREE t = ((a,b);\nEND;\n")
-        assert TreeRepository(db).list_trees() == []
+        assert store.trees.list_trees() == []
 
     def test_all_library_errors_share_base(self):
         """Callers can catch everything with one except clause."""

@@ -21,10 +21,6 @@ from repro.simulation.birth_death import birth_death_tree, yule_tree
 from repro.simulation.models import hky85, jc69
 from repro.simulation.rates import SiteRates
 from repro.simulation.seqgen import evolve_sequences
-from repro.storage.database import CrimsonDatabase
-from repro.storage.loader import DataLoader
-from repro.storage.species_repository import SpeciesRepository
-from repro.storage.tree_repository import TreeRepository
 from repro.trees.newick import parse_newick, write_newick
 from repro.trees.nexus import NexusDocument, parse_nexus, write_nexus
 
@@ -32,14 +28,14 @@ from repro.trees.nexus import NexusDocument, parse_nexus, write_nexus
 class TestGoldStandardLifecycle:
     """simulate → load → query → project → verify, all through the store."""
 
-    def test_full_lifecycle(self, db):
+    def test_full_lifecycle(self, store):
         rng = np.random.default_rng(100)
         gold = birth_death_tree(80, 1.0, 0.25, rng=rng)
         rates = SiteRates(300, rng, alpha=0.8)
         sequences = evolve_sequences(
             gold, hky85(2.5), 300, rng=rng, site_rates=rates, scale=0.2
         )
-        loader = DataLoader(db)
+        loader = store.loader
         handle = loader.load_tree(gold, name="gold", sequences=sequences)
 
         # Catalogue facts reflect the generated tree.
@@ -63,7 +59,7 @@ class TestGoldStandardLifecycle:
         assert from_store.equals(in_memory, tolerance=1e-9)
 
         # Species data round-trips.
-        species = SpeciesRepository(db)
+        species = store.species
         fetched = species.sequences_for(handle, sample)
         assert fetched == {name: sequences[name] for name in sample}
 
@@ -71,7 +67,7 @@ class TestGoldStandardLifecycle:
 class TestNexusPipeline:
     """NEXUS in → repository → NEXUS out."""
 
-    def test_document_roundtrip_through_store(self, db, rng):
+    def test_document_roundtrip_through_store(self, store, rng):
         gold = yule_tree(25, rng=rng)
         sequences = evolve_sequences(gold, jc69(), 120, rng=rng, scale=0.3)
         document = NexusDocument(
@@ -82,7 +78,7 @@ class TestNexusPipeline:
         document.characters = CharacterMatrix(rows=dict(sequences))
         text = write_nexus(document)
 
-        loader = DataLoader(db)
+        loader = store.loader
         handles = loader.load_nexus_text(text)
         fetched = handles[0].fetch_tree()
         assert fetched.equals(gold, tolerance=1e-9)
@@ -96,14 +92,14 @@ class TestNexusPipeline:
 class TestBenchmarkScenario:
     """The demo scenario: who reconstructs the gold standard best?"""
 
-    def test_nj_beats_random_on_stored_gold(self, db):
+    def test_nj_beats_random_on_stored_gold(self, store):
         rng = np.random.default_rng(7)
         gold = yule_tree(100, rng=rng)
         sequences = evolve_sequences(gold, jc69(), 600, rng=rng, scale=0.25)
-        DataLoader(db).load_tree(gold, name="gold", sequences=sequences)
+        store.loader.load_tree(gold, name="gold", sequences=sequences)
 
         manager = BenchmarkManager(
-            db,
+            store,
             algorithms={
                 "nj-jc69": ALL_ALGORITHMS["nj-jc69"],
                 "upgma-jc69": ALL_ALGORITHMS["upgma-jc69"],
@@ -118,20 +114,20 @@ class TestBenchmarkScenario:
                 < by_key[("random", k)].mean_normalized_rf
             )
 
-    def test_time_sampling_pipeline(self, db):
+    def test_time_sampling_pipeline(self, store):
         rng = np.random.default_rng(8)
         gold = yule_tree(60, rng=rng)
         sequences = evolve_sequences(gold, jc69(), 200, rng=rng, scale=0.2)
-        DataLoader(db).load_tree(gold, name="gold", sequences=sequences)
+        store.loader.load_tree(gold, name="gold", sequences=sequences)
         horizon = max(gold.distances_from_root().values())
-        manager = BenchmarkManager(db)
+        manager = BenchmarkManager(store)
         trial = manager.run_trial(
             "gold", k=10, method="time", time=horizon * 0.4, rng=rng
         )
         assert len(trial.sample) == 10
         assert set(trial.projection.leaf_names()) == set(trial.sample)
 
-    def test_consensus_over_replicates(self, db):
+    def test_consensus_over_replicates(self, store):
         """Aggregate NJ estimates across replicate samples of the same
         taxa; the consensus should be at least as close to the truth as a
         random tree."""
@@ -154,9 +150,9 @@ class TestBenchmarkScenario:
 
 
 class TestPatternWorkflow:
-    def test_pattern_match_against_stored_tree(self, db, rng):
+    def test_pattern_match_against_stored_tree(self, store, rng):
         gold = yule_tree(40, rng=rng)
-        loader = DataLoader(db)
+        loader = store.loader
         handle = loader.load_tree(gold, name="gold")
         fetched = handle.fetch_tree()
 
@@ -179,11 +175,11 @@ class TestPatternWorkflow:
 class TestDeepTreeStorage:
     """Challenge 1: huge trees, small query footprints."""
 
-    def test_deep_chain_store_and_query(self, db):
+    def test_deep_chain_store_and_query(self, store):
         from repro.trees.build import caterpillar
 
         tree = caterpillar(2000)
-        repo = TreeRepository(db)
+        repo = store.trees
         handle = repo.store_tree(tree, name="deep", f=8)
         assert handle.info.max_depth == 1999
         assert handle.info.n_layers >= 3
@@ -191,8 +187,8 @@ class TestDeepTreeStorage:
         assert handle.lca("t1999", "t2000").depth == 1998
         assert handle.node_by_name("t1000").is_leaf
 
-    def test_many_trees_coexist(self, db, rng):
-        repo = TreeRepository(db)
+    def test_many_trees_coexist(self, store, rng):
+        repo = store.trees
         for index in range(8):
             repo.store_tree(yule_tree(20, rng=rng), name=f"gold-{index}")
         assert len(repo.list_trees()) == 8

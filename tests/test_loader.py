@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ParseError, StorageError, TreeStructureError
 from repro.storage.loader import DataLoader
-from repro.storage.species_repository import SpeciesRepository
 
 NEXUS_WITH_DATA = """#NEXUS
 BEGIN TAXA;
@@ -35,22 +34,22 @@ END;
 
 
 @pytest.fixture
-def loader(db):
-    return DataLoader(db)
+def loader(store):
+    return store.loader
 
 
 class TestNexusLoading:
-    def test_load_with_species_data(self, db, loader):
+    def test_load_with_species_data(self, store, loader):
         handles = loader.load_nexus_text(NEXUS_WITH_DATA)
         assert len(handles) == 1
         assert handles[0].info.name == "demo"
-        species = SpeciesRepository(db)
+        species = store.species
         assert species.count(handles[0]) == 4
         assert species.sequence_of(handles[0], "c") == "ACCT"
 
-    def test_structure_only_skips_matrix(self, db, loader):
+    def test_structure_only_skips_matrix(self, store, loader):
         handles = loader.load_nexus_text(NEXUS_WITH_DATA, structure_only=True)
-        assert SpeciesRepository(db).count(handles[0]) == 0
+        assert store.species.count(handles[0]) == 0
 
     def test_name_override(self, loader):
         handles = loader.load_nexus_text(NEXUS_WITH_DATA, name="gold")
@@ -73,12 +72,12 @@ class TestNexusLoading:
         with pytest.raises(StorageError):
             loader.load_nexus_text(NEXUS_WITH_DATA)
 
-    def test_matrix_rows_for_unknown_taxa_skipped(self, db, loader):
+    def test_matrix_rows_for_unknown_taxa_skipped(self, store, loader):
         text = NEXUS_WITH_DATA.replace("        d GCGT", "        zz GCGT")
         messages = []
-        reporting = DataLoader(db, report=messages.append)
+        reporting = DataLoader(store, report=messages.append)
         handles = reporting.load_nexus_text(text)
-        assert SpeciesRepository(db).count(handles[0]) == 3
+        assert store.species.count(handles[0]) == 3
         assert any("skipped" in message for message in messages)
 
     def test_load_nexus_file(self, tmp_path, loader):
@@ -126,11 +125,11 @@ END;
             loader.load_nexus_text(text)
         assert self._names(loader) == []
 
-    def test_storage_failure_mid_load_compensates(self, db, monkeypatch):
+    def test_storage_failure_mid_load_compensates(self, store, monkeypatch):
         """Even a failure validation cannot foresee rolls back 1..k-1."""
         from repro.storage.tree_repository import TreeRepository
 
-        loader = DataLoader(db)
+        loader = store.loader
         original = TreeRepository.store_tree
         calls = {"n": 0}
 
@@ -192,25 +191,25 @@ class TestNewickLoading:
 
 
 class TestInMemoryLoading:
-    def test_load_tree_with_sequences(self, db, loader, fig1):
+    def test_load_tree_with_sequences(self, store, loader, fig1):
         sequences = {name: "ACGT" for name in fig1.leaf_names()}
         handle = loader.load_tree(fig1, sequences=sequences)
-        assert SpeciesRepository(db).count(handle) == 5
+        assert store.species.count(handle) == 5
 
-    def test_report_callback_receives_status(self, db, fig1):
+    def test_report_callback_receives_status(self, store, fig1):
         messages = []
-        loader = DataLoader(db, report=messages.append)
+        loader = DataLoader(store, report=messages.append)
         loader.load_tree(fig1)
         assert any("structure only" in message for message in messages)
 
 
 class TestAppendSpecies:
-    def test_append_to_existing(self, db, loader):
+    def test_append_to_existing(self, store, loader):
         loader.load_nexus_text(NEXUS_WITH_DATA, structure_only=True)
         count = loader.append_species_nexus("demo", NEXUS_WITH_DATA)
         assert count == 4
         handle = loader.trees.open("demo")
-        assert SpeciesRepository(db).count(handle) == 4
+        assert store.species.count(handle) == 4
 
     def test_append_without_matrix_raises(self, loader):
         loader.load_nexus_text(NEXUS_WITH_DATA, structure_only=True)

@@ -7,100 +7,99 @@ import pytest
 
 from repro.simulation.birth_death import yule_tree
 from repro.storage.maintenance import verify_store, verify_tree
-from repro.storage.tree_repository import TreeRepository
 from repro.trees.build import caterpillar
 
 
 @pytest.fixture
-def stored(db, fig1):
-    return TreeRepository(db).store_tree(fig1, f=2)
+def stored(store, fig1):
+    return store.trees.store_tree(fig1, f=2)
 
 
 class TestHealthyStores:
-    def test_fig1_passes(self, db, stored):
-        report = verify_tree(db, "fig1-sample")
+    def test_fig1_passes(self, store, stored):
+        report = verify_tree(store, "fig1-sample")
         assert report.ok
         assert "OK" in str(report)
 
-    def test_deep_tree_passes(self, db):
-        TreeRepository(db).store_tree(caterpillar(500), name="deep", f=3)
-        assert verify_tree(db, "deep").ok
+    def test_deep_tree_passes(self, store):
+        store.trees.store_tree(caterpillar(500), name="deep", f=3)
+        assert verify_tree(store, "deep").ok
 
-    def test_random_trees_pass(self, db):
+    def test_random_trees_pass(self, store):
         rng = np.random.default_rng(0)
-        repo = TreeRepository(db)
+        repo = store.trees
         for index, f in enumerate((1, 2, 4, 8)):
             repo.store_tree(yule_tree(50, rng=rng), name=f"y{index}", f=f)
-        reports = verify_store(db)
+        reports = verify_store(store)
         assert len(reports) == 4
         assert all(report.ok for report in reports)
 
-    def test_empty_store(self, db):
-        assert verify_store(db) == []
+    def test_empty_store(self, store):
+        assert verify_store(store) == []
 
 
 class TestDetectsCorruption:
-    def test_missing_nodes(self, db, stored):
-        db.execute("DELETE FROM nodes WHERE name = 'Lla'")
-        report = verify_tree(db, "fig1-sample")
+    def test_missing_nodes(self, store, stored):
+        store.db.execute("DELETE FROM nodes WHERE name = 'Lla'")
+        report = verify_tree(store, "fig1-sample")
         assert not report.ok
         assert any("nodes" in problem for problem in report.problems)
 
-    def test_orphaned_parent_pointer(self, db, stored):
-        db.execute("UPDATE nodes SET parent_id = 999 WHERE name = 'Lla'")
-        report = verify_tree(db, "fig1-sample")
+    def test_orphaned_parent_pointer(self, store, stored):
+        store.db.execute("UPDATE nodes SET parent_id = 999 WHERE name = 'Lla'")
+        report = verify_tree(store, "fig1-sample")
         assert any("parent" in problem for problem in report.problems)
 
-    def test_broken_interval(self, db, stored):
-        db.execute("UPDATE nodes SET pre_order_end = 0 WHERE name = 'x'")
-        report = verify_tree(db, "fig1-sample")
+    def test_broken_interval(self, store, stored):
+        store.db.execute("UPDATE nodes SET pre_order_end = 0 WHERE name = 'x'")
+        report = verify_tree(store, "fig1-sample")
         assert any("interval" in problem for problem in report.problems)
 
-    def test_missing_canonical_inode(self, db, stored):
-        db.execute(
+    def test_missing_canonical_inode(self, store, stored):
+        store.db.execute(
             "DELETE FROM inodes WHERE is_canonical = 1 AND orig_node_id = "
             "(SELECT node_id FROM nodes WHERE name = 'Spy')"
         )
-        report = verify_tree(db, "fig1-sample")
+        report = verify_tree(store, "fig1-sample")
         assert any("canonical" in problem for problem in report.problems)
 
-    def test_label_over_bound(self, db, stored):
-        db.execute("UPDATE inodes SET label_depth = 99 WHERE local_label != ''")
-        report = verify_tree(db, "fig1-sample")
+    def test_label_over_bound(self, store, stored):
+        store.db.execute("UPDATE inodes SET label_depth = 99 WHERE local_label != ''")
+        report = verify_tree(store, "fig1-sample")
         assert any("bound" in problem for problem in report.problems)
 
-    def test_duplicate_label(self, db, stored):
+    def test_duplicate_label(self, store, stored):
         # The unique index must be dropped to inject this corruption —
         # which is itself evidence the schema guards the invariant.
-        db.execute("DROP INDEX idx_inodes_label")
-        db.execute(
+        store.db.execute("DROP INDEX idx_inodes_label")
+        store.db.execute(
             "UPDATE inodes SET block_id = 0, local_label = '1' "
             "WHERE block_id = 1 AND local_label = '2'"
         )
-        report = verify_tree(db, "fig1-sample")
+        report = verify_tree(store, "fig1-sample")
         assert any("duplicated" in problem for problem in report.problems)
 
-    def test_missing_rep(self, db, stored):
-        db.execute("UPDATE blocks SET rep_inode_id = NULL WHERE layer = 0")
-        report = verify_tree(db, "fig1-sample")
+    def test_missing_rep(self, store, stored):
+        store.db.execute("UPDATE blocks SET rep_inode_id = NULL WHERE layer = 0")
+        report = verify_tree(store, "fig1-sample")
         assert any("representatives" in problem for problem in report.problems)
 
-    def test_invalid_source(self, db, stored):
-        db.execute(
+    def test_invalid_source(self, store, stored):
+        store.db.execute(
             "UPDATE blocks SET source_inode_id = 9999 "
             "WHERE source_inode_id IS NOT NULL"
         )
-        report = verify_tree(db, "fig1-sample")
+        report = verify_tree(store, "fig1-sample")
         assert any("source" in problem for problem in report.problems)
 
-    def test_split_top_layer(self, db, stored):
-        db.execute("UPDATE blocks SET layer = 1 WHERE block_id = 1")
-        report = verify_tree(db, "fig1-sample")
+    def test_split_top_layer(self, store, stored):
+        store.db.execute("UPDATE blocks SET layer = 1 WHERE block_id = 1")
+        report = verify_tree(store, "fig1-sample")
         assert not report.ok
 
-    def test_report_string_lists_problems(self, db, stored):
-        db.execute("DELETE FROM nodes WHERE name = 'Lla'")
-        text = str(verify_tree(db, "fig1-sample"))
+    def test_report_string_lists_problems(self, store, stored):
+        store.db.execute("DELETE FROM nodes WHERE name = 'Lla'")
+        text = str(verify_tree(store, "fig1-sample"))
         assert "problem" in text
 
 
@@ -189,7 +188,7 @@ class TestCliVerify:
 
     def test_verify_detects_damage(self, tmp_path, capsys):
         from repro.cli.main import main
-        from repro.storage.database import CrimsonDatabase
+        from repro.storage.store import CrimsonStore
 
         dbpath = str(tmp_path / "v.db")
         nexus = tmp_path / "t.nex"
@@ -197,8 +196,8 @@ class TestCliVerify:
             "#NEXUS\nBEGIN TREES;\nTREE demo = ((a:1,b:1):1,c:1);\nEND;\n"
         )
         main(["--db", dbpath, "load", str(nexus)])
-        with CrimsonDatabase(dbpath) as db:
-            with db.transaction() as connection:
+        with CrimsonStore.open(dbpath) as store:
+            with store.db.transaction() as connection:
                 connection.execute("DELETE FROM nodes WHERE name = 'a'")
         # The tree is stored under the file stem 't'.
         assert main(["--db", dbpath, "verify", "t"]) == 1

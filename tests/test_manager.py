@@ -18,7 +18,6 @@ from repro.errors import QueryError, StorageError
 from repro.simulation.birth_death import yule_tree
 from repro.simulation.models import jc69
 from repro.simulation.seqgen import evolve_sequences
-from repro.storage.loader import DataLoader
 
 
 @pytest.fixture
@@ -29,10 +28,10 @@ def gold(rng):
 
 
 @pytest.fixture
-def loaded(db, gold):
+def loaded(store, gold):
     tree, sequences = gold
-    DataLoader(db).load_tree(tree, name="gold", sequences=sequences)
-    return db
+    store.loader.load_tree(tree, name="gold", sequences=sequences)
+    return store
 
 
 class TestEvaluateSample:
@@ -123,9 +122,9 @@ class TestRepositoryManager:
         with pytest.raises(QueryError):
             manager.run_trial("gold", method="user", taxa=["ghost"], rng=rng)
 
-    def test_user_sampling_names_unknown_and_interior_taxa(self, db, fig1, rng):
-        DataLoader(db).load_tree(fig1, name="fig1")
-        manager = BenchmarkManager(db)
+    def test_user_sampling_names_unknown_and_interior_taxa(self, store, fig1, rng):
+        store.loader.load_tree(fig1, name="fig1")
+        manager = BenchmarkManager(store)
         taxa = ["ghost", "Lla", "x", "Syn", "phantom", "A"]
         with pytest.raises(QueryError) as raised:
             manager.run_trial("fig1", method="user", taxa=taxa, rng=rng)

@@ -5,12 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import QueryError, StorageError
-from repro.storage.query_repository import QueryRepository
 
 
 @pytest.fixture
-def history(db):
-    return QueryRepository(db)
+def history(store):
+    return store.history
 
 
 class TestRecording:

@@ -22,7 +22,6 @@ from repro.errors import QueryError, StorageError
 from repro.simulation.birth_death import yule_tree
 from repro.storage.projection import project_stored
 from repro.storage.store import CrimsonStore
-from repro.storage.tree_repository import TreeRepository
 from repro.trees.node import Node
 from repro.trees.tree import PhyloTree
 
@@ -147,8 +146,8 @@ class TestUserSample:
 
 class TestStoredVariants:
     @pytest.fixture
-    def stored(self, db, fig1):
-        return TreeRepository(db).store_tree(fig1, f=2)
+    def stored(self, store, fig1):
+        return store.trees.store_tree(fig1, f=2)
 
     def test_random_stored(self, stored, rng):
         sample = random_sample_stored(stored, 3, rng)
@@ -171,11 +170,11 @@ class TestStoredVariants:
         with pytest.raises(QueryError):
             sample_with_time_stored(stored, 50.0, 2, rng)
 
-    def test_stored_agrees_with_memory_distribution(self, db, rng):
+    def test_stored_agrees_with_memory_distribution(self, store, rng):
         """The SQL and in-memory stratifications draw from identical
         frontier groups."""
         tree = yule_tree(40, rng=rng)
-        stored = TreeRepository(db).store_tree(tree, name="y40")
+        stored = store.trees.store_tree(tree, name="y40")
         distances = tree.distances_from_root()
         cut = max(distances.values()) * 0.3
         memory_frontier = {n.name or "anon" for n in time_frontier(tree, cut)}
@@ -233,8 +232,8 @@ def read_log(db, monkeypatch) -> list[tuple[str, int]]:
 
 class TestRandomSampleStored:
     @pytest.fixture
-    def chained(self, db):
-        return TreeRepository(db).store_tree(chained_tree(400, seed=3), name="chain")
+    def chained(self, store):
+        return store.trees.store_tree(chained_tree(400, seed=3), name="chain")
 
     def test_inclusion_is_uniform(self, chained):
         """Chi-square over how often each leaf is drawn, on a tree whose
@@ -252,9 +251,11 @@ class TestRandomSampleStored:
         assert sum(counts.values()) == k * trials
         assert chisquare(list(counts.values())).pvalue > 0.001
 
-    def test_draw_path_reads_only_the_drawn_rows(self, chained, monkeypatch):
+    def test_draw_path_reads_only_the_drawn_rows(
+        self, store, chained, monkeypatch
+    ):
         k = 8
-        handle = TreeRepository(chained.db).open("chain")
+        handle = store.trees.open("chain")
         log = read_log(handle.db, monkeypatch)
         with handle.db.count_statements() as counter:
             sample = random_sample_stored(handle, k, np.random.default_rng(5))
@@ -278,21 +279,21 @@ class TestRandomSampleStored:
         sample = random_sample_stored(chained, chained.info.n_leaves, rng)
         assert sorted(sample) == sorted(chained.leaf_names())
 
-    def test_leaf_sparse_tree(self, db, monkeypatch):
+    def test_leaf_sparse_tree(self, store, monkeypatch):
         """Long unary chains make leaves rare: a one-leaf draw often
         holds no leaf and is redrawn, and the result stays uniform."""
         tree = chained_tree(40, seed=4, chain_lengths=(30,))
-        stored = TreeRepository(db).store_tree(tree, name="sparse")
+        stored = store.trees.store_tree(tree, name="sparse")
         assert stored.info.n_nodes > 30 * stored.info.n_leaves
         assert takes_draw_path(stored, 1)
         assert not takes_draw_path(stored, 3)
-        log = read_log(db, monkeypatch)
+        log = read_log(store.db, monkeypatch)
         rng = np.random.default_rng(6)
         leaves = stored.leaf_names()
         counts = dict.fromkeys(leaves, 0)
         restarts = 0
         for _ in range(800):
-            handle = TreeRepository(db).open("sparse")
+            handle = store.trees.open("sparse")
             log.clear()
             (name,) = random_sample_stored(handle, 1, rng)
             counts[name] += 1
@@ -302,9 +303,9 @@ class TestRandomSampleStored:
         assert len(set(random_sample_stored(stored, 3, rng))) == 3
 
     @pytest.mark.parametrize("k", [8, 300])
-    def test_stale_handle_raises_storage_error(self, db, chained, k):
-        handle = TreeRepository(db).open("chain")
-        TreeRepository(db).delete_tree("chain")
+    def test_stale_handle_raises_storage_error(self, store, chained, k):
+        handle = store.trees.open("chain")
+        store.trees.delete_tree("chain")
         with pytest.raises(StorageError, match="stale"):
             random_sample_stored(handle, k, np.random.default_rng(1))
 

@@ -5,14 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import QueryError, StorageError
-from repro.storage.species_repository import SpeciesRepository
-from repro.storage.tree_repository import TreeRepository
 
 
 @pytest.fixture
-def setup(db, fig1):
-    trees = TreeRepository(db)
-    species = SpeciesRepository(db)
+def setup(store, fig1):
+    trees = store.trees
+    species = store.species
     stored = trees.store_tree(fig1, f=2)
     return stored, species
 
@@ -41,10 +39,10 @@ class TestAttach:
         species.attach_sequences(stored, {"Lla": "TTTT"}, replace=True)
         assert species.sequence_of(stored, "Lla") == "TTTT"
 
-    def test_char_type_recorded(self, setup, db):
+    def test_char_type_recorded(self, setup, store):
         stored, species = setup
         species.attach_sequences(stored, {"Lla": "MKV"}, char_type="PROTEIN")
-        row = db.query_one("SELECT char_type FROM species")
+        row = store.db.query_one("SELECT char_type FROM species")
         assert row["char_type"] == "PROTEIN"
 
     def test_interior_nodes_can_carry_data(self, setup):
@@ -82,40 +80,40 @@ class TestSetBasedReads:
     """Sample fetches and attaches resolve names and rows in batches."""
 
     @pytest.fixture
-    def wide(self, db):
+    def wide(self, store):
         from repro.trees.build import caterpillar
 
-        stored = TreeRepository(db).store_tree(caterpillar(900), name="wide")
-        species = SpeciesRepository(db)
+        stored = store.trees.store_tree(caterpillar(900), name="wide")
+        species = store.species
         names = [f"t{i}" for i in range(1, 901)]
         species.attach_sequences(stored, {name: name[::-1] for name in names})
         return stored, species, names
 
-    def test_sample_fetch_is_two_statements(self, db, wide):
+    def test_sample_fetch_is_two_statements(self, store, wide):
         stored, species, names = wide
         stored.clear_cache()
         sample = names[::3]  # 300 taxa: one IN (...) chunk each way
-        with db.count_statements() as counter:
+        with store.db.count_statements() as counter:
             fetched = species.sequences_for(stored, sample)
         assert counter.count == 2
         assert fetched == {name: name[::-1] for name in sample}
         assert list(fetched) == sample
 
-    def test_large_sample_reads_in_chunks(self, db, wide):
+    def test_large_sample_reads_in_chunks(self, store, wide):
         stored, species, names = wide
         stored.clear_cache()
-        with db.count_statements() as counter:
+        with store.db.count_statements() as counter:
             fetched = species.sequences_for(stored, names + names[:5])
         assert counter.count == 2 * 3  # 900 keys: three 400-key chunks
         assert len(fetched) == 900
 
-    def test_missing_taxon_and_missing_data_are_named(self, db, wide):
+    def test_missing_taxon_and_missing_data_are_named(self, store, wide):
         stored, species, names = wide
         with pytest.raises(QueryError, match="no node named 'ghost'"):
             species.sequences_for(stored, ["t1", "ghost"])
         with pytest.raises(QueryError, match="no node named 'ghost'"):
             species.attach_sequences(stored, {"t2": "A", "ghost": "C"})
-        bare = TreeRepository(db).store_tree(stored.fetch_tree(), name="bare")
+        bare = store.trees.store_tree(stored.fetch_tree(), name="bare")
         with pytest.raises(QueryError, match="no species data for 't7'"):
             species.sequences_for(bare, ["t7", "t8"])
 
@@ -133,13 +131,13 @@ class TestCountAndDelete:
         assert species.delete_for_tree(stored) == 1
         assert species.count(stored) == 0
 
-    def test_separation_between_trees(self, db, fig1):
+    def test_separation_between_trees(self, store, fig1):
         """Species rows are keyed per tree: same taxon names in two trees
         do not collide."""
         from repro.trees.build import sample_tree
 
-        trees = TreeRepository(db)
-        species = SpeciesRepository(db)
+        trees = store.trees
+        species = store.species
         first = trees.store_tree(fig1, name="first")
         second = trees.store_tree(sample_tree(), name="second")
         species.attach_sequences(first, {"Lla": "AAAA"})

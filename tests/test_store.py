@@ -4,8 +4,9 @@ Covers the session-API redesign: one store handle owning the writer
 connection and a pool of read-only WAL readers, the typed
 ``QueryRequest``/``QueryResult`` surface, the threaded stress contract
 (no ``database is locked``, per-thread results equal to single-threaded
-ground truth), and the deprecation shims that keep raw-database
-construction alive.
+ground truth), sharded placement and the tree-id allocator, and that
+the store is the only owner its repositories, loader and ``verify_*``
+take.
 """
 
 from __future__ import annotations
@@ -20,12 +21,9 @@ from repro.errors import CrimsonError, QueryError, StorageError
 from repro.storage.api import QueryRequest, QueryResult
 from repro.storage.cache import LRUCache
 from repro.storage.database import CrimsonDatabase
-from repro.storage.loader import DataLoader
 from repro.storage.pool import ReaderPool
-from repro.storage.query_repository import QueryRepository
-from repro.storage.species_repository import SpeciesRepository
+from repro.storage.sanitize import statement_budget
 from repro.storage.store import CrimsonStore
-from repro.storage.tree_repository import TreeRepository
 from repro.trees.build import caterpillar, sample_tree
 from repro.trees.newick import write_newick
 
@@ -71,6 +69,17 @@ class TestCrimsonStoreBasics:
         # The loader reuses the store's repositories, not private copies.
         assert pooled_store.loader.trees is pooled_store.trees
         assert pooled_store.loader.species is pooled_store.species
+
+    def test_list_trees_is_one_statement(self, sanitized):
+        """Regression: the catalogue listing ran one ``info`` lookup per
+        tree after the name scan (1 + N statements)."""
+        with CrimsonStore.open() as store:
+            for index in range(5):
+                store.load_newick_text("(a:1,b:1);", name=f"t{index}")
+            with statement_budget(1):
+                infos = store.list_trees()
+            assert [info.name for info in infos] == [f"t{i}" for i in range(5)]
+            assert infos == store.trees.list_trees()
 
     def test_load_and_catalogue_roundtrip(self, pooled_store):
         names = [info.name for info in pooled_store.trees.list_trees()]
@@ -544,6 +553,11 @@ class TestShardedStore:
             info = store.trees.info("old")
             assert info.shard == 0
             assert store.query(QueryRequest.lca("old", "a", "b")).node.depth == 1
+            # Without a counter row, the allocator starts above every
+            # catalogued id.
+            existing = max(i.tree_id for i in store.trees.list_trees())
+            store.load_newick_text("(d:1,e:1);", name="new")
+            assert store.trees.info("new").tree_id > existing
 
     def test_delete_tree_purges_shard_rows(self, store_path):
         with CrimsonStore.open(store_path, shards=2) as store:
@@ -608,25 +622,22 @@ class TestShardedStore:
         with pytest.raises(StorageError, match="primary file"):
             CrimsonDatabase(path, shard_schema=True)
 
-    def test_raw_database_path_respects_the_id_allocator(self, tmp_path):
-        """Regression: on a file a sharded store has written, even the
-        deprecated raw-database path must allocate ids through the
-        ``meta`` counter — AUTOINCREMENT cannot know about ids a failed
-        cross-file load burned, and re-issuing one would collide with
-        orphaned shard rows."""
-        path = tmp_path / "mixed.db"
-        with CrimsonStore.open(path, shards=2) as store:
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_loads_respect_the_id_allocator(self, tmp_path, shards):
+        """Regression: every load allocates its id through the ``meta``
+        counter, which never re-issues an id a failed cross-file load
+        burned (re-issuing one would collide with orphaned shard rows).
+        With one shard the load takes the primary-placement branch."""
+        path = tmp_path / f"mixed{shards}.db"
+        with CrimsonStore.open(path, shards=shards) as store:
             store.load_newick_text("(a:1,b:1);", name="one")
             store.load_newick_text("(c:1,d:1);", name="two")
-        with CrimsonDatabase(path) as raw:
             # Simulate the counter state after a crashed load burned ids.
-            with raw.transaction() as connection:
+            with store.db.transaction() as connection:
                 connection.execute(
                     "UPDATE meta SET value = '10' WHERE key = 'next_tree_id'"
                 )
-            with pytest.warns(DeprecationWarning):
-                repo = TreeRepository(raw)
-            handle = repo.store_tree(sample_tree(), name="legacy")
+            handle = store.trees.store_tree(sample_tree(), name="legacy")
             assert handle.info.tree_id == 10
 
 
@@ -722,21 +733,6 @@ class TestHandleRevalidation:
 
 
 class TestDeprecationShims:
-    def test_raw_database_construction_warns_but_works(self, db):
-        with pytest.warns(DeprecationWarning):
-            trees = TreeRepository(db)
-        with pytest.warns(DeprecationWarning):
-            species = SpeciesRepository(db)
-        with pytest.warns(DeprecationWarning):
-            history = QueryRepository(db)
-        with pytest.warns(DeprecationWarning):
-            loader = DataLoader(db)
-        handle = loader.load_newick_text("(a:1,b:2);", name="tiny")
-        assert trees.info("tiny").n_leaves == 2
-        assert handle.lca("a", "b").node_id == 0
-        history.record("lca", {"taxa": ["a", "b"]}, tree_name="tiny")
-        assert species.count(handle) == 0
-
     def test_store_construction_does_not_warn(self, store_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -744,10 +740,6 @@ class TestDeprecationShims:
                 store.load_newick_text("(a:1,b:2);", name="tiny")
                 store.query(QueryRequest.lca("tiny", "a", "b"), record=True)
                 store.verify()
-
-    def test_repository_rejects_nonsense_owner(self):
-        with pytest.raises(StorageError):
-            TreeRepository("not a database")
 
 
 class TestErrorHierarchy:

@@ -14,10 +14,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.projection import project_tree
-from repro.storage.database import CrimsonDatabase
 from repro.storage.maintenance import verify_tree
 from repro.storage.projection import project_stored
-from repro.storage.tree_repository import TreeRepository
+from repro.storage.store import CrimsonStore
 from repro.trees.build import caterpillar
 from repro.trees.node import Node
 from repro.trees.traversal import naive_lca
@@ -58,16 +57,16 @@ batch_trees = st.one_of(
 @SETTINGS
 @given(tree=named_trees(), f=label_bounds)
 def test_stored_tree_verifies_clean(tree, f):
-    with CrimsonDatabase() as db:
-        TreeRepository(db).store_tree(tree, f=f)
-        assert verify_tree(db, "prop").ok
+    with CrimsonStore.open() as store:
+        store.trees.store_tree(tree, f=f)
+        assert verify_tree(store, "prop").ok
 
 
 @SETTINGS
 @given(tree=named_trees(), f=label_bounds, seed=st.integers(0, 2**31))
 def test_sql_lca_equals_naive(tree, f, seed):
-    with CrimsonDatabase() as db:
-        handle = TreeRepository(db).store_tree(tree, f=f)
+    with CrimsonStore.open() as store:
+        handle = store.trees.store_tree(tree, f=f)
         nodes = list(tree.preorder())
         rng = random.Random(seed)
         for _ in range(8):
@@ -81,8 +80,8 @@ def test_sql_lca_equals_naive(tree, f, seed):
 def test_lca_batch_equals_pairwise_lca(tree, f, data):
     """``lca_batch`` answers each pair as the recursive per-pair ``lca``
     does, on a cold handle and again on the warm one."""
-    with CrimsonDatabase() as db:
-        repo = TreeRepository(db)
+    with CrimsonStore.open() as store:
+        repo = store.trees
         reference = repo.store_tree(tree, name="prop", f=f)
         rows = reference.preorder_rows()
         names = [row.name for row in rows if row.name is not None]
@@ -111,8 +110,8 @@ def test_sql_projection_equals_in_memory(tree, f, seed):
     leaves = [leaf.name for leaf in tree.root.leaves()]
     rng = random.Random(seed)
     sample = rng.sample(leaves, rng.randint(1, len(leaves)))
-    with CrimsonDatabase() as db:
-        handle = TreeRepository(db).store_tree(tree, f=f)
+    with CrimsonStore.open() as store:
+        handle = store.trees.store_tree(tree, f=f)
         via_sql = project_stored(handle, sample)
         in_memory = project_tree(tree, sample)
         assert via_sql.equals(in_memory, tolerance=1e-9)
@@ -121,8 +120,8 @@ def test_sql_projection_equals_in_memory(tree, f, seed):
 @SETTINGS
 @given(tree=named_trees(), f=label_bounds)
 def test_store_roundtrip(tree, f):
-    with CrimsonDatabase() as db:
-        handle = TreeRepository(db).store_tree(tree, f=f)
+    with CrimsonStore.open() as store:
+        handle = store.trees.store_tree(tree, f=f)
         fetched = handle.fetch_tree()
         assert fetched.equals(tree, tolerance=0.0)
 
@@ -130,8 +129,8 @@ def test_store_roundtrip(tree, f):
 @SETTINGS
 @given(tree=named_trees(), f=label_bounds, time=st.floats(0.0, 5.0))
 def test_sql_frontier_is_minimal_cut(tree, f, time):
-    with CrimsonDatabase() as db:
-        handle = TreeRepository(db).store_tree(tree, f=f)
+    with CrimsonStore.open() as store:
+        handle = store.trees.store_tree(tree, f=f)
         frontier = handle.time_frontier(time)
         distances = tree.distances_from_root()
         names = {row.name for row in frontier}

@@ -11,12 +11,11 @@ from repro.core.projection import project_tree
 from repro.errors import QueryError
 from repro.simulation.birth_death import yule_tree
 from repro.storage.projection import project_stored
-from repro.storage.tree_repository import TreeRepository
 
 
 @pytest.fixture
-def stored(db, fig1):
-    return TreeRepository(db).store_tree(fig1, f=2)
+def stored(store, fig1):
+    return store.trees.store_tree(fig1, f=2)
 
 
 class TestPaperExample:
@@ -85,12 +84,12 @@ class TestEdgeCasesAgainstInMemory:
             project_tree(fig1, ["Bsu", "Bsu", "Bsu"]), tolerance=1e-9
         )
 
-    def test_leaves_spanning_roots_first_and_last_children(self, db):
+    def test_leaves_spanning_roots_first_and_last_children(self, store):
         """The projection root must be the tree root when the sample
         straddles the root's first and last subtrees."""
         rng = np.random.default_rng(99)
         tree = yule_tree(80, rng=rng)
-        handle = TreeRepository(db).store_tree(tree, name="span", f=4)
+        handle = store.trees.store_tree(tree, name="span", f=4)
         first_child = tree.root.children[0]
         last_child = tree.root.children[-1]
         first_leaf = next(
@@ -124,10 +123,10 @@ class TestEdgeCasesAgainstInMemory:
 
 
 class TestAgainstInMemory:
-    def test_random_samples_agree(self, db):
+    def test_random_samples_agree(self, store):
         rng = np.random.default_rng(31)
         tree = yule_tree(120, rng=rng)
-        handle = TreeRepository(db).store_tree(tree, name="gold", f=4)
+        handle = store.trees.store_tree(tree, name="gold", f=4)
         names = tree.leaf_names()
         draw = random.Random(8)
         for _ in range(15):

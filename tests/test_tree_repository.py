@@ -7,14 +7,13 @@ import random
 import pytest
 
 from repro.errors import QueryError, StorageError
-from repro.storage.tree_repository import TreeRepository
 from repro.trees.build import balanced, caterpillar, sample_tree
 from repro.trees.traversal import naive_lca
 
 
 @pytest.fixture
-def repo(db):
-    return TreeRepository(db)
+def repo(store):
+    return store.trees
 
 
 @pytest.fixture
@@ -48,11 +47,11 @@ class TestStoreAndCatalogue:
         names = [info.name for info in repo.list_trees()]
         assert names == ["balanced", "fig1-sample"]
 
-    def test_delete_tree(self, repo, db, stored):
+    def test_delete_tree(self, repo, store, stored):
         repo.delete_tree("fig1-sample")
         assert repo.list_trees() == []
         for table in ("nodes", "blocks", "inodes"):
-            row = db.query_one(f"SELECT COUNT(*) AS n FROM {table}")
+            row = store.db.query_one(f"SELECT COUNT(*) AS n FROM {table}")
             assert row["n"] == 0
 
     def test_delete_unknown_raises(self, repo):
