@@ -21,13 +21,13 @@ observed cache residency, never through optimism about data the
 estimator has not seen: the pinned-skeleton residency discounts only
 the skeleton climb of a layered-LCA walk, while its canonical inodes,
 label lookups and result rows stay priced cold.  The walk's cold price
-follows its real structure — the recursive per-pair fold of ``lca`` and
+follows its real structure — one recursive pair walk for ``lca`` and
 ``clade``, the level-synchronous rounds of ``lca_batch`` and
 ``project`` — with source chains bounded by the index shape
 (:func:`_chain_hops`), and ``tests/test_admission.py`` checks that no
 request runs more statements than its estimate.
 
-The scalar :attr:`CostEstimate.cost` folds the three raw predictions
+The scalar :attr:`CostEstimate.cost` combines the three raw predictions
 (SQL statements, rows touched, result bytes) into one unit so budgets
 and token buckets have a single currency:
 
@@ -153,9 +153,9 @@ def _chain_hops(info) -> int:
     return min(hops, info.n_blocks)
 
 
-def _fold_statements(info, skeleton: float) -> float:
-    """Worst-case statements of one cold step of the recursive walk
-    (the ``lca_many`` fold behind ``lca`` and ``clade``).
+def _pair_statements(info, skeleton: float) -> float:
+    """Worst-case statements of one cold recursive walk over one pair
+    (``lca`` and ``clade`` reduce their set to its pre-order extremes).
 
     Two canonical inodes, one label lookup per layer and the result's
     node row; then the skeleton climb, discounted by its observed
@@ -240,9 +240,8 @@ def estimate_query(request: QueryRequest, handle) -> CostEstimate:
             walk_rows = _walk_rows(info, len(request.pairs), skeleton)
         else:
             args = list(request.taxa)
-            folds = max(1, len(request.taxa) - 1)
-            walk = folds * _fold_statements(info, skeleton)
-            walk_rows = folds * _walk_rows(info, 1, skeleton)
+            walk = _pair_statements(info, skeleton)
+            walk_rows = _walk_rows(info, 1, skeleton)
         arg_res = handle.engine.resident_fraction(args)
         cold_args = len(args) * (1.0 - arg_res)
         # Argument rows arrive in one batched fill by name and one by

@@ -13,7 +13,6 @@ from repro.core.dewey import (
     DeweyIndex,
     DeweyLabel,
     common_prefix,
-    common_prefix_all,
     is_prefix,
     label_from_string,
     label_to_string,
@@ -35,7 +34,6 @@ __all__ = [
     "DeweyIndex",
     "DeweyLabel",
     "common_prefix",
-    "common_prefix_all",
     "is_prefix",
     "label_from_string",
     "label_to_string",

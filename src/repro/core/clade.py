@@ -2,9 +2,10 @@
 
 Given a set of input leaves, their minimal spanning clade is the set of
 *all* nodes in the subtree rooted at their least common ancestor.  Crimson
-answers it in two steps: fold LCA over the leaf set (index-backed), then
-enumerate the LCA's subtree — in the relational store that enumeration is
-a single ``BETWEEN`` over the pre-order interval columns.
+answers it in two steps: take the leaf set's LCA (index-backed; the
+relational store walks one pair, the set's lowest and highest pre-order
+ids), then enumerate the LCA's subtree — in the relational store that
+enumeration is a single ``BETWEEN`` over the pre-order interval columns.
 """
 
 from __future__ import annotations

@@ -58,26 +58,6 @@ def common_prefix(a: DeweyLabel, b: DeweyLabel) -> DeweyLabel:
     return a[:cut]
 
 
-def common_prefix_all(labels: Iterable[DeweyLabel]) -> DeweyLabel:
-    """Longest common prefix of any number of labels.
-
-    Raises
-    ------
-    QueryError
-        If ``labels`` is empty.
-    """
-    iterator = iter(labels)
-    try:
-        result = next(iterator)
-    except StopIteration:
-        raise QueryError("cannot take the common prefix of zero labels") from None
-    for label in iterator:
-        result = common_prefix(result, label)
-        if not result:
-            break
-    return result
-
-
 def is_prefix(prefix: DeweyLabel, label: DeweyLabel) -> bool:
     """True when ``prefix`` is a (not necessarily proper) prefix of ``label``.
 
@@ -141,20 +121,20 @@ class DeweyIndex:
     def lca_many(self, nodes: Iterable[Node]) -> Node:
         """LCA of any non-empty set of nodes.
 
-        The lazy generator plus :func:`common_prefix_all`'s empty-prefix
-        break give the same root early-exit as the layered and stored
-        ``lca_many``: once the running prefix is empty the root is the
-        answer, so the remaining nodes are never even label-looked-up
-        (regression-tested in ``tests/test_dewey.py``).
+        Dewey labels sort in pre-order and every subtree is one run of
+        that order, so the LCA of a set is the LCA of its smallest and
+        largest labels.
 
         Raises
         ------
         QueryError
-            If ``nodes`` is empty.
+            If ``nodes`` is empty or any node is not part of the
+            indexed tree.
         """
-        return self.node_at(
-            common_prefix_all(self.label(node) for node in nodes)
-        )
+        labels = [self.label(node) for node in nodes]
+        if not labels:
+            raise QueryError("cannot take the LCA of zero nodes")
+        return self.node_at(common_prefix(min(labels), max(labels)))
 
     def is_ancestor_or_self(self, a: Node, d: Node) -> bool:
         """Ancestor-or-self test by label prefix."""

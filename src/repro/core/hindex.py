@@ -240,18 +240,22 @@ class HierarchicalIndex:
     def lca_many(self, nodes: Iterable[Node]) -> Node:
         """LCA of any non-empty collection of nodes.
 
+        Every node's inode is looked up before the fold starts, so a
+        foreign node raises wherever it sits in the collection.
+
         Raises
         ------
         QueryError
-            If the collection is empty.
+            If the collection is empty or any node is not part of the
+            indexed tree.
         """
-        iterator = iter(nodes)
-        try:
-            first = next(iterator)
-        except StopIteration:
-            raise QueryError("cannot take the LCA of zero nodes") from None
-        result = first
-        for node in iterator:
+        members = list(nodes)
+        for node in members:
+            self.inode_of(node)
+        if not members:
+            raise QueryError("cannot take the LCA of zero nodes")
+        result = members[0]
+        for node in members[1:]:
             result = self.lca(result, node)
             if result is self.tree.root:
                 break

@@ -64,12 +64,22 @@ class LcaService:
             raise QueryError(f"unknown LCA strategy {strategy!r}")
 
     def lca(self, a: Node, b: Node) -> Node:
-        """Least common ancestor of two nodes."""
+        """Least common ancestor of two nodes.
+
+        Raises
+        ------
+        QueryError
+            If a node is not part of the tree (every strategy raises
+            the same error).
+        """
         if self._layered is not None:
             return self._layered.lca(a, b)
         if self._dewey is not None:
             return self._dewey.lca(a, b)
-        return naive_lca(a, b)
+        try:
+            return naive_lca(a, b)
+        except ValueError as error:
+            raise QueryError(str(error)) from None
 
     def lca_many(self, nodes: Iterable[Node]) -> Node:
         """LCA of a non-empty collection of nodes.
@@ -77,7 +87,8 @@ class LcaService:
         Raises
         ------
         QueryError
-            If the collection is empty.
+            If the collection is empty or any node is not part of the
+            tree.
         """
         if self._layered is not None:
             return self._layered.lca_many(nodes)
@@ -89,7 +100,7 @@ class LcaService:
         except StopIteration:
             raise QueryError("cannot take the LCA of zero nodes") from None
         for node in iterator:
-            result = naive_lca(result, node)
+            result = self.lca(result, node)
         return result
 
     def is_ancestor_or_self(self, ancestor: Node, descendant: Node) -> bool:

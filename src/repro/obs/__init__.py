@@ -22,9 +22,9 @@ The subsystem every perf PR is judged with.  Three small modules:
   scrapers.
 
 Nothing in here imports the storage or server layers; the layers
-import *this* and feed it.  A disabled registry hands out shared no-op
-instruments, so the instrumentation's cost can be switched off
-entirely.
+import *this* and feed it.  The registry is always on, so its hot path
+is kept to a dict hit and a few integer ops under a per-instrument
+lock.
 """
 
 from repro.obs.health import HealthThresholds, evaluate as evaluate_health

@@ -11,9 +11,9 @@ Design constraints, in order:
    own ``threading.Lock`` held for a few integer ops; the registry
    lock is only taken when an instrument is *created* (lookups hit a
    plain dict ``get`` first).
-3. **Disabled means free.**  ``MetricsRegistry(enabled=False)`` hands
-   out shared null instruments whose methods are empty; callers keep
-   the exact same code shape.
+3. **Always on, so it must stay cheap.**  There is no off switch:
+   every layer records into a live registry, which is what makes the
+   first two constraints binding rather than nice-to-have.
 
 Buckets are powers of two in microseconds: bucket ``i`` counts
 latencies whose microsecond value has bit length ``i`` (i.e. values in
@@ -175,38 +175,6 @@ class LatencyHistogram:
         }
 
 
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:
-        return None
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        return None
-
-    def inc(self, amount: float = 1.0) -> None:
-        return None
-
-    def dec(self, amount: float = 1.0) -> None:
-        return None
-
-
-class _NullHistogram(LatencyHistogram):
-    __slots__ = ()
-
-    def record(self, seconds: float) -> None:
-        return None
-
-
-NULL_COUNTER = _NullCounter("null")
-NULL_GAUGE = _NullGauge("null")
-NULL_HISTOGRAM = _NullHistogram("null")
-
-
 class MetricsRegistry:
     """Named instruments, created on first use, snapshotted as dicts.
 
@@ -216,16 +184,13 @@ class MetricsRegistry:
     (``server.latency.query``); the Prometheus renderer sanitizes them.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, LatencyHistogram] = {}
 
     def counter(self, name: str) -> Counter:
-        if not self.enabled:
-            return NULL_COUNTER
         instrument = self._counters.get(name)
         if instrument is None:
             with self._lock:
@@ -233,8 +198,6 @@ class MetricsRegistry:
         return instrument
 
     def gauge(self, name: str) -> Gauge:
-        if not self.enabled:
-            return NULL_GAUGE
         instrument = self._gauges.get(name)
         if instrument is None:
             with self._lock:
@@ -242,8 +205,6 @@ class MetricsRegistry:
         return instrument
 
     def histogram(self, name: str) -> LatencyHistogram:
-        if not self.enabled:
-            return NULL_HISTOGRAM
         instrument = self._histograms.get(name)
         if instrument is None:
             with self._lock:

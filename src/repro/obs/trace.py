@@ -139,22 +139,23 @@ class SlowQueryLog:
         self.capacity = capacity
         self.threshold_ms = threshold_ms
         self._lock = threading.Lock()
-        self._entries: List[Optional[Dict[str, Any]]] = [None] * capacity
+        self._entries: List[Optional[Span]] = [None] * capacity
         self._next = 0
         self._recorded = 0
 
     def observe(self, span: Span) -> bool:
-        """Record a finished span if it was slow; True when kept."""
+        """Record a finished span if it was slow; True when kept.
+
+        The span itself is retained and becomes a dict only when
+        :meth:`entries` reads it, so even a threshold-0 log keeps the
+        per-request cost to the compare and the slot assignment.  The
+        caller must not change the span afterwards.
+        """
         duration = span.duration_ms
         if duration is None or duration < self.threshold_ms:
             return False
-        if span.trace_id is None:
-            # Local stores have no wire envelope to carry an id; mint
-            # one at retention time so every kept entry is greppable.
-            span.trace_id = new_trace_id()
-        entry = span.as_dict()
         with self._lock:
-            self._entries[self._next] = entry
+            self._entries[self._next] = span
             self._next = (self._next + 1) % self.capacity
             self._recorded += 1
         return True
@@ -167,6 +168,15 @@ class SlowQueryLog:
     def entries(self) -> List[Dict[str, Any]]:
         """Retained entries, oldest first."""
         with self._lock:
-            tail = self._entries[self._next:]
-            head = self._entries[: self._next]
-        return [entry for entry in tail + head if entry is not None]
+            spans = [
+                span
+                for span in self._entries[self._next:] + self._entries[: self._next]
+                if span is not None
+            ]
+            for span in spans:
+                if span.trace_id is None:
+                    # Local stores have no wire envelope to carry an id;
+                    # mint one on first read so every kept entry is
+                    # greppable, and the same id on every later read.
+                    span.trace_id = new_trace_id()
+        return [span.as_dict() for span in spans]

@@ -155,6 +155,12 @@ def _soundness_requests(handle, rng: random.Random) -> list[QueryRequest]:
             + [tuple(rng.sample(nodes, 2)) for _ in range(10)],
         ),
         QueryRequest.project(name, *rng.sample(leaves, min(16, len(leaves)))),
+        # Larger sets: still priced as one pair walk.
+        QueryRequest.clade(name, *rng.sample(leaves, min(12, len(leaves)))),
+        QueryRequest.lca(
+            name,
+            *(rng.choice(leaves) if k % 2 else rng.choice(nodes) for k in range(12)),
+        ),
     ]
 
 

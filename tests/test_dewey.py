@@ -7,7 +7,6 @@ import pytest
 from repro.core.dewey import (
     DeweyIndex,
     common_prefix,
-    common_prefix_all,
     is_prefix,
     label_from_string,
     label_to_string,
@@ -49,14 +48,6 @@ class TestPrefixAlgebra:
 
     def test_prefix_of_longer(self):
         assert common_prefix((2,), (2, 5, 7)) == (2,)
-
-    def test_common_prefix_all(self):
-        labels = [(2, 1, 1), (2, 1, 2), (2, 3)]
-        assert common_prefix_all(labels) == (2,)
-
-    def test_common_prefix_all_empty_raises(self):
-        with pytest.raises(QueryError):
-            common_prefix_all([])
 
     def test_is_prefix(self):
         assert is_prefix((2, 1), (2, 1, 5))
@@ -144,14 +135,13 @@ class TestDeweyIndex:
             assert [id(node) for node in index._node_at.values()] == expected
 
     def test_lca_many_early_exit_at_root(self, fig1):
-        """Once the running prefix reaches the root, remaining nodes are
-        skipped — a foreign node after that point is never inspected."""
+        """There is no early exit at the root: the set's LCA comes from
+        its pre-order extremes, so every node is label-looked-up and a
+        foreign node after the root is reached still raises."""
         index = DeweyIndex(fig1)
         foreign = Node("alien")
-        result = index.lca_many(
-            [fig1.find("Lla"), fig1.find("Syn"), foreign]
-        )
-        assert result is fig1.root
-        # Before the root is reached, the foreign node must still raise.
+        assert index.lca_many([fig1.find("Lla"), fig1.find("Syn")]) is fig1.root
+        with pytest.raises(QueryError):
+            index.lca_many([fig1.find("Lla"), fig1.find("Syn"), foreign])
         with pytest.raises(QueryError):
             index.lca_many([fig1.find("Lla"), foreign])

@@ -31,9 +31,6 @@ from repro.obs import (
 )
 from repro.obs.metrics import (
     HISTOGRAM_BUCKETS,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
     LatencyHistogram,
 )
 from repro.server import CrimsonServer, RemoteSession
@@ -103,27 +100,6 @@ class TestInstruments:
         assert sum(buckets) == 7
         # The absurdly large samples clamp into the last bucket.
         assert buckets[HISTOGRAM_BUCKETS - 1] == 2
-
-    def test_disabled_registry_hands_out_shared_null_instruments(self):
-        registry = MetricsRegistry(enabled=False)
-        counter = registry.counter("c")
-        gauge = registry.gauge("g")
-        histogram = registry.histogram("h")
-        assert counter is NULL_COUNTER
-        assert gauge is NULL_GAUGE
-        assert histogram is NULL_HISTOGRAM
-        counter.inc(100)
-        gauge.set(9.0)
-        gauge.inc()
-        histogram.record(1.0)
-        assert counter.value == 0
-        assert gauge.value == 0.0
-        assert histogram.count == 0
-        assert registry.snapshot() == {
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
-        }
 
     def test_registry_snapshot_is_sorted_and_plain(self):
         registry = MetricsRegistry()
@@ -200,7 +176,6 @@ class TestWarmPathStaysFree:
         self, sanitized
     ):
         with CrimsonStore.open() as store:
-            assert store.metrics.enabled
             store.trees.store_tree(sample_tree(), name="a", f=2)
             store.trees.store_tree(sample_tree(), name="b", f=2)
             lca = QueryRequest.lca("a", "Lla", "Syn")

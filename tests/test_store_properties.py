@@ -10,10 +10,15 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.dewey import DeweyIndex
+from repro.core.hindex import HierarchicalIndex
+from repro.core.lca import LcaService
 from repro.core.projection import project_tree
+from repro.errors import QueryError
 from repro.storage.maintenance import verify_tree
 from repro.storage.projection import project_stored
 from repro.storage.store import CrimsonStore
@@ -102,6 +107,52 @@ def test_lca_batch_equals_pairwise_lca(tree, f, data):
         assert handle.lca_batch(pairs) == expected
         assert handle.lca_batch(pairs) == expected
         assert handle.lca_batch([]) == []
+
+
+@SETTINGS
+@given(tree=batch_trees, f=st.sampled_from([2, 3, 8]), data=st.data())
+def test_set_lca_agrees_across_implementations(tree, f, data):
+    """Stored ``lca_many`` and the ``clade`` anchor equal the naive
+    fold, ``DeweyIndex`` and ``HierarchicalIndex`` on sets of names and
+    ids mixed, with duplicates and interior nodes (the root included);
+    an unknown item anywhere in the set raises in all four."""
+    nodes = list(tree.preorder())
+    in_memory = [
+        LcaService(tree, "naive").lca_many,
+        DeweyIndex(tree).lca_many,
+        HierarchicalIndex(tree, f).lca_many,
+    ]
+    with CrimsonStore.open() as store:
+        handle = store.trees.store_tree(tree, name="prop", f=f)
+        ids = data.draw(
+            st.lists(st.integers(0, len(nodes) - 1), min_size=1, max_size=11)
+        )
+        ids.append(data.draw(st.sampled_from([ids[0], 0])))
+        items = [
+            node_id
+            if nodes[node_id].name is None or data.draw(st.booleans())
+            else nodes[node_id].name
+            for node_id in ids
+        ]
+        members = [nodes[node_id] for node_id in ids]
+        expected = nodes.index(in_memory[0](members))
+        for lca_many in in_memory[1:]:
+            assert lca_many(members) is nodes[expected]
+        assert handle.lca_many(items).node_id == expected
+        clade = handle.clade(items)
+        assert clade[0].node_id == expected
+        assert [row.node_id for row in clade] == list(
+            range(expected, clade[0].pre_order_end + 1)
+        )
+
+        at = data.draw(st.integers(0, len(items)))
+        unknown = data.draw(st.sampled_from(["alien", len(nodes) + 7]))
+        with pytest.raises(QueryError):
+            handle.lca_many(items[:at] + [unknown] + items[at:])
+        foreign = members[:at] + [Node("alien")] + members[at:]
+        for lca_many in in_memory:
+            with pytest.raises(QueryError):
+                lca_many(foreign)
 
 
 @SETTINGS
