@@ -2,7 +2,8 @@
 
 Measures Data Loader throughput in nodes/second for structure-only and
 with-species loads across tree sizes, plus the cost split between the
-node table and the layered-index tables.
+node table and the layered-index tables, and checks that a load stays
+linear in a polytomy's fan-out.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.simulation.birth_death import yule_tree
 from repro.simulation.models import jc69
 from repro.simulation.seqgen import evolve_sequences
 from repro.storage.store import CrimsonStore
+from repro.trees.build import star
 
 SIZES = (100, 1000, 5000)
 
@@ -83,3 +85,30 @@ def test_index_overhead_by_f(benchmark, report):
             f"{inodes / tree.size():>10.2f}"
         )
         store.close()
+
+
+def test_star_load_is_linear_in_fan_out(benchmark, report):
+    """A 16k-leaf star loads in under 8x the time of a 4k-leaf one.
+
+    Linear cost gives a ratio of 4; a per-child search of the parent's
+    child list (as ``Node.child_order`` does) gives 16.  Each size is
+    the best of two loads into a fresh in-memory store.
+    """
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+
+    def load_seconds(n: int) -> float:
+        tree = star([f"s{i}" for i in range(n)])
+        best = float("inf")
+        for _ in range(2):
+            with CrimsonStore.open() as store:
+                start = time.perf_counter()
+                store.load_tree(tree, name="star", f=8)
+                best = min(best, time.perf_counter() - start)
+        return best
+
+    small, large = load_seconds(4000), load_seconds(16000)
+    report("")
+    report("E8 — star loads (fan-out 4k vs 16k)")
+    report(f"  4k: {small * 1e3:.0f} ms, 16k: {large * 1e3:.0f} ms, "
+           f"ratio {large / small:.1f} (linear 4, quadratic 16)")
+    assert large / small < 8, (small, large)

@@ -312,6 +312,9 @@ class AbstractTuple:
 
 _MAX_VALUES = 64
 _MAX_CALL_DEPTH = 3
+#: Largest ``text * n`` the evaluator expands (a multi-row ``VALUES``
+#: list is tens of rows; past this the value is reported unknown).
+_MAX_REPEAT = 1024
 
 _FORMAT_FIELD = re.compile(r"\{([^{}]*)\}")
 
@@ -539,8 +542,15 @@ class Scope:
             return self._tuple_values(expr, depth)
         if isinstance(expr, ast.JoinedStr):
             return self._joined_values(expr, depth)
-        if isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.Add):
-            return self._concat_values(expr.left, expr.right, depth)
+        if isinstance(expr, ast.BinOp):
+            number = self.int_value(expr)
+            if number is not None:
+                return frozenset({AbstractString((str(number),))})
+            if isinstance(expr.op, ast.Add):
+                return self._concat_values(expr.left, expr.right, depth)
+            if isinstance(expr.op, ast.Mult):
+                return self._repeat_values(expr, depth)
+            return None
         if isinstance(expr, ast.IfExp):
             left = self.values(expr.body, depth)
             right = self.values(expr.orelse, depth)
@@ -551,6 +561,51 @@ class Scope:
         if isinstance(expr, ast.Call):
             return self._call_values(expr, depth)
         return None
+
+    def int_value(self, expr: ast.AST) -> int | None:
+        """The value of an integer constant expression, or ``None``.
+
+        Integer literals, names bound exactly once to one, and ``+``,
+        ``-`` and ``*`` over those — enough for a statement repeated a
+        module-constant number of times.
+        """
+        if isinstance(expr, ast.Constant):
+            value = expr.value
+            if isinstance(value, int) and not isinstance(value, bool):
+                return value
+            return None
+        if isinstance(expr, ast.BinOp) and isinstance(
+            expr.op, (ast.Add, ast.Sub, ast.Mult)
+        ):
+            left = self.int_value(expr.left)
+            right = self.int_value(expr.right)
+            if left is None or right is None:
+                return None
+            if isinstance(expr.op, ast.Add):
+                return left + right
+            if isinstance(expr.op, ast.Sub):
+                return left - right
+            return left * right
+        if isinstance(expr, ast.Name):
+            return self._name_int(expr.id)
+        return None
+
+    def _name_int(self, name: str) -> int | None:
+        if name in self._overrides or name in self._params:
+            return None
+        bindings = self._bindings.get(name)
+        if bindings is None:
+            return self.parent._name_int(name) if self.parent else None
+        if len(bindings) != 1 or name in self._stack:
+            return None
+        kind, target = bindings[0]
+        if kind != "expr" or target is None:
+            return None
+        self._stack.add(name)
+        try:
+            return self.int_value(target)
+        finally:
+            self._stack.discard(name)
 
     def string_values(
         self, expr: ast.AST, depth: int = 0
@@ -646,6 +701,26 @@ class Scope:
                     return None
                 if len(out) > _MAX_VALUES:
                     return None
+        return frozenset(out)
+
+    def _repeat_values(
+        self, expr: ast.BinOp, depth: int
+    ) -> frozenset | None:
+        """``text * n`` or ``n * text`` for an integer constant ``n``."""
+        text, times = expr.left, self.int_value(expr.right)
+        if times is None:
+            text, times = expr.right, self.int_value(expr.left)
+        if times is None or not 0 <= times <= _MAX_REPEAT:
+            return None
+        strings = self.string_values(text, depth)
+        if strings is None:
+            return None
+        out: set = set()
+        for value in strings:
+            repeated = AbstractString(())
+            for _ in range(times):
+                repeated = _concat_strings(repeated, value)
+            out.add(repeated)
         return frozenset(out)
 
     def _call_values(self, call: ast.Call, depth: int) -> frozenset | None:

@@ -246,9 +246,10 @@ def _argument_counts(
 
 def _module_sites(module: Module) -> list[SqlSite]:
     sites: list[SqlSite] = []
-    #: forwarding helpers found in this module:
-    #: funcdef -> (sql parameter name, the inner sink call)
-    forwarders: dict[ast.FunctionDef, tuple[str, ast.Call]] = {}
+    #: forwarding helpers found in this module: funcdef -> its inner
+    #: sink calls and their method names (a helper may forward several
+    #: statement parameters)
+    forwarders: dict[ast.FunctionDef, list[tuple[ast.Call, str]]] = {}
 
     for node in ast.walk(module.tree):
         if not (
@@ -279,7 +280,9 @@ def _module_sites(module: Module) -> list[SqlSite]:
             if isinstance(enclosing, ast.FunctionDef) and not _is_method(
                 enclosing
             ):
-                forwarders[enclosing] = (first.id, node)
+                forwarders.setdefault(enclosing, []).append(
+                    (node, node.func.attr)
+                )
             continue
         texts = scope.string_values(first)
         sites.append(
@@ -307,28 +310,31 @@ def _module_sites(module: Module) -> list[SqlSite]:
             if resolved is None or resolved[1] is not by_name[node.func.id]:
                 continue
             owner, funcdef = resolved
-            sql_param, sink = forwarders[funcdef]
             inlined = call_scope(caller_scope, owner, funcdef, node)
             if inlined is None:
                 continue
-            texts = inlined.string_values(sink.args[0])
-            counts = _argument_counts(inlined, sink, sink.func.attr)  # type: ignore[union-attr]
-            sites.append(
-                SqlSite(
-                    path=module.path,
-                    line=node.lineno,
-                    method=sink.func.attr,  # type: ignore[union-attr]
-                    texts=(
-                        tuple(sorted(texts, key=_sort_key)) if texts else None
-                    ),
-                    argument_counts=counts,
-                    unresolved=(
-                        None if texts else _describe(node.args[0])
-                        if node.args
-                        else "<no statement argument>"
-                    ),
+            for sink, method in forwarders[funcdef]:
+                texts = inlined.string_values(sink.args[0])
+                sites.append(
+                    SqlSite(
+                        path=module.path,
+                        line=node.lineno,
+                        method=method,
+                        texts=(
+                            tuple(sorted(texts, key=_sort_key))
+                            if texts
+                            else None
+                        ),
+                        argument_counts=_argument_counts(
+                            inlined, sink, method
+                        ),
+                        unresolved=(
+                            None if texts else _describe(node.args[0])
+                            if node.args
+                            else "<no statement argument>"
+                        ),
+                    )
                 )
-            )
     return sites
 
 

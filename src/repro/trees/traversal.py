@@ -1,51 +1,87 @@
 """Whole-tree traversal utilities shared by the index and query layers.
 
-These helpers compute, in single iterative passes, the per-node tables the
-relational loader materializes as columns: pre-order rank, pre-order
-interval end (clade interval), depth, and weighted distance from the root.
-All of them survive trees far deeper than Python's recursion limit.
+:func:`preorder_columns` is the walk the relational loader stores: one
+iterative pre-order pass yields, per node, every ``nodes`` column —
+pre-order rank, parent rank, child position, depth, weighted root
+distance, clade-interval end and the leaf flag — as flat lists indexed
+by rank.  Like the other helpers here it survives trees far deeper
+than Python's recursion limit, and its cost is linear in the node
+count whatever the fan-out.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from repro.trees.node import Node
 from repro.trees.tree import PhyloTree
 
 
-def preorder_table(tree: PhyloTree) -> dict[int, int]:
-    """Map ``id(node)`` to its 0-based pre-order rank."""
-    return {id(node): rank for rank, node in enumerate(tree.preorder())}
+class PreorderColumns(NamedTuple):
+    """Per-node columns of one pre-order walk, each indexed by rank.
 
-
-def preorder_intervals(tree: PhyloTree) -> dict[int, tuple[int, int]]:
-    """Map ``id(node)`` to its clade interval ``(pre, pre_end)``.
-
-    ``pre`` is the node's pre-order rank and ``pre_end`` the largest rank
-    in its subtree, so a node ``d`` is a descendant-or-self of ``a`` iff
-    ``a.pre <= d.pre <= a.pre_end``.  This is the property the minimal
-    spanning clade query exploits as a SQL ``BETWEEN``.
+    ``ends[r]`` is the largest rank in the subtree of rank ``r``, so a
+    node ``d`` is a descendant-or-self of ``a`` iff
+    ``a <= d <= ends[a]`` — the clade interval the minimal spanning
+    clade query runs as a SQL ``BETWEEN``.
     """
-    ranks = preorder_table(tree)
-    ends: dict[int, int] = {}
-    for node in tree.postorder():
-        rank = ranks[id(node)]
-        if node.children:
-            ends[id(node)] = max(ends[id(child)] for child in node.children)
-        else:
-            ends[id(node)] = rank
-    return {key: (ranks[key], ends[key]) for key in ranks}
+
+    nodes: list[Node]
+    #: Parent's rank (``None`` for the root).
+    parents: list[int | None]
+    #: 1-based position among the parent's children (0 for the root),
+    #: the Dewey edge label of the edge above the node.
+    positions: list[int]
+    #: Edge depth (the root is 0).
+    depths: list[int]
+    #: Weighted distance from the root.
+    distances: list[float]
+    ends: list[int]
+    leaves: list[bool]
 
 
-def depth_table(tree: PhyloTree) -> dict[int, int]:
-    """Map ``id(node)`` to its edge depth (root is 0)."""
-    return tree.depths()
+def preorder_columns(tree: PhyloTree) -> PreorderColumns:
+    """Walk ``tree`` once in pre-order and return its node columns.
 
-
-def root_distance_table(tree: PhyloTree) -> dict[int, float]:
-    """Map ``id(node)`` to its weighted distance from the root."""
-    return tree.distances_from_root()
+    Depth, root distance and the child position ride down the stack,
+    so no node ever searches its parent's child list; the interval
+    ends come from one reverse pass over the parent ranks.
+    """
+    nodes: list[Node] = []
+    parents: list[int | None] = []
+    positions: list[int] = []
+    depths: list[int] = []
+    distances: list[float] = []
+    leaves: list[bool] = []
+    stack: list[tuple[Node, int | None, int, int, float]] = [
+        (tree.root, None, 0, 0, 0.0)
+    ]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node, parent, position, depth, distance = pop()
+        rank = len(nodes)
+        nodes.append(node)
+        parents.append(parent)
+        positions.append(position)
+        depths.append(depth)
+        distances.append(distance)
+        children = node.children
+        leaves.append(not children)
+        depth += 1
+        for position in range(len(children), 0, -1):
+            child = children[position - 1]
+            push((child, rank, position, depth, distance + child.length))
+    # A subtree's ranks are contiguous and every descendant outranks
+    # its ancestors, so by the time the reverse pass reaches a rank its
+    # end is final and can be pushed up to the parent.
+    ends = list(range(len(nodes)))
+    for rank in range(len(nodes) - 1, 0, -1):
+        parent = parents[rank]
+        if ends[rank] > ends[parent]:
+            ends[parent] = ends[rank]
+    return PreorderColumns(
+        nodes, parents, positions, depths, distances, ends, leaves
+    )
 
 
 def iter_edges(tree: PhyloTree) -> Iterator[tuple[Node, Node]]:

@@ -132,6 +132,64 @@ class TestSqlRules:
         assert not findings, "\n".join(f.render() for f in findings)
 
 
+    def _trees_project(self, tmp_path, code: str):
+        (tmp_path / "storage").mkdir()
+        (tmp_path / "storage" / "schema.py").write_text(
+            'TABLE_COLUMNS = {"trees": ("tree_id", "name")}\n'
+            'DDL_STATEMENTS = (\n'
+            '    "CREATE TABLE IF NOT EXISTS trees '
+            '(tree_id INTEGER PRIMARY KEY, name TEXT)",\n'
+            ')\n'
+        )
+        (tmp_path / "storage" / "repo.py").write_text(code)
+
+    MULTI_ROW = (
+        "ROWS = 3\n"
+        'ROW = "(?, ?)"\n'
+        'INTO = "INSERT INTO trees (tree_id, name) VALUES "\n'
+        "MANY = INTO + (ROW + ', ') * (ROWS - 1) + ROW\n"
+        "ONE = INTO + ROW\n"
+    )
+
+    def test_repeated_value_rows_keep_their_placeholder_count(
+        self, tmp_path
+    ):
+        """``text * n`` with a constant ``n`` resolves to the repeated
+        text, so a multi-row ``VALUES`` list is still counted."""
+        self._trees_project(
+            tmp_path,
+            self.MULTI_ROW
+            + "def good(db):\n"
+            + '    db.execute(MANY, (1, "a", 2, "b", 3, "c"))\n'
+            + "def bad(db):\n"
+            + '    db.execute(MANY, (1, "a", 2, "b"))\n',
+        )
+        _, findings = lint_project(tmp_path, SQL)
+        assert [(f.rule, f.line) for f in findings] == [
+            ("sql-placeholders", 9)
+        ]
+        assert "6 '?' placeholder(s)" in findings[0].message
+        assert "4 argument(s)" in findings[0].message
+
+    def test_every_statement_a_forwarder_takes_is_analyzed(self, tmp_path):
+        """A helper forwarding two statement parameters to two sinks
+        yields a site for each, so both reach the census."""
+        self._trees_project(
+            tmp_path,
+            self.MULTI_ROW
+            + "def insert(db, many, one, flat, rows):\n"
+            + "    db.execute(many, flat)\n"
+            + "    db.executemany(one, rows)\n"
+            + "def load(db, flat, rows):\n"
+            + "    insert(db, MANY, ONE, flat, rows)\n",
+        )
+        census = build_census(Project.load(tmp_path))
+        assert census["unresolved"] == []
+        assert census["statements"] == [
+            "INSERT INTO trees (tree_id, name) VALUES (?)",
+            "INSERT INTO trees (tree_id, name) VALUES (?), (?), (?)",
+        ]
+
     def test_indexed_by_names_an_index_not_a_column(self, tmp_path):
         info = parse_statement(
             "SELECT c.name FROM nodes AS c INDEXED BY idx_nodes_parent "

@@ -30,7 +30,7 @@ from repro.reconstruction.upgma import upgma
 from repro.simulation.birth_death import coalescent_tree, yule_tree
 from repro.trees.newick import parse_newick, write_newick
 from repro.trees.node import Node
-from repro.trees.traversal import naive_lca, preorder_intervals
+from repro.trees.traversal import naive_lca, preorder_columns
 from repro.trees.tree import PhyloTree
 
 # ----------------------------------------------------------------------
@@ -128,14 +128,14 @@ def test_plain_dewey_lca_equals_naive(tree):
 @COMMON_SETTINGS
 @given(tree=attachment_trees())
 def test_preorder_interval_is_descendant_test(tree):
-    intervals = preorder_intervals(tree)
-    nodes = list(tree.preorder())
+    walk = preorder_columns(tree)
+    nodes = walk.nodes
     rng = random.Random(23)
     for _ in range(20):
-        a = rng.choice(nodes)
-        d = rng.choice(nodes)
-        low, high = intervals[id(a)]
-        inside = low <= intervals[id(d)][0] <= high
+        low = rng.randrange(len(nodes))
+        rank = rng.randrange(len(nodes))
+        inside = low <= rank <= walk.ends[low]
+        a, d = nodes[low], nodes[rank]
         truth = a is d or a.is_ancestor_of(d)
         assert inside == truth
 

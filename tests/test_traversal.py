@@ -4,67 +4,85 @@ from __future__ import annotations
 
 import pytest
 
-from repro.trees.build import caterpillar
+from repro.trees.build import caterpillar, star
 from repro.trees.traversal import (
-    depth_table,
     iter_edges,
     naive_lca,
     path_to_root,
-    preorder_intervals,
-    preorder_table,
-    root_distance_table,
+    preorder_columns,
 )
+
+
+def rank_of(walk, node):
+    return next(r for r, candidate in enumerate(walk.nodes) if candidate is node)
 
 
 class TestPreorderTables:
     def test_ranks_are_dense(self, fig1):
-        ranks = preorder_table(fig1)
-        assert sorted(ranks.values()) == list(range(fig1.size()))
+        walk = preorder_columns(fig1)
+        assert [id(n) for n in walk.nodes] == [id(n) for n in fig1.preorder()]
+        assert all(
+            len(column) == fig1.size() for column in walk
+        )
 
     def test_intervals_nest(self, fig1):
-        intervals = preorder_intervals(fig1)
+        walk = preorder_columns(fig1)
         for node in fig1.preorder():
-            low, high = intervals[id(node)]
+            low = rank_of(walk, node)
+            high = walk.ends[low]
             for descendant in node.preorder():
-                d_low, d_high = intervals[id(descendant)]
+                d_low = rank_of(walk, descendant)
+                d_high = walk.ends[d_low]
                 assert low <= d_low <= d_high <= high
 
     def test_leaf_interval_is_point(self, fig1):
-        intervals = preorder_intervals(fig1)
-        leaf = fig1.find("Lla")
-        low, high = intervals[id(leaf)]
-        assert low == high
+        walk = preorder_columns(fig1)
+        low = rank_of(walk, fig1.find("Lla"))
+        assert walk.ends[low] == low
+        assert walk.leaves[low]
 
     def test_root_interval_spans_tree(self, fig1):
-        intervals = preorder_intervals(fig1)
-        assert intervals[id(fig1.root)] == (0, fig1.size() - 1)
+        walk = preorder_columns(fig1)
+        assert walk.nodes[0] is fig1.root
+        assert (0, walk.ends[0]) == (0, fig1.size() - 1)
 
     def test_interval_contains_exactly_subtree(self, fig1):
-        intervals = preorder_intervals(fig1)
-        ranks = preorder_table(fig1)
-        x = fig1.find("x")
-        low, high = intervals[id(x)]
+        walk = preorder_columns(fig1)
+        low = rank_of(walk, fig1.find("x"))
         inside = {
             node.name
-            for node in fig1.preorder()
-            if low <= ranks[id(node)] <= high
+            for rank, node in enumerate(walk.nodes)
+            if low <= rank <= walk.ends[low]
         }
         assert inside == {"x", "Lla", "Spy"}
+
+    def test_parents_and_positions_match_the_pointers(self, fig1):
+        walk = preorder_columns(fig1)
+        assert walk.parents[0] is None and walk.positions[0] == 0
+        for rank, node in enumerate(walk.nodes[1:], start=1):
+            assert walk.nodes[walk.parents[rank]] is node.parent
+            assert walk.positions[rank] == node.child_order
+
+    def test_star_positions_count_the_fan_out(self):
+        walk = preorder_columns(star([f"s{i}" for i in range(1000)]))
+        assert walk.positions == list(range(1001))
+        assert walk.parents[1:] == [0] * 1000
 
 
 class TestDepthAndDistance:
     def test_depth_table(self, fig1):
-        depths = depth_table(fig1)
-        assert depths[id(fig1.find("Spy"))] == 3
+        walk = preorder_columns(fig1)
+        assert walk.depths[rank_of(walk, fig1.find("Spy"))] == 3
 
     def test_distance_table(self, fig1):
-        distances = root_distance_table(fig1)
-        assert distances[id(fig1.find("Bha"))] == pytest.approx(2.25)
+        walk = preorder_columns(fig1)
+        distance = walk.distances[rank_of(walk, fig1.find("Bha"))]
+        assert distance == pytest.approx(2.25)
 
     def test_deep_tree_single_pass(self):
         tree = caterpillar(5000)
-        depths = depth_table(tree)
-        assert max(depths.values()) == tree.max_depth()
+        walk = preorder_columns(tree)
+        assert max(walk.depths) == tree.max_depth()
 
 
 class TestEdgesAndPaths:
