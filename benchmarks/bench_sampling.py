@@ -12,6 +12,8 @@ the leaf table.  Each draw runs on a fresh handle, so it reads cold.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,28 @@ def test_frontier_sql(benchmark, gold, report):
     report(
         f"  frontier at t = 0.5·horizon: {len(rows)} nodes "
         "(SQL join == in-memory cut)"
+    )
+
+
+def test_deep_frontier_sql_is_linear(report):
+    """Late in the tree most nodes sit below the cut.  The join walks the
+    rows once and probes each parent by primary key; a plan that ranged
+    over root distances from both sides was quadratic: 11 s at this size
+    on a 2-core x86 host."""
+    tree = yule_tree(5000, rng=np.random.default_rng(11))
+    horizon = max(tree.distances_from_root().values())
+    rank = {id(node): i for i, node in enumerate(tree.preorder())}
+    with CrimsonStore.open() as store:
+        handle = store.trees.store_tree(tree, name="deep", f=8)
+        start = time.perf_counter()
+        rows = handle.time_frontier(horizon * 0.9)
+        elapsed = time.perf_counter() - start
+    memory = time_frontier(tree, horizon * 0.9)
+    assert [row.node_id for row in rows] == [rank[id(n)] for n in memory]
+    assert elapsed < 0.5, f"time_frontier took {elapsed:.2f} s"
+    report(
+        f"  frontier at t = 0.9·horizon on 5000 leaves: {len(rows)} nodes "
+        f"in {elapsed * 1e3:.1f} ms"
     )
 
 

@@ -188,7 +188,8 @@ def sample_with_time_stored(
 ) -> list[str]:
     """Time-stratified sample over a stored tree.
 
-    The frontier is one indexed join
+    The frontier is one join over the tree's rows, each parent found by
+    primary key
     (:meth:`~repro.storage.tree_repository.StoredTree.time_frontier`);
     each frontier subtree's leaves come from a clade-interval range scan.
     """

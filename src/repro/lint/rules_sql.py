@@ -63,10 +63,12 @@ SCHEMA_MODULE = "storage/schema.py"
 #: method name -> index of the parameters argument (None: no parameter
 #: tuple to count — executescript takes none, executemany takes a
 #: *sequence* of tuples whose lengths are rarely static).
+#: ``_scan`` is ``StoredTree``'s row-building wrapper over ``query_all``.
 SINK_METHODS: dict[str, int | None] = {
     "execute": 1,
     "query_one": 1,
     "query_all": 1,
+    "_scan": 1,
     "executemany": None,
     "executescript": None,
 }
@@ -384,6 +386,14 @@ class SqlSchema(Rule):
         tables = dict(schema.tables)
         for name, columns in (schema.shard_ddl or {}).items():
             tables.setdefault(name, columns)
+        # A table the program creates at one of its own sites (the
+        # scratch copy a table rebuild renames into place) is known to
+        # the statements that fill and rename it.
+        for site in sql_sites(project):
+            for value in site.texts or ():
+                parsed = parse_create_table(value.render() or "")
+                if parsed is not None:
+                    tables.setdefault(*parsed)
         for site in sql_sites(project):
             if site.texts is None:
                 continue

@@ -123,6 +123,10 @@ def _statement_kind(tokens: list[Token]) -> str:
         return "delete"
     if first == "ALTER":
         return "alter"
+    if first == "DROP":
+        return "drop"
+    if first in ("BEGIN", "COMMIT", "ROLLBACK"):
+        return "transaction"
     if first == "CREATE":
         if "TABLE" in words:
             return "create-table"
@@ -188,7 +192,8 @@ def parse_statement(text: str) -> StatementInfo:
                 expect_table = True
                 capture_columns = True
                 pending_table = None
-            elif upper == "TABLE" and info.kind == "alter":
+            elif upper in ("TABLE", "TO") and info.kind == "alter":
+                # ALTER TABLE t ... and ALTER TABLE t RENAME TO t2
                 expect_table = True
                 capture_columns = False
             elif upper == "ON" and index_mode:

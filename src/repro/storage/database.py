@@ -126,8 +126,17 @@ class CrimsonDatabase:
             self._connection.execute("PRAGMA synchronous = NORMAL")
         if not read_only:
             self._guard_role(shard_schema)
-            create_schema(self._connection, shard=shard_schema)
-            self._connection.commit()
+            # A refused (newer) file or a failed upgrade must not leak
+            # the connection.
+            try:
+                create_schema(self._connection, shard=shard_schema)
+                self._connection.commit()
+            except StorageError as error:
+                self.close()
+                raise StorageError(f"{self.path!r}: {error}") from None
+            except BaseException:
+                self.close()
+                raise
 
     def _guard_role(self, shard_schema: bool) -> None:
         """Refuse to open a file under the wrong schema role.

@@ -7,19 +7,35 @@ The schema mirrors the paper's architecture: the **Tree Repository**
 separated — the paper's queries are structure-based, so structural scans
 must not drag sequence payloads through the buffer pool.
 
-Sharding
+Files
+-----
+A store is one **primary** file plus zero or more **shard** files.  The
+primary keeps ``trees`` (whose ``shard`` column names the file holding
+each tree's rows), ``species``, ``query_history`` and ``meta``; each
+tree's ``nodes``/``inodes``/``blocks`` rows live in the file its
+catalogue row names (shard ``0`` is the primary itself, so a
+single-file store is the one-shard layout).  Both roles create the
+tree-data tables from one declaration, :data:`TREE_DATA_DDL`, so their
+tables and indexes are the same in every file.  The tree-data tables
+carry no foreign keys into ``trees``: the loader writes the catalogue
+row in the load's own transaction, ``delete_tree`` purges each table
+explicitly, and ``verify()`` sweeps every file, the primary included,
+for orphan rows.  ``species`` keeps its foreign key.
+
+Versions
 --------
-Since schema version 2 the catalogue can span several database files:
-the **primary** file keeps ``trees`` (now carrying a ``shard`` column),
-``species``, ``query_history``, and ``meta``; each tree's
-``nodes``/``inodes``/``blocks`` rows live in the shard file its
-catalogue row names (shard ``0`` is the primary file itself, so
-single-file stores are just the degenerate one-shard layout).  Shard
-files get the tree-data subset of the schema via
-``create_schema(connection, shard=True)`` — identical tables and
-indexes, minus the foreign keys into ``trees`` (the catalogue lives in
-another file).  Opening a pre-version-2 primary file migrates it in
-place by adding the ``shard`` column with default ``0``.
+1. One file.  The tree-data tables reference ``trees`` with cascading
+   deletes, and ``nodes`` is indexed by name, root distance and parent.
+2. Sharding: the ``trees.shard`` column and tree-data-only shard files.
+3. One tree-data DDL for every file: no foreign keys, and no
+   ``idx_nodes_dist``/``idx_nodes_parent``, which no hot query read and
+   every write maintained.
+
+:func:`create_schema` upgrades an older file in place, one step function
+per version.  Each step reads the file's structure (``PRAGMA
+table_info``/``index_list``/``foreign_key_list``) to decide whether it
+has work, not the ``schema_version`` row.  A file whose version row is
+newer than :data:`SCHEMA_VERSION` is refused.
 
 Conventions
 -----------
@@ -34,7 +50,11 @@ Conventions
 
 from __future__ import annotations
 
-SCHEMA_VERSION = 2
+from typing import Any
+
+from repro.errors import StorageError
+
+SCHEMA_VERSION = 3
 
 _META_DDL = """
     CREATE TABLE IF NOT EXISTS meta (
@@ -82,19 +102,14 @@ _CATALOGUE_DDL: tuple[str, ...] = (
 )
 
 
-def _tree_data_ddl(with_catalogue_fk: bool) -> tuple[str, ...]:
-    """DDL of the per-tree data tables (``nodes``/``blocks``/``inodes``).
-
-    ``with_catalogue_fk`` adds the foreign keys into ``trees`` — valid
-    only in the primary file, where the catalogue table exists.  Shard
-    files get the same tables and indexes without the references; the
-    catalogue row in the primary file is their source of truth.
-    """
-    fk = " REFERENCES trees(tree_id) ON DELETE CASCADE" if with_catalogue_fk else ""
+def _tree_data_tables(suffix: str) -> tuple[str, ...]:
+    """``CREATE TABLE`` of ``nodes``/``blocks``/``inodes``, each name
+    followed by ``suffix``: empty in :data:`TREE_DATA_DDL`, ``_v3`` for
+    the copies the version-3 rebuild renames over the old tables."""
     return (
         f"""
-        CREATE TABLE IF NOT EXISTS nodes (
-            tree_id        INTEGER NOT NULL{fk},
+        CREATE TABLE IF NOT EXISTS nodes{suffix} (
+            tree_id        INTEGER NOT NULL,
             node_id        INTEGER NOT NULL,
             parent_id      INTEGER,
             child_order    INTEGER NOT NULL,
@@ -108,8 +123,8 @@ def _tree_data_ddl(with_catalogue_fk: bool) -> tuple[str, ...]:
         ) WITHOUT ROWID
         """,
         f"""
-        CREATE TABLE IF NOT EXISTS blocks (
-            tree_id         INTEGER NOT NULL{fk},
+        CREATE TABLE IF NOT EXISTS blocks{suffix} (
+            tree_id         INTEGER NOT NULL,
             block_id        INTEGER NOT NULL,
             layer           INTEGER NOT NULL,
             root_inode_id   INTEGER NOT NULL,
@@ -119,8 +134,8 @@ def _tree_data_ddl(with_catalogue_fk: bool) -> tuple[str, ...]:
         ) WITHOUT ROWID
         """,
         f"""
-        CREATE TABLE IF NOT EXISTS inodes (
-            tree_id             INTEGER NOT NULL{fk},
+        CREATE TABLE IF NOT EXISTS inodes{suffix} (
+            tree_id             INTEGER NOT NULL,
             inode_id            INTEGER NOT NULL,
             layer               INTEGER NOT NULL,
             block_id            INTEGER NOT NULL,
@@ -132,32 +147,29 @@ def _tree_data_ddl(with_catalogue_fk: bool) -> tuple[str, ...]:
             PRIMARY KEY (tree_id, inode_id)
         ) WITHOUT ROWID
         """,
-        # Access-path indexes for the hot queries (DESIGN.md §6).
-        "CREATE INDEX IF NOT EXISTS idx_nodes_name ON nodes(tree_id, name)",
-        "CREATE INDEX IF NOT EXISTS idx_nodes_dist ON nodes(tree_id, dist_from_root)",
-        "CREATE INDEX IF NOT EXISTS idx_nodes_parent ON nodes(tree_id, parent_id)",
-        """
-        CREATE UNIQUE INDEX IF NOT EXISTS idx_inodes_label
-            ON inodes(tree_id, block_id, local_label)
-        """,
-        """
-        CREATE INDEX IF NOT EXISTS idx_inodes_orig
-            ON inodes(tree_id, orig_node_id, is_canonical)
-        """,
     )
 
 
-DDL_STATEMENTS: tuple[str, ...] = (
-    _META_DDL,
-    *_CATALOGUE_DDL,
-    *_tree_data_ddl(with_catalogue_fk=True),
+TREE_DATA_DDL: tuple[str, ...] = (
+    *_tree_data_tables(""),
+    # Access paths of the hot queries; clade, children and scans read
+    # primary-key ranges of the pre-order ids instead.
+    "CREATE INDEX IF NOT EXISTS idx_nodes_name ON nodes(tree_id, name)",
+    """
+    CREATE UNIQUE INDEX IF NOT EXISTS idx_inodes_label
+        ON inodes(tree_id, block_id, local_label)
+    """,
+    """
+    CREATE INDEX IF NOT EXISTS idx_inodes_orig
+        ON inodes(tree_id, orig_node_id, is_canonical)
+    """,
 )
+"""The tree-data tables and their indexes, the same in every file."""
+
+DDL_STATEMENTS: tuple[str, ...] = (_META_DDL, *_CATALOGUE_DDL, *TREE_DATA_DDL)
 """The full primary-file schema (kept as the historical public name)."""
 
-SHARD_DDL_STATEMENTS: tuple[str, ...] = (
-    _META_DDL,
-    *_tree_data_ddl(with_catalogue_fk=False),
-)
+SHARD_DDL_STATEMENTS: tuple[str, ...] = (_META_DDL, *TREE_DATA_DDL)
 """The tree-data-only schema of a shard file."""
 
 TABLE_COLUMNS: dict[str, tuple[str, ...]] = {
@@ -198,29 +210,117 @@ SHARD_TABLES: tuple[str, ...] = ("meta", "nodes", "blocks", "inodes")
 """Tables a shard file carries (the tree-data subset plus ``meta``)."""
 
 
-def _migrate_catalogue(connection) -> None:
-    """In-place migrations for primary files created before version 2."""
+# ----------------------------------------------------------------------
+# Version steps
+# ----------------------------------------------------------------------
+
+def _add_shard_column(connection: Any) -> None:
+    """Version 2: the catalogue records each tree's shard.
+
+    Runs on a primary file whose ``trees`` lacks the column; a shard
+    file has no ``trees`` table.
+    """
     columns = {
         row[1] for row in connection.execute("PRAGMA table_info(trees)")
     }
-    if "shard" not in columns:
+    if columns and "shard" not in columns:
         connection.execute(
             "ALTER TABLE trees ADD COLUMN shard INTEGER NOT NULL DEFAULT 0"
         )
 
 
-def create_schema(connection, shard: bool = False) -> None:
-    """Create all tables and indexes (idempotent).
+_REBUILD_WITHOUT_FOREIGN_KEYS: tuple[str, ...] = (
+    # SQLite cannot drop a foreign key in place.  Its documented
+    # procedure: create the new table, copy, drop the old table (and
+    # with it the old indexes), rename, recreate the indexes.
+    *_tree_data_tables("_v3"),
+    "INSERT INTO nodes_v3 SELECT * FROM nodes",
+    "INSERT INTO blocks_v3 SELECT * FROM blocks",
+    "INSERT INTO inodes_v3 SELECT * FROM inodes",
+    "DROP TABLE nodes",
+    "DROP TABLE blocks",
+    "DROP TABLE inodes",
+    "ALTER TABLE nodes_v3 RENAME TO nodes",
+    "ALTER TABLE blocks_v3 RENAME TO blocks",
+    "ALTER TABLE inodes_v3 RENAME TO inodes",
+    *TREE_DATA_DDL,
+)
+
+
+def _drop_foreign_keys_and_unread_indexes(connection: Any) -> None:
+    """Version 3: drop ``idx_nodes_dist`` and ``idx_nodes_parent``, and
+    rebuild tree-data tables that still reference ``trees``.
+
+    One transaction: a failure leaves the file as it was.
+    """
+    indexes = {
+        row[1] for row in connection.execute("PRAGMA index_list(nodes)")
+    }
+    stale = {"idx_nodes_dist", "idx_nodes_parent"} & indexes
+    rebuild = any(
+        connection.execute(f"PRAGMA foreign_key_list({table})").fetchone()
+        is not None
+        for table in ("nodes", "blocks", "inodes")
+    )
+    if not stale and not rebuild:
+        return
+    # DDL opens no implicit transaction, so this one is explicit.
+    connection.execute("BEGIN")
+    try:
+        connection.execute("DROP INDEX IF EXISTS idx_nodes_dist")
+        connection.execute("DROP INDEX IF EXISTS idx_nodes_parent")
+        if rebuild:
+            for statement in _REBUILD_WITHOUT_FOREIGN_KEYS:
+                connection.execute(statement)
+    except BaseException:
+        connection.rollback()
+        raise
+    connection.commit()
+
+
+_VERSION_STEPS = (_add_shard_column, _drop_foreign_keys_and_unread_indexes)
+"""One function per version after the first, applied in order."""
+
+
+def _refuse_newer_file(connection: Any) -> None:
+    """Raise if the file says it was written by a newer schema."""
+    if connection.execute("PRAGMA table_info(meta)").fetchone() is None:
+        return  # a brand-new file
+    row = connection.execute(
+        "SELECT value FROM meta WHERE key = 'schema_version'"
+    ).fetchone()
+    if row is None:
+        return
+    try:
+        version = int(row[0])
+    except ValueError:
+        raise StorageError(
+            f"unreadable schema_version {row[0]!r} in meta"
+        ) from None
+    if version > SCHEMA_VERSION:
+        raise StorageError(
+            f"the file has schema version {version}; this build reads "
+            f"versions up to {SCHEMA_VERSION}"
+        )
+
+
+def create_schema(connection: Any, shard: bool = False) -> None:
+    """Create all tables and indexes, upgrading an older file in place
+    (idempotent).
 
     ``shard=True`` creates the tree-data subset a shard file needs;
-    the default creates (and, for older files, migrates) the full
-    primary schema.
+    the default creates the full primary schema.
+
+    Raises
+    ------
+    StorageError
+        If the file's schema version is newer than this build's.
     """
-    statements = SHARD_DDL_STATEMENTS if shard else DDL_STATEMENTS
-    for statement in statements:
+    _refuse_newer_file(connection)
+    for statement in SHARD_DDL_STATEMENTS if shard else DDL_STATEMENTS:
         connection.execute(statement)
-    if not shard:
-        _migrate_catalogue(connection)
+    for step in _VERSION_STEPS:
+        step(connection)
     connection.execute(
         "INSERT OR REPLACE INTO meta(key, value) VALUES ('schema_version', ?)",
         (str(SCHEMA_VERSION),),

@@ -446,8 +446,9 @@ class TreeRepository:
         data_db = self.store.shard_database(info.shard)
         if data_db is self.db:
             with self.db.transaction() as connection:
-                # Explicit deletes keep the behaviour identical whether or
-                # not the connection enforces foreign keys.
+                # The tree-data tables carry no foreign keys, so every
+                # table is purged by name (species too, although its key
+                # would cascade).
                 for table in ("species", "inodes", "blocks", "nodes"):
                     connection.execute(
                         f"DELETE FROM {table} WHERE tree_id = ?", (info.tree_id,)
@@ -679,11 +680,22 @@ class StoredTree:
         return [name for (name,) in rows]
 
     def children(self, node_id: int) -> list[NodeRow]:
-        """Child rows of a node, in child order."""
+        """Child rows of a node, in child order.
+
+        Children lie inside the parent's clade interval and come in
+        pre-order in child order, so this is a primary-key range over
+        the (cached) parent row's clade.
+
+        Raises
+        ------
+        QueryError
+            If the id does not exist in this tree.
+        """
+        parent = self.node(node_id)
         return self._scan(
-            "SELECT * FROM nodes INDEXED BY idx_nodes_parent "
-            "WHERE tree_id = ? AND parent_id = ? ORDER BY child_order",
-            (self._tree_id, node_id),
+            "SELECT * FROM nodes WHERE tree_id = ? "
+            "AND node_id BETWEEN ? AND ? AND parent_id = ? ORDER BY node_id",
+            (self._tree_id, node_id + 1, parent.pre_order_end, node_id),
         )
 
     # ------------------------------------------------------------------
@@ -1020,8 +1032,9 @@ class StoredTree:
         """Nodes whose root distance exceeds ``time`` but whose parent's
         does not — the paper's sampling frontier (§2.2).
 
-        One indexed join; on the Figure-1 tree with ``time = 1`` this
-        returns exactly ``{Bha, x, Syn, Bsu}``.
+        One join: a walk of the tree's rows in pre-order, each row's
+        parent found by primary key, with no sort.  On the Figure-1 tree
+        with ``time = 1`` this returns exactly ``{Bha, x, Syn, Bsu}``.
         """
         frontier = self._scan(
             """

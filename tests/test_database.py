@@ -108,10 +108,38 @@ class TestSchema:
         rows = db.query_all(
             "SELECT name FROM sqlite_master WHERE type = 'index'"
         )
-        names = {row["name"] for row in rows}
-        assert "idx_nodes_name" in names
-        assert "idx_inodes_label" in names
-        assert "idx_nodes_dist" in names
+        names = {
+            row["name"] for row in rows
+            if not row["name"].startswith("sqlite_autoindex")
+        }
+        assert names == {"idx_nodes_name", "idx_inodes_label", "idx_inodes_orig"}
+        assert "idx_nodes_dist" not in names
+        assert "idx_nodes_parent" not in names
+
+    def test_primary_and_shard_files_share_one_tree_data_ddl(self, tmp_path):
+        """The tree-data tables and indexes are declared once: their
+        stored SQL is the same text in a primary and a shard file."""
+
+        def tree_data_sql(path):
+            connection = sqlite3.connect(path)
+            try:
+                return connection.execute(
+                    "SELECT type, name, sql FROM sqlite_master "
+                    "WHERE tbl_name IN ('nodes', 'blocks', 'inodes') "
+                    "ORDER BY name"
+                ).fetchall()
+            finally:
+                connection.close()
+
+        CrimsonDatabase(tmp_path / "primary.db").close()
+        CrimsonDatabase(tmp_path / "shard.db", shard_schema=True).close()
+        primary = tree_data_sql(tmp_path / "primary.db")
+        assert [name for _, name, _ in primary] == [
+            "blocks", "idx_inodes_label", "idx_inodes_orig", "idx_nodes_name",
+            "inodes", "nodes",
+        ]
+        assert "REFERENCES" not in " ".join(sql for _, _, sql in primary)
+        assert primary == tree_data_sql(tmp_path / "shard.db")
 
 
 class TestQueryHelpers:

@@ -652,9 +652,36 @@ class TestQueryPlans:
         for sql, plan in plans.items():
             assert "(tree_id=?)" not in plan, (sql, plan)
         used = " ".join(plans.values())
-        for index in ("idx_nodes_name", "idx_nodes_parent", "idx_inodes_orig"):
+        for index in ("idx_nodes_name", "idx_inodes_orig"):
             assert f"USING INDEX {index} (tree_id=? AND" in used
+        children = [plan for sql, plan in plans.items() if "parent_id = ?" in sql]
+        assert children == [
+            "SEARCH nodes USING PRIMARY KEY "
+            "(tree_id=? AND node_id>? AND node_id<?)"
+        ]
         assert "PRIMARY KEY (tree_id=? AND node_id>? AND node_id<?)" in used
+
+    def test_time_frontier_probes_each_parent_by_primary_key(self, sanitized):
+        """The frontier join walks the tree's rows in pre-order and finds
+        each parent by primary key.  A root-distance index made it a
+        range-by-range nested loop plus a sort: quadratic in the tree."""
+        with CrimsonStore.open() as store:
+            store.load_tree(caterpillar(60), name="first", f=4)
+            store.load_tree(caterpillar(80), name="second", f=4)
+            handle = store.open_tree("second")
+            with record_statements() as recorded:
+                handle.time_frontier(1.5)
+            joins = [sql for _, sql in recorded if " JOIN " in sql]
+            assert len(joins) == 1
+            plan = " | ".join(
+                row[3]
+                for row in store.db.connection.execute(
+                    "EXPLAIN QUERY PLAN " + joins[0], (1,) * joins[0].count("?")
+                )
+            )
+        assert "idx_nodes_dist" not in plan, plan
+        assert "TEMP B-TREE" not in plan, plan
+        assert "SEARCH parent USING PRIMARY KEY (tree_id=? AND node_id=?)" in plan
 
     def test_batch_walk_plans_narrow_below_the_tree(self, sanitized):
         with CrimsonStore.open() as store:

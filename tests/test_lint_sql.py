@@ -229,6 +229,40 @@ class TestSqlRules:
         assert "'idx_gone'" in findings[0].message
         assert "on table 'u'" in findings[1].message
 
+    def test_a_table_rebuild_is_checked_against_its_scratch_table(
+        self, tmp_path
+    ):
+        """The copy a rebuild creates is a known table to the statements
+        that fill and rename it, ``RENAME TO`` names a table, and a
+        statement reaching ``StoredTree._scan`` is checked too."""
+        (tmp_path / "storage").mkdir()
+        (tmp_path / "storage" / "schema.py").write_text(
+            'TABLE_COLUMNS = {"t": ("k", "v")}\n'
+            "DDL_STATEMENTS = (\n"
+            '    "CREATE TABLE IF NOT EXISTS t (k INTEGER, v TEXT)",\n'
+            ")\n"
+            "SHARD_DDL_STATEMENTS = ()\n"
+        )
+        (tmp_path / "storage" / "migrate.py").write_text(
+            "def rebuild(db, handle):\n"
+            '    db.execute("CREATE TABLE t_new (k INTEGER, v TEXT)")\n'
+            '    db.execute("INSERT INTO t_new SELECT * FROM t")\n'
+            '    db.execute("DROP TABLE t")\n'
+            '    db.execute("ALTER TABLE t_new RENAME TO t")\n'
+            '    db.execute("INSERT INTO t_old SELECT * FROM t")\n'
+            '    db.execute("SELECT w FROM t_new")\n'
+            '    handle._scan("SELECT * FROM t INDEXED BY idx_gone", ())\n'
+        )
+        _, findings = lint_project(tmp_path, SQL)
+        assert [(f.rule, f.line) for f in findings] == [
+            ("sql-schema", 6),
+            ("sql-schema", 7),
+            ("sql-schema", 8),
+        ]
+        assert "'t_old'" in findings[0].message
+        assert "'w'" in findings[1].message
+        assert "'idx_gone'" in findings[2].message
+
 
 class TestWireRules:
     def test_seeded_violations_are_found(self):

@@ -172,6 +172,25 @@ class TestStoreVerification:
             assert orphaned[0].tree_name == "<shard 1>"
             assert str(victim.tree_id) in orphaned[0].problems[0]
 
+    def test_verify_reports_orphan_rows_on_a_single_file(self, tmp_path):
+        """No foreign key ties the tree data to the catalogue, on the
+        primary file either, so the sweep is what finds uncatalogued
+        rows there."""
+        from repro.storage.store import CrimsonStore
+
+        with CrimsonStore.open(tmp_path / "v.db") as store:
+            self._seed(store)
+            victim = store.trees.info("deep")
+            with store.db.transaction() as connection:
+                connection.execute(
+                    "DELETE FROM trees WHERE tree_id = ?", (victim.tree_id,)
+                )
+            reports = store.verify()
+            orphaned = [r for r in reports if not r.ok]
+            assert len(orphaned) == 1
+            assert orphaned[0].tree_name == "<shard 0>"
+            assert str(victim.tree_id) in orphaned[0].problems[0]
+
 
 class TestCliVerify:
     def test_verify_ok(self, tmp_path, capsys):
