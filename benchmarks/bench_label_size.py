@@ -6,8 +6,7 @@ to hurt query performance"; the layered scheme "bounds the size of
 labels to a constant f".
 
 Measured here on caterpillar trees (depth = n-1, the worst case) and a
-balanced control, with the f ablation {4, 8, 16, 32} DESIGN.md calls
-out.  The benchmark times index construction at the deepest setting.
+balanced control, with an f ablation over {4, 8, 16, 32}.  The benchmark times index construction at the deepest setting.
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ def test_label_bound_ablation(benchmark, report):
 
 
 def test_label_encoding_ablation(benchmark, report):
-    """DESIGN.md ablation: tuple-compare vs string-compare labels.
+    """Ablation: tuple-compare vs string-compare labels.
 
     The in-memory index compares tuples; the relational store compares
     dotted strings (SQL TEXT).  Both are correct — this measures the

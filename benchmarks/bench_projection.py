@@ -38,7 +38,7 @@ def test_projection_indexed(benchmark, gold, k):
 
 def test_projection_sql_backed(benchmark, gold, report):
     """E5 extension: the projection computed entirely over SQL — no
-    gold-standard materialization at all (DESIGN.md challenge 1)."""
+    gold-standard materialization at all."""
     from repro.storage.projection import project_stored
     from repro.storage.store import CrimsonStore
 

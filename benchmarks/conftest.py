@@ -5,7 +5,7 @@ also produces the *rows/series* the paper's figures would show (label
 sizes, accuracy tables, depth statistics).  Tests push those rows
 through the ``report`` fixture; they are printed together in the
 terminal summary so ``pytest benchmarks/ --benchmark-only`` ends with a
-readable paper-versus-measured record (the source for EXPERIMENTS.md).
+readable paper-versus-measured record.
 """
 
 from __future__ import annotations

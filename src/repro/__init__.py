@@ -3,8 +3,9 @@
 A faithful Python reproduction of the VLDB 2006 demonstration paper
 "Crimson: A Data Management System to Support Evaluating Phylogenetic
 Tree Reconstruction Algorithms" (Zheng, Fisher, Cohen, Guo, Kim,
-Davidson).  See DESIGN.md for the system inventory and EXPERIMENTS.md for
-the paper-versus-measured record.
+Davidson).  See the "Layout" section of README.md for the system
+inventory, and ROADMAP.md for the measured state of each layer; the
+benchmarks under ``benchmarks/`` print the paper-versus-measured record.
 
 Public API highlights
 ---------------------

@@ -12,16 +12,88 @@ With ``f = 2`` on the paper's Figure-1 tree this produces exactly the
 Figure-4 structure: block 1 = ``{R, Syn, A, Bsu, Bha, x}`` with ``x`` as a
 boundary leaf labeled ``2.1``, and block 2 rooted at a copy of ``x``
 containing ``{Lla, Spy}``.
+
+:func:`decompose_ranks` does the work in rank space.  Its tree is a list
+of per-rank child lists whose ranks number the nodes in pre-order: the
+``children`` column of :func:`~repro.trees.traversal.preorder_columns`
+for an input tree, or the block tree one layer down for the index's
+upper layers (block ids are themselves a pre-order of the block tree).
+One pass in rank order visits every node after its parent, hands each
+child its block, label and dotted label text, and collects each block's
+members in pre-order.  :func:`decompose` is the ``Node``-facing view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
-from repro.errors import QueryError
 from repro.core.dewey import DeweyLabel
+from repro.errors import QueryError
 from repro.trees.node import Node
+from repro.trees.traversal import preorder_columns
 from repro.trees.tree import PhyloTree
+
+
+class RankBlocks(NamedTuple):
+    """One layer's decomposition, indexed by rank and by block id.
+
+    Block ids are dense and follow the pre-order of the boundary nodes
+    that open them, so they number the block tree in pre-order too.
+    """
+
+    #: Block of each rank's canonical position.
+    block: list[int]
+    #: Local label of each rank, and the same label as dotted text.
+    labels: list[DeweyLabel]
+    texts: list[str]
+    #: Rank of each block's root (0 for the top block).  A split
+    #: block's root is the boundary node; its canonical position is in
+    #: the parent block, ``block[roots[b]]``.
+    roots: list[int]
+    #: Each block's member ranks in pre-order.  The top block's list
+    #: starts with rank 0; a split block's leaves out its root.
+    members: list[list[int]]
+
+
+def decompose_ranks(children: Sequence[Sequence[int]], f: int) -> RankBlocks:
+    """Cut the pre-ordered tree ``children`` into blocks of local depth
+    ≤ ``f``.
+
+    Raises
+    ------
+    QueryError
+        If ``f < 1``.
+    """
+    if f < 1:
+        raise QueryError(f"decomposition bound f must be >= 1, got {f}")
+    size = len(children)
+    block = [0] * size
+    labels: list[DeweyLabel] = [()] * size
+    texts = [""] * size
+    roots = [0]
+    members: list[list[int]] = [[]]
+    digits = [str(position) for position in range(max(map(len, children)) + 1)]
+    for rank, kids in enumerate(children):
+        home = block[rank]
+        members[home].append(rank)
+        if not kids:
+            continue
+        label = labels[rank]
+        if len(label) == f:
+            # Boundary: the children open a block rooted at a copy of
+            # this node, whose label there is ε.
+            home = len(roots)
+            roots.append(rank)
+            members.append([])
+            label, prefix = (), ""
+        else:
+            prefix = texts[rank] + "." if label else ""
+        for position, child in enumerate(kids, 1):
+            block[child] = home
+            labels[child] = label + (position,)
+            texts[child] = prefix + digits[position]
+    return RankBlocks(block, labels, texts, roots, members)
 
 
 @dataclass
@@ -121,49 +193,30 @@ def decompose(tree: PhyloTree, f: int) -> Decomposition:
     ------
     QueryError
         If ``f < 1``.
+    TreeStructureError
+        If a child's ``parent`` points elsewhere or a child is listed
+        twice (see :func:`~repro.trees.traversal.preorder_columns`).
     """
-    if f < 1:
-        raise QueryError(f"decomposition bound f must be >= 1, got {f}")
-
-    blocks: list[Block] = []
-    block_of: dict[int, int] = {}
-    label_of: dict[int, DeweyLabel] = {}
-
-    top = Block(block_id=0, root=tree.root)
-    blocks.append(top)
-    top.members.append((tree.root, ()))
-
-    # Work items: (node, block_id, local_label), popped in true pre-order
-    # (children are pushed reversed onto the LIFO stack).  A node's
-    # canonical position is recorded when *it* is visited, so every
-    # block's ``members`` list honours the dataclass's "in pre-order"
-    # contract.  Children are placed either in the node's own block
-    # (label grows) or, when the node sits at local depth f, in a fresh
-    # block rooted at the node's copy.
-    stack: list[tuple[Node, int, DeweyLabel]] = [(tree.root, 0, ())]
-    while stack:
-        node, block_id, label = stack.pop()
-        block_of[id(node)] = block_id
-        label_of[id(node)] = label
-        if node is not tree.root:
-            blocks[block_id].members.append((node, label))
-        if not node.children:
-            continue
-        if len(label) == f:
-            # Boundary: split a new block off this node.
-            child_block = Block(
-                block_id=len(blocks),
-                root=node,
-                source_block=block_id,
-                source_label=label,
-            )
-            blocks.append(child_block)
-            block_id = child_block.block_id
-            label = ()
-        for order, child in reversed(list(enumerate(node.children, start=1))):
-            stack.append((child, block_id, label + (order,)))
-
-    return Decomposition(tree=tree, f=f, blocks=blocks, block_of=block_of, label_of=label_of)
+    walk = preorder_columns(tree, validate=False)
+    ranks = decompose_ranks(walk.children, f)
+    nodes, block, labels = walk.nodes, ranks.block, ranks.labels
+    blocks = [
+        Block(
+            block_id=block_id,
+            root=nodes[root],
+            source_block=block[root] if block_id else None,
+            source_label=labels[root] if block_id else None,
+            members=[(nodes[rank], labels[rank]) for rank in members],
+        )
+        for block_id, (root, members) in enumerate(zip(ranks.roots, ranks.members))
+    ]
+    return Decomposition(
+        tree=tree,
+        f=f,
+        blocks=blocks,
+        block_of=dict(zip(map(id, nodes), block)),
+        label_of=dict(zip(map(id, nodes), labels)),
+    )
 
 
 def block_parent_tree(decomposition: Decomposition) -> dict[int, int | None]:

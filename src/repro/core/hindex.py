@@ -20,18 +20,26 @@ arguments into it along source chains, and take the local prefix there.
 The recursion visits one layer per step, so the cost is
 ``O(f · log_f(depth))`` instead of ``O(depth)``.
 
-Everything is stored in flat integer-indexed tables that mirror the
-relational schema in :mod:`repro.storage.schema` one-for-one.
+The build runs in rank space: every layer is per-rank child lists
+decomposed by :func:`~repro.core.decompose.decompose_ranks` — layer 0
+from the pre-order walk, each upper layer from the block tree below it,
+never a tree of ``Node`` objects.  The result is flat integer-indexed
+tables, original nodes as pre-order ranks and labels also in dotted
+text, mirroring :mod:`repro.storage.schema` one-for-one so a load zips
+them straight into rows.  ``Node``-facing queries map through the
+walk's rank → node list and build their lookup dicts on first use.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import compress, count
+from typing import Iterable, Sequence
 
-from repro.core.decompose import decompose
+from repro.core.decompose import decompose_ranks
 from repro.core.dewey import DeweyLabel, common_prefix, label_to_string
 from repro.errors import QueryError
 from repro.trees.node import Node
+from repro.trees.traversal import PreorderColumns, preorder_columns
 from repro.trees.tree import PhyloTree
 
 
@@ -44,28 +52,46 @@ class HierarchicalIndex:
         The tree to index.  Not modified.
     f:
         Label bound — the maximum number of components in any local
-        Dewey label.  Must be at least 1; the paper's Figure-4 example
-        uses ``f = 2``.
+        Dewey label.  Must be at least 1 (else :class:`QueryError`);
+        the paper's Figure-4 example uses ``f = 2``.
+    walk:
+        ``tree``'s pre-order walk, when the caller already made one (a
+        load walks once to validate and reuses it here); without it the
+        index walks the tree itself, refusing a broken structure with
+        :class:`~repro.errors.TreeStructureError`.
 
     Notes
     -----
     *inode* (index node) ids are dense integers covering every position in
     every layer: original nodes, boundary copies, and representative nodes
     of upper layers.  *Block* ids are dense integers across all layers.
+    Inodes are numbered layer by layer, block by block, and within a
+    block as its ε copy (split blocks only) followed by its members in
+    pre-order.
     """
 
-    def __init__(self, tree: PhyloTree, f: int) -> None:
-        if f < 1:
-            raise QueryError(f"label bound f must be >= 1, got {f}")
+    def __init__(
+        self, tree: PhyloTree, f: int, walk: PreorderColumns | None = None
+    ) -> None:
         self.tree = tree
         self.f = f
+        if walk is None:
+            walk = preorder_columns(tree, validate=False)
+        #: Rank → original node; ``inode_orig`` holds ranks into it.
+        self.nodes = walk.nodes
 
         # Flat inode tables, indexed by inode id.
         self.inode_layer: list[int] = []
         self.inode_block: list[int] = []
         self.inode_label: list[DeweyLabel] = []
-        self.inode_orig: list[Node | None] = []
+        #: The local label in the stored dotted form ("" for ε).
+        self.inode_text: list[str] = []
+        #: Pre-order rank of the original node at this position, for
+        #: every layer-0 inode (a boundary copy records its root).
+        self.inode_orig: list[int | None] = []
         self.inode_represents: list[int | None] = []
+        #: True for each original node's one canonical inode.
+        self.inode_canonical: list[bool] = []
 
         # Flat block tables, indexed by global block id.
         self.block_layer: list[int] = []
@@ -73,131 +99,71 @@ class HierarchicalIndex:
         self.block_source_inode: list[int | None] = []
         self.block_rep_inode: list[int | None] = []
 
-        self._inode_of_node: dict[int, int] = {}
-        self._inode_at: dict[tuple[int, DeweyLabel], int] = {}
+        self._inode_of_node: dict[int, int] | None = None
+        self._inode_at: dict[tuple[int, DeweyLabel], int] | None = None
 
-        self._build()
+        self._build(walk.children)
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
 
-    def _new_inode(
-        self,
-        layer: int,
-        block: int,
-        label: DeweyLabel,
-        orig: Node | None,
-        represents: int | None,
-    ) -> int:
-        inode_id = len(self.inode_layer)
-        self.inode_layer.append(layer)
-        self.inode_block.append(block)
-        self.inode_label.append(label)
-        self.inode_orig.append(orig)
-        self.inode_represents.append(represents)
-        self._inode_at[(block, label)] = inode_id
-        return inode_id
-
-    def _build(self) -> None:
-        layer = 0
-        current_tree = self.tree
-        # For layer >= 1, synthetic nodes stand for blocks one layer down.
-        represents_of: dict[int, int] = {}
-
+    def _build(self, children: Sequence[Sequence[int]]) -> None:
+        layer, below = 0, 0  # below: first block id one layer down
         while True:
-            decomposition = decompose(current_tree, self.f)
-            block_offset = len(self.block_layer)
-            local_to_global = {
-                block.block_id: block_offset + block.block_id
-                for block in decomposition.blocks
-            }
+            ranks = decompose_ranks(children, self.f)
+            base, first = len(self.block_layer), len(self.inode_layer)
+            # The layer's inodes as ranks; a split block's ε copy stands
+            # as its root's rank, ahead of the block's members.
+            order: list[int] = []
+            for block, (root, members) in enumerate(
+                zip(ranks.roots, ranks.members)
+            ):
+                self.block_root_inode.append(first + len(order))
+                if block:
+                    order.append(root)
+                    self.inode_label.append(())
+                    self.inode_text.append("")
+                    self.inode_canonical.append(False)
+                order += members
+                self.inode_block += [base + block] * (len(members) + (block > 0))
+                self.inode_label += map(ranks.labels.__getitem__, members)
+                self.inode_text += map(ranks.texts.__getitem__, members)
+                self.inode_canonical += [layer == 0] * len(members)
+            size = len(order)
+            self.inode_layer += [layer] * size
+            # A root's canonical slot precedes its copy's, so filled in
+            # reverse the canonical slot is written last and sticks.
+            canonical = dict(
+                zip(reversed(order), range(first + size - 1, first - 1, -1))
+            )
+            if layer == 0:
+                self.inode_orig += order
+                self.inode_represents += [None] * size
+            else:
+                # Node ``rank`` of this layer stands for block
+                # ``below + rank``, and its canonical inode represents it.
+                self.inode_orig += [None] * size
+                self.inode_represents += [below + rank for rank in order]
+                self.block_rep_inode[below:] = map(
+                    canonical.__getitem__, range(base - below)
+                )
 
-            # Register blocks (source inodes are wired after members exist).
-            for block in decomposition.blocks:
-                self.block_layer.append(layer)
-                self.block_root_inode.append(-1)  # patched below
-                self.block_source_inode.append(None)
-                self.block_rep_inode.append(None)
-
-            # Canonical member inodes.  The top block's member list starts
-            # with the layer root at label ε, which doubles as its root
-            # inode; split blocks get an explicit ε root copy.
-            for block in decomposition.blocks:
-                global_id = local_to_global[block.block_id]
-                if not block.is_top:
-                    root_inode = self._new_inode(
-                        layer,
-                        global_id,
-                        (),
-                        block.root if layer == 0 else None,
-                        represents_of.get(id(block.root)),
-                    )
-                    self.block_root_inode[global_id] = root_inode
-                for node, label in block.members:
-                    inode = self._new_inode(
-                        layer,
-                        global_id,
-                        label,
-                        node if layer == 0 else None,
-                        represents_of.get(id(node)),
-                    )
-                    if layer == 0:
-                        self._inode_of_node[id(node)] = inode
-                    if not label:  # the layer root in the top block
-                        self.block_root_inode[global_id] = inode
-
-            # Wire source inodes: the boundary copy lives in the parent
-            # block at the label decompose() recorded.
-            for block in decomposition.blocks:
-                if block.is_top:
-                    continue
-                global_id = local_to_global[block.block_id]
-                source_global = local_to_global[block.source_block]
-                assert block.source_label is not None
-                self.block_source_inode[global_id] = self._inode_at[
-                    (source_global, block.source_label)
-                ]
-
-            if len(decomposition.blocks) == 1:
+            blocks = len(ranks.roots)
+            self.block_layer += [layer] * blocks
+            self.block_source_inode.append(None)
+            self.block_source_inode += [canonical[root] for root in ranks.roots[1:]]
+            self.block_rep_inode += [None] * blocks
+            if blocks == 1:
                 break
-
-            # Build the next layer's tree: one synthetic node per block,
-            # children attached in block-creation order under the block
-            # holding their source node.
-            synthetic: dict[int, Node] = {}
-            next_represents: dict[int, int] = {}
-            for block in decomposition.blocks:
-                node = Node()
-                synthetic[block.block_id] = node
-                next_represents[id(node)] = local_to_global[block.block_id]
-            layer_root: Node | None = None
-            for block in decomposition.blocks:
-                if block.is_top:
-                    layer_root = synthetic[block.block_id]
-                else:
-                    synthetic[block.source_block].add_child(
-                        synthetic[block.block_id]
-                    )
-            assert layer_root is not None
-            current_tree = PhyloTree(layer_root)
-            represents_of = next_represents
-            layer += 1
+            # The next layer's tree: one node per block, children in
+            # block-id order under the block holding their source node.
+            children = [[] for _ in range(blocks)]
+            for block, root in enumerate(ranks.roots[1:], 1):
+                children[ranks.block[root]].append(block)
+            layer, below = layer + 1, base
 
         self.n_layers = layer + 1
-
-        # Patch rep inodes: block B at layer k is represented by the
-        # canonical inode of its synthetic node at layer k+1.
-        for inode_id, block_id in enumerate(self.inode_represents):
-            if block_id is None:
-                continue
-            # Prefer the canonical (non-root, deeper-label) position; the
-            # ε copy of a boundary synthetic node must not shadow it.
-            current = self.block_rep_inode[block_id]
-            if current is None or len(self.inode_label[inode_id]) > len(
-                self.inode_label[current]
-            ):
-                self.block_rep_inode[block_id] = inode_id
 
     # ------------------------------------------------------------------
     # Label accessors
@@ -211,6 +177,12 @@ class HierarchicalIndex:
         QueryError
             If ``node`` is not part of the indexed tree.
         """
+        if self._inode_of_node is None:
+            nodes, orig = self.nodes, self.inode_orig
+            self._inode_of_node = {
+                id(nodes[orig[inode]]): inode  # type: ignore[index]
+                for inode in compress(count(), self.inode_canonical)
+            }
         try:
             return self._inode_of_node[id(node)]
         except KeyError:
@@ -235,7 +207,7 @@ class HierarchicalIndex:
         result = self._lca_inode(self.inode_of(a), self.inode_of(b))
         orig = self.inode_orig[result]
         assert orig is not None, "layer-0 LCA inode must map to an original node"
-        return orig
+        return self.nodes[orig]
 
     def lca_many(self, nodes: Iterable[Node]) -> Node:
         """LCA of any non-empty collection of nodes.
@@ -271,7 +243,7 @@ class HierarchicalIndex:
         block_b = self.inode_block[b]
         if block_a == block_b:
             label = common_prefix(self.inode_label[a], self.inode_label[b])
-            return self._inode_at[(block_a, label)]
+            return self._at(block_a, label)
         rep_a = self.block_rep_inode[block_a]
         rep_b = self.block_rep_inode[block_b]
         assert rep_a is not None and rep_b is not None, (
@@ -283,7 +255,15 @@ class HierarchicalIndex:
         a2 = self._ancestor_in_block(a, target_block)
         b2 = self._ancestor_in_block(b, target_block)
         label = common_prefix(self.inode_label[a2], self.inode_label[b2])
-        return self._inode_at[(target_block, label)]
+        return self._at(target_block, label)
+
+    def _at(self, block: int, label: DeweyLabel) -> int:
+        """The inode at ``label`` in ``block``."""
+        if self._inode_at is None:
+            self._inode_at = dict(
+                zip(zip(self.inode_block, self.inode_label), count())
+            )
+        return self._inode_at[(block, label)]
 
     def _ancestor_in_block(self, inode: int, target_block: int) -> int:
         """Hop along source nodes until reaching ``target_block``."""
@@ -299,9 +279,7 @@ class HierarchicalIndex:
 
     def max_label_length(self) -> int:
         """Largest local label length across all layers (≤ ``f``)."""
-        if not self.inode_label:
-            return 0
-        return max(len(label) for label in self.inode_label)
+        return max(map(len, self.inode_label), default=0)
 
     def total_label_bytes(self) -> int:
         """Byte cost of all local labels in dotted-string form.
@@ -310,7 +288,7 @@ class HierarchicalIndex:
         for experiment E3; includes the upper-layer bookkeeping labels so
         the comparison is fair.
         """
-        return sum(len(label_to_string(label)) for label in self.inode_label)
+        return sum(map(len, self.inode_text))
 
     def n_blocks(self, layer: int | None = None) -> int:
         """Number of blocks, optionally restricted to one layer."""

@@ -17,7 +17,7 @@ as namespaces.  The layers underneath:
 * :mod:`repro.storage.pool` — pooled read-only WAL connections and the
   per-shard connection bundle,
 * :mod:`repro.storage.database` — sqlite connection management,
-* :mod:`repro.storage.schema` — DDL (see DESIGN.md §6),
+* :mod:`repro.storage.schema` — the DDL and its version upgrades,
 * :mod:`repro.storage.engine` — the stored-query engine: bounded LRU row
   caches and batched ``IN (...)`` fetches behind every query handle,
 * :mod:`repro.storage.cache` — the LRU cache primitive and its stats,

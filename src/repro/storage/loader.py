@@ -189,7 +189,6 @@ class DataLoader:
     ) -> StoredTree:
         """Load a bare Newick string as a structure-only tree."""
         tree = parse_newick(text)
-        validate_tree(tree, require_leaf_names=True)
         self.report(f"loading tree {name!r} ({tree.size()} nodes)...")
         handle = self.trees.store_tree(tree, name=name, f=f)
         self.report(
@@ -218,7 +217,6 @@ class DataLoader:
         This is the programmatic path the simulation pipeline uses to
         register freshly generated gold standards.
         """
-        validate_tree(tree, require_leaf_names=True)
         handle = self.trees.store_tree(tree, name=name, f=f)
         if sequences:
             self.species.attach_sequences(handle, sequences, char_type=char_type)

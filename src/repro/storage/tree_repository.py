@@ -115,7 +115,8 @@ def _insert_tree_rows(
 ) -> None:
     """Stream one tree's ``nodes``/``inodes``/``blocks`` rows into
     :func:`_insert_chunked`, zipped straight from ``walk``'s columns and
-    ``index``'s flat tables."""
+    ``index``'s rank-space tables (labels already carry their dotted
+    text, original nodes are already ranks)."""
     nodes = walk.nodes
     _insert_chunked(
         connection,
@@ -135,11 +136,6 @@ def _insert_tree_rows(
         ),
     )
 
-    rank = dict(zip(map(id, nodes), count()))
-    canonical = [False] * index.n_inodes()
-    for inode_id in getattr(index, "_inode_of_node").values():
-        canonical[inode_id] = True
-    labels = index.inode_label
     _insert_chunked(
         connection,
         _INSERT_INODE_CHUNK,
@@ -149,14 +145,11 @@ def _insert_tree_rows(
             count(),
             index.inode_layer,
             index.inode_block,
-            (".".join(map(str, label)) for label in labels),
-            map(len, labels),
-            (
-                rank[id(node)] if node is not None else None
-                for node in index.inode_orig
-            ),
+            index.inode_text,
+            map(len, index.inode_label),
+            index.inode_orig,
             index.inode_represents,
-            canonical,
+            index.inode_canonical,
         ),
     )
 
@@ -307,8 +300,11 @@ class TreeRepository:
     ) -> "StoredTree":
         """Persist ``tree`` with its layered index and return a handle.
 
-        The node columns come from one pre-order walk and every row
-        goes out in :data:`CHUNK_ROWS`-row ``INSERT`` statements.  On
+        One pre-order walk validates the tree (the checks of
+        :func:`~repro.trees.tree.validate_tree`) before any placement
+        or transaction, and yields both the node columns and the child
+        lists the index is built from; every row goes out in
+        :data:`CHUNK_ROWS`-row ``INSERT`` statements.  On
         the primary file (single-file stores and shard 0) the id
         allocation, the data rows and the catalogue row share one
         transaction: one commit per load, and a failure anywhere leaves
@@ -330,6 +326,8 @@ class TreeRepository:
         ------
         StorageError
             If no name is available or the name is already taken.
+        TreeStructureError
+            If the tree fails validation.
         """
         key = name or tree.name
         if not key:
@@ -337,8 +335,8 @@ class TreeRepository:
         if self.db.query_one("SELECT 1 FROM trees WHERE name = ?", (key,)):
             raise StorageError(f"a tree named {key!r} is already stored")
 
-        index = HierarchicalIndex(tree, f)
         walk = preorder_columns(tree)
+        index = HierarchicalIndex(tree, f, walk)
         shard = self.store.place_tree()
         data_db = self.store.shard_database(shard)
         catalogue = (

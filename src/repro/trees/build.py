@@ -1,7 +1,7 @@
 """Tree construction helpers, including the paper's worked example.
 
 :func:`sample_tree` builds the exact Figure-1 tree of the Crimson paper,
-reconstructed from the paper's textual facts (see DESIGN.md §1):
+reconstructed from the paper's textual facts:
 
 * Dewey labels ``Lla = 2.1.1`` and ``Spy = 2.1.2`` with LCA ``2.1``;
 * sampling at time 1 yields the frontier ``{Bha, x, Syn, Bsu}``;

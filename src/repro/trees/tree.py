@@ -12,6 +12,7 @@ from typing import Iterator
 
 from repro.errors import QueryError, TreeStructureError
 from repro.trees.node import Node
+from repro.trees.traversal import preorder_columns
 
 
 class PhyloTree:
@@ -280,27 +281,10 @@ class PhyloTree:
 def validate_tree(tree: PhyloTree, require_leaf_names: bool = True) -> None:
     """Check structural invariants; raise :class:`TreeStructureError` if broken.
 
-    Verifies parent/child pointer consistency, acyclicity (implied by the
-    traversal), unique leaf names (when ``require_leaf_names``), and
-    non-negative edge lengths.
+    Verifies parent/child pointer consistency, that no node is reached
+    twice, unique leaf names (all leaves named when
+    ``require_leaf_names``), and non-negative edge lengths.  This is
+    :func:`~repro.trees.traversal.preorder_columns` — the walk a load
+    makes anyway — with its columns thrown away.
     """
-    seen: set[int] = set()
-    names: set[str] = set()
-    for node in tree.root.preorder():
-        if id(node) in seen:
-            raise TreeStructureError("cycle detected: node reached twice")
-        seen.add(id(node))
-        for child in node.children:
-            if child.parent is not node:
-                raise TreeStructureError(
-                    f"child {child!r} does not point back to parent {node!r}"
-                )
-        if node.length < 0:
-            raise TreeStructureError(f"negative edge length on {node!r}")
-        if node.is_leaf:
-            if require_leaf_names and node.name is None:
-                raise TreeStructureError("unnamed leaf")
-            if node.name is not None:
-                if node.name in names:
-                    raise TreeStructureError(f"duplicate leaf name {node.name!r}")
-                names.add(node.name)
+    preorder_columns(tree, require_leaf_names=require_leaf_names)

@@ -105,13 +105,22 @@ class TestExtractionMatchesInMemory:
         handle = store.open_tree(name)
         assert stored_leaf_names(handle) == handle.fetch_tree().leaf_names()
 
+    @staticmethod
+    def rename_leaf(store, handle, old, new):
+        """Rewrite one stored leaf name in place.  Loads validate leaf
+        names, so rows like these come only from files written before
+        they did; the extraction must still mirror the in-memory error."""
+        store.db.execute(
+            "UPDATE nodes SET name = ? WHERE tree_id = ? AND name = ?",
+            (new, handle.info.tree_id, old),
+        )
+
     def test_unnamed_leaf_raises_like_in_memory(self, store):
         root = Node("r")
         root.new_child("a", 1.0)
-        root.add_child(Node(None, 1.0))  # an unnamed leaf
-        # The loader's validation refuses such trees; store directly to
-        # prove the extraction itself mirrors the in-memory error.
+        root.new_child("b", 1.0)
         handle = store.trees.store_tree(PhyloTree(root), name="unnamed")
+        self.rename_leaf(store, handle, "b", None)  # an unnamed leaf
         with pytest.raises(QueryError, match="unnamed leaves"):
             stored_clusters(handle)
         # The in-memory path refuses too (via leaf_names' structural
@@ -124,8 +133,9 @@ class TestExtractionMatchesInMemory:
         inner = root.new_child(None, 1.0)
         inner.new_child("dup", 1.0)
         inner.new_child("other", 1.0)
-        root.new_child("dup", 1.0)
+        root.new_child("twin", 1.0)
         handle = store.trees.store_tree(PhyloTree(root), name="dupes")
+        self.rename_leaf(store, handle, "twin", "dup")
         with pytest.raises(QueryError, match="duplicate leaf names"):
             stored_bipartitions(handle)
         # Rooted clusters tolerate duplicates, exactly like in-memory.

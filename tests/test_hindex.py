@@ -154,3 +154,39 @@ class TestVeryDeepTree:
         leaves = list(tree.root.leaves())
         first, last = leaves[0], leaves[-1]
         assert index.lca(first, last) is naive_lca(first, last)
+
+
+class TestRankSpaceBuild:
+    """The build runs on the walk's rank tables: upper layers are child
+    lists of blocks, not trees of synthetic nodes."""
+
+    def test_no_node_or_tree_is_created(self, monkeypatch):
+        tree = caterpillar(2500)  # 4,999 nodes, depth 2,499
+        created = {"Node": 0, "PhyloTree": 0}
+        for cls in (Node, PhyloTree):
+            original = cls.__init__
+
+            def counting(self, *args, _original=original, _name=cls.__name__, **kwargs):
+                created[_name] += 1
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        index = HierarchicalIndex(tree, 2)
+        assert index.n_layers >= 3
+        assert created == {"Node": 0, "PhyloTree": 0}
+
+    def test_hundred_thousand_deep_caterpillar(self):
+        # Linked by hand: add_child's cycle check walks to the root, which
+        # would make building the caterpillar itself quadratic.
+        root = spine = Node("root")
+        for depth in range(1, 100_001):
+            for child in (Node(f"t{depth}", 1.0), Node(None, 1.0)):
+                child.parent = spine
+                spine.children.append(child)
+            spine = child
+        tree = PhyloTree(root)
+        index = HierarchicalIndex(tree, 2)
+        assert index.max_label_length() <= 2
+        first_leaf, deepest = root.children[0], spine
+        assert index.lca(deepest, first_leaf) is root
+        assert index.lca(deepest, spine.parent.children[0]) is spine.parent

@@ -167,3 +167,12 @@ class TestValidation:
         fig1.find("Lla").parent = fig1.root
         with pytest.raises(TreeStructureError):
             validate_tree(fig1)
+
+    def test_cycle_through_the_root_rejected(self, fig1):
+        # Every back-pointer agrees, so only the root's own parent
+        # pointer shows the cycle; the walk must stop, not loop.
+        leaf = fig1.find("Lla")
+        leaf.children.append(fig1.root)
+        fig1.root.parent = leaf
+        with pytest.raises(TreeStructureError):
+            validate_tree(fig1)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import repro.storage.tree_repository as tree_repository
+from reference_hindex import ReferenceIndex
 from repro.core.dewey import label_to_string
-from repro.core.hindex import HierarchicalIndex
 from repro.errors import QueryError, StorageError
 from repro.simulation.birth_death import yule_tree
 from repro.storage.store import CrimsonStore
@@ -224,8 +224,9 @@ SHAPES = {
 
 def expected_rows(tree, f, tree_id):
     """The rows and catalogue figures of ``tree``, built from the
-    node pointers, ``PhyloTree``'s own tables and the in-memory index —
-    none of the loader's code."""
+    node pointers, ``PhyloTree``'s own tables and the ``Node``-based
+    reference index of ``tests/reference_hindex.py`` — none of the
+    loader's or the production index's code."""
     order = list(tree.preorder())
     rank = {id(node): position for position, node in enumerate(order)}
     depths = tree.depths()
@@ -250,7 +251,7 @@ def expected_rows(tree, f, tree_id):
         )
         for node in order
     ]
-    index = HierarchicalIndex(tree, f)
+    index = ReferenceIndex(tree, f)
     canonical = {index.inode_of(node) for node in order}
     inodes = [
         (
@@ -268,7 +269,7 @@ def expected_rows(tree, f, tree_id):
             index.inode_represents[inode],
             int(inode in canonical),
         )
-        for inode in range(index.n_inodes())
+        for inode in range(len(index.inode_layer))
     ]
     blocks = [
         (
@@ -279,14 +280,14 @@ def expected_rows(tree, f, tree_id):
             index.block_source_inode[block],
             index.block_rep_inode[block],
         )
-        for block in range(index.n_blocks())
+        for block in range(len(index.block_layer))
     ]
     catalogue = (
         len(order),
         tree.n_leaves(),
         tree.max_depth(),
         index.n_layers,
-        index.n_blocks(),
+        len(index.block_layer),
     )
     return {"nodes": nodes, "inodes": inodes, "blocks": blocks}, catalogue
 
