@@ -26,16 +26,19 @@ from the pre-order walk, each upper layer from the block tree below it,
 never a tree of ``Node`` objects.  The result is flat integer-indexed
 tables, original nodes as pre-order ranks and labels also in dotted
 text, mirroring :mod:`repro.storage.schema` one-for-one so a load zips
-them straight into rows.  ``Node``-facing queries map through the
-walk's rank → node list and build their lookup dicts on first use.
+them straight into rows.  Layer 0's tables are the decomposition's
+per-rank lists as they come, so inode ``r`` *is* rank ``r``'s
+canonical position and finding it needs no lookup.  ``Node``-facing
+queries map through the walk's rank → node list and build their lookup
+dicts on first use.
 """
 
 from __future__ import annotations
 
-from itertools import compress, count
+from itertools import count
 from typing import Iterable, Sequence
 
-from repro.core.decompose import decompose_ranks
+from repro.core.decompose import RankBlocks, decompose_ranks
 from repro.core.dewey import DeweyLabel, common_prefix, label_to_string
 from repro.errors import QueryError
 from repro.trees.node import Node
@@ -65,9 +68,11 @@ class HierarchicalIndex:
     *inode* (index node) ids are dense integers covering every position in
     every layer: original nodes, boundary copies, and representative nodes
     of upper layers.  *Block* ids are dense integers across all layers.
-    Inodes are numbered layer by layer, block by block, and within a
-    block as its ε copy (split blocks only) followed by its members in
-    pre-order.
+    Inode ``r`` for ``r < n`` (the tree's node count) is the node of
+    pre-order rank ``r``'s canonical position, in layer 0.  From ``n``
+    on come the ε copies rooting layer 0's split blocks, in block order,
+    then the upper layers one by one, each block by block as its ε copy
+    (split blocks only) followed by its members in pre-order.
     """
 
     def __init__(
@@ -90,8 +95,6 @@ class HierarchicalIndex:
         #: every layer-0 inode (a boundary copy records its root).
         self.inode_orig: list[int | None] = []
         self.inode_represents: list[int | None] = []
-        #: True for each original node's one canonical inode.
-        self.inode_canonical: list[bool] = []
 
         # Flat block tables, indexed by global block id.
         self.block_layer: list[int] = []
@@ -109,50 +112,23 @@ class HierarchicalIndex:
     # ------------------------------------------------------------------
 
     def _build(self, children: Sequence[Sequence[int]]) -> None:
-        layer, below = 0, 0  # below: first block id one layer down
+        ranks = decompose_ranks(children, self.f)
+        size, roots = len(children), ranks.roots
+        # Layer 0: inode ``r`` is rank ``r``'s canonical position, and
+        # the split blocks' ε copies follow in block order.
+        copies = len(roots) - 1
+        self.inode_layer = [0] * (size + copies)
+        self.inode_block = ranks.block + list(range(1, len(roots)))
+        self.inode_label = ranks.labels + [()] * copies
+        self.inode_text = ranks.texts + [""] * copies
+        self.inode_orig = [*range(size), *roots[1:]]
+        self.inode_represents = [None] * (size + copies)
+        self.block_root_inode = [0, *range(size, size + copies)]
+        self.block_source_inode = [None, *roots[1:]]
+        layer, below = 0, 0  # below: first block id of ``layer``
         while True:
-            ranks = decompose_ranks(children, self.f)
-            base, first = len(self.block_layer), len(self.inode_layer)
-            # The layer's inodes as ranks; a split block's ε copy stands
-            # as its root's rank, ahead of the block's members.
-            order: list[int] = []
-            for block, (root, members) in enumerate(
-                zip(ranks.roots, ranks.members)
-            ):
-                self.block_root_inode.append(first + len(order))
-                if block:
-                    order.append(root)
-                    self.inode_label.append(())
-                    self.inode_text.append("")
-                    self.inode_canonical.append(False)
-                order += members
-                self.inode_block += [base + block] * (len(members) + (block > 0))
-                self.inode_label += map(ranks.labels.__getitem__, members)
-                self.inode_text += map(ranks.texts.__getitem__, members)
-                self.inode_canonical += [layer == 0] * len(members)
-            size = len(order)
-            self.inode_layer += [layer] * size
-            # A root's canonical slot precedes its copy's, so filled in
-            # reverse the canonical slot is written last and sticks.
-            canonical = dict(
-                zip(reversed(order), range(first + size - 1, first - 1, -1))
-            )
-            if layer == 0:
-                self.inode_orig += order
-                self.inode_represents += [None] * size
-            else:
-                # Node ``rank`` of this layer stands for block
-                # ``below + rank``, and its canonical inode represents it.
-                self.inode_orig += [None] * size
-                self.inode_represents += [below + rank for rank in order]
-                self.block_rep_inode[below:] = map(
-                    canonical.__getitem__, range(base - below)
-                )
-
             blocks = len(ranks.roots)
             self.block_layer += [layer] * blocks
-            self.block_source_inode.append(None)
-            self.block_source_inode += [canonical[root] for root in ranks.roots[1:]]
             self.block_rep_inode += [None] * blocks
             if blocks == 1:
                 break
@@ -161,9 +137,47 @@ class HierarchicalIndex:
             children = [[] for _ in range(blocks)]
             for block, root in enumerate(ranks.roots[1:], 1):
                 children[ranks.block[root]].append(block)
-            layer, below = layer + 1, base
+            ranks = decompose_ranks(children, self.f)
+            layer, base = layer + 1, len(self.block_layer)
+            self._upper_layer(layer, base, below, ranks)
+            below = base
 
         self.n_layers = layer + 1
+
+    def _upper_layer(
+        self, layer: int, base: int, below: int, ranks: RankBlocks
+    ) -> None:
+        """Append one upper layer's inodes, block by block: a split
+        block's ε copy, then its members in pre-order.  Node ``rank`` of
+        the layer stands for block ``below + rank`` one layer down."""
+        first = len(self.inode_layer)
+        # The layer's inodes as ranks; an ε copy stands as its root's.
+        order: list[int] = []
+        for block, (root, members) in enumerate(zip(ranks.roots, ranks.members)):
+            self.block_root_inode.append(first + len(order))
+            if block:
+                order.append(root)
+                self.inode_label.append(())
+                self.inode_text.append("")
+            order += members
+            self.inode_block += [base + block] * (len(members) + (block > 0))
+            self.inode_label += map(ranks.labels.__getitem__, members)
+            self.inode_text += map(ranks.texts.__getitem__, members)
+        size = len(order)
+        self.inode_layer += [layer] * size
+        self.inode_orig += [None] * size
+        self.inode_represents += [below + rank for rank in order]
+        # A root's canonical slot precedes its copy's, so filled in
+        # reverse the canonical slot is written last and sticks.
+        canonical = dict(
+            zip(reversed(order), range(first + size - 1, first - 1, -1))
+        )
+        # Each block one layer down is represented by its canonical inode.
+        self.block_rep_inode[below:base] = map(
+            canonical.__getitem__, range(base - below)
+        )
+        self.block_source_inode.append(None)
+        self.block_source_inode += [canonical[root] for root in ranks.roots[1:]]
 
     # ------------------------------------------------------------------
     # Label accessors
@@ -178,11 +192,7 @@ class HierarchicalIndex:
             If ``node`` is not part of the indexed tree.
         """
         if self._inode_of_node is None:
-            nodes, orig = self.nodes, self.inode_orig
-            self._inode_of_node = {
-                id(nodes[orig[inode]]): inode  # type: ignore[index]
-                for inode in compress(count(), self.inode_canonical)
-            }
+            self._inode_of_node = dict(zip(map(id, self.nodes), count()))
         try:
             return self._inode_of_node[id(node)]
         except KeyError:

@@ -427,7 +427,7 @@ class SqlSchema(Rule):
                             f"storage/schema.py does not create on table "
                             f"{table!r}",
                         )
-                visible: set[str] = set()
+                visible = set(info.column_aliases)
                 for table in known:
                     visible.update(tables[table])
                 for qualifier, column in info.column_refs:

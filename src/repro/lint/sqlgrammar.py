@@ -96,6 +96,9 @@ class StatementInfo:
     column_refs: list[tuple[str | None, str]] = field(default_factory=list)
     #: (table, index name) of every ``INDEXED BY`` clause
     index_hints: list[tuple[str, str]] = field(default_factory=list)
+    #: output column aliases (``expr AS name``), which other clauses
+    #: and enclosing queries may reference like columns
+    column_aliases: set[str] = field(default_factory=set)
     placeholders: int = 0
 
     @property
@@ -212,11 +215,13 @@ def parse_statement(text: str) -> StatementInfo:
                     i += 2
             elif upper == "AS":
                 # alias definition: map it when a table is pending
-                # (FROM/JOIN context), otherwise skip the output alias.
+                # (FROM/JOIN context), otherwise record the output alias.
                 if i + 1 < n and tokens[i + 1].kind == "ident":
                     if pending_table is not None:
                         info.aliases[tokens[i + 1].text] = pending_table
                         pending_table = None
+                    else:
+                        info.column_aliases.add(tokens[i + 1].text)
                     i += 1
             elif upper in (
                 "WHERE", "GROUP", "ORDER", "LIMIT", "HAVING", "SET",

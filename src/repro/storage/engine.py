@@ -10,15 +10,17 @@ cheap in four ways:
 
 1. **Bounded LRU caches of typed rows.**  Stored trees are immutable,
    and the index's upper layers are tiny (``O(n/f)`` rows), so block,
-   inode, node, and canonical-inode rows are cached per handle.  A warm
-   repeat query executes **zero** SQL statements.  Each row is
-   converted once, when it is fetched, into a frozen
+   inode and node rows are cached per handle.  A warm repeat query
+   executes **zero** SQL statements.  Each row is converted once, when
+   it is fetched, into a frozen
    :mod:`repro.storage.rows` record — a ``NodeRow`` the query layer
    returns as is, an ``InodeRow`` whose Dewey label is already a tuple
    — so a hit does no column lookups and no label parsing.  Every
    fetched row is cross-populated under all its lookup keys (an inode
-   is cached by id *and* by ``(block, label tuple)``; a canonical inode
-   also by its original node id), so one access path warms the others.
+   is cached by id *and* by ``(block, label tuple)``), so one access
+   path warms the others.  Node ``r``'s canonical inode is inode ``r``
+   (schema version 4): finding it is an inode-cache lookup or a
+   primary-key fetch, with no cache of its own.
 2. **Batch fetches.**  Each point lookup has a batch twin
    (``node_rows_many``, ``canonical_inodes_many``, ``blocks_many``,
    ``inodes_many``, ``inodes_at_many``): one cache ``get`` per distinct
@@ -52,14 +54,14 @@ cheap in four ways:
 Cache knobs
 -----------
 ``cache_size`` (per-handle, default :data:`DEFAULT_CACHE_SIZE` = 4096)
-bounds **each segment** of each of the six row caches; memory is
-therefore at most ``6 · cache_size`` probationary rows plus the pinned
+bounds **each segment** of each of the five row caches; memory is
+therefore at most ``5 · cache_size`` probationary rows plus the pinned
 index rows (at most ``cache_size`` each for the inode/block caches,
 and in practice only the ``O(n/f)`` upper-layer rows) per open handle,
 plus one scan table of a tree of at most ``cache_size`` nodes (for
 analytics, the distinct non-trivial cluster bitmasks and two tuples of
 leaf names: about 570 KB for a 2,000-leaf Yule tree, below the
-four-column rows it is built from).  The six caches and the scan table
+four-column rows it is built from).  The five caches and the scan table
 are the only state: there is no module-level memo, so nothing outlives
 the handle.  A cached row is a slotted record
 no larger than the ``sqlite3.Row`` (and its value tuple) it replaces;
@@ -151,7 +153,6 @@ class StoredQueryEngine:
         self.cache_size = cache_size
         self._nodes = LRUCache(cache_size)  # node_id -> NodeRow
         self._node_ids = LRUCache(cache_size)  # name -> node_id
-        self._canonical = LRUCache(cache_size)  # node_id -> InodeRow
         self._inodes = LRUCache(cache_size)  # inode_id -> InodeRow
         self._inode_at = LRUCache(cache_size)  # (block, label) -> InodeRow
         self._blocks = LRUCache(cache_size)  # block_id -> BlockRow
@@ -175,13 +176,9 @@ class StoredQueryEngine:
         # layered walk: pin them so layer-0 scans cannot evict them.
         # Callers set ``pin`` for layer-0 rows reached through the
         # skeleton too (block root/source/rep chains — also O(n/f)).
-        # The canonical cache is keyed per node (O(n)) and stays
-        # probationary.
         pinned = pin or row.layer > 0
         self._inodes.put(row.inode_id, row, pinned=pinned)
         self._inode_at.put((row.block_id, row.label), row, pinned=pinned)
-        if row.is_canonical and row.orig_node_id is not None:
-            self._canonical.put(row.orig_node_id, row)
         return row
 
     def _remember_block(self, values: Sequence) -> BlockRow:
@@ -306,48 +303,22 @@ class StoredQueryEngine:
     # ------------------------------------------------------------------
 
     def canonical_inode(self, node_id: int) -> InodeRow | None:
-        row = self._canonical.get(node_id)
-        if row is not None:
-            return row
-        values = self.db.query_one(
-            "SELECT * FROM inodes INDEXED BY idx_inodes_orig "
-            "WHERE tree_id = ? AND orig_node_id = ? AND is_canonical = 1",
-            (self.tree_id, node_id),
-        )
-        if values is None:
-            return None
-        return self._remember_inode(as_inode_row(values))
+        """Node ``node_id``'s canonical inode, which is inode
+        ``node_id``: ``node_id`` must be a node of the tree, as an id
+        past its nodes names an ε copy or an upper-layer inode."""
+        return self.inode(node_id)
 
     def canonical_inodes_many(
         self, node_ids: Iterable[int]
     ) -> dict[int, InodeRow]:
-        """Resolve all canonical inodes of ``node_ids`` in one pass.
+        """Resolve all canonical inodes of ``node_ids`` (nodes of the
+        tree, as for :meth:`canonical_inode`) in one pass.
 
-        This is the single ``IN (...)`` query the batched LCA and
-        projection paths lean on: every per-leaf canonical inode arrives
-        in one round trip instead of one point query per leaf.
+        This is the single ``IN (...)`` primary-key fill the batched LCA
+        and projection paths lean on: every per-leaf canonical inode
+        arrives in one round trip instead of one point query per leaf.
         """
-        wanted = list(dict.fromkeys(node_ids))
-        found: dict[int, InodeRow] = {}
-        missing: list[int] = []
-        for node_id in wanted:
-            row = self._canonical.get(node_id)
-            if row is not None:
-                found[node_id] = row
-            else:
-                missing.append(node_id)
-        for chunk in chunked(missing):
-            placeholders = ",".join("?" for _ in chunk)
-            for values in self.db.query_all(
-                f"SELECT * FROM inodes INDEXED BY idx_inodes_orig "
-                f"WHERE tree_id = ? AND is_canonical = 1 "
-                f"AND orig_node_id IN ({placeholders})",
-                (self.tree_id, *chunk),
-                plain=True,
-            ):
-                row = self._remember_inode(as_inode_row(values))
-                found[row.orig_node_id] = row
-        return found
+        return self.inodes_many(node_ids)
 
     def inode(self, inode_id: int, pin: bool = False) -> InodeRow | None:
         """Fetch an inode by id; ``pin`` marks it as index skeleton.
@@ -492,7 +463,6 @@ class StoredQueryEngine:
     _CACHE_NAMES: tuple[str, ...] = (
         "nodes",
         "node_ids",
-        "canonical",
         "inodes",
         "inode_at",
         "blocks",

@@ -137,7 +137,7 @@ class DataLoader:
         stored_keys: list[str] = []
         try:
             for key, tree in planned:
-                self.report(f"loading tree {key!r} ({tree.size()} nodes)...")
+                self.report(f"loading tree {key!r}...")
                 handle = self.trees.store_tree(tree, name=key, f=f)
                 stored_keys.append(key)
                 self.report(
@@ -189,7 +189,7 @@ class DataLoader:
     ) -> StoredTree:
         """Load a bare Newick string as a structure-only tree."""
         tree = parse_newick(text)
-        self.report(f"loading tree {name!r} ({tree.size()} nodes)...")
+        self.report(f"loading tree {name!r}...")
         handle = self.trees.store_tree(tree, name=name, f=f)
         self.report(
             f"stored {name!r}: {handle.info.n_nodes} nodes, "

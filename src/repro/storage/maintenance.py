@@ -185,34 +185,22 @@ def _verify_tree_rows(db: CrimsonDatabase, info: TreeInfo) -> IntegrityReport:
     if bad_intervals:
         report.problems.append(f"{bad_intervals} broken clade intervals")
 
-    # 5. Canonical inodes: exactly one per node.
+    # 5. Canonical inodes: inode r is node r's, in layer 0.
     missing_canonical = one(
         """
         SELECT COUNT(*) FROM nodes
-        WHERE tree_id = ? AND node_id NOT IN (
-            SELECT orig_node_id FROM inodes
-            WHERE tree_id = ? AND is_canonical = 1
-              AND orig_node_id IS NOT NULL
-        )
-        """,
-        tree_id,
+        LEFT JOIN inodes
+          ON inodes.tree_id = nodes.tree_id
+         AND inodes.inode_id = nodes.node_id
+        WHERE nodes.tree_id = ?
+          AND (inodes.inode_id IS NULL OR inodes.layer != 0
+               OR inodes.orig_node_id IS NOT nodes.node_id)
+        """
     )
     if missing_canonical:
         report.problems.append(
-            f"{missing_canonical} nodes without a canonical inode"
-        )
-    duplicated_canonical = one(
-        """
-        SELECT COUNT(*) FROM (
-            SELECT orig_node_id FROM inodes
-            WHERE tree_id = ? AND is_canonical = 1 AND orig_node_id IS NOT NULL
-            GROUP BY orig_node_id HAVING COUNT(*) > 1
-        )
-        """
-    )
-    if duplicated_canonical:
-        report.problems.append(
-            f"{duplicated_canonical} nodes with multiple canonical inodes"
+            f"{missing_canonical} nodes without a canonical inode "
+            "(inode r in layer 0 holding node r)"
         )
 
     # 6. Label bound and per-block uniqueness.

@@ -55,7 +55,6 @@ class InodeRow:
     label: DeweyLabel
     orig_node_id: int | None
     represents_block_id: int | None
-    is_canonical: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,11 +84,11 @@ def as_inode_row(values: Sequence) -> InodeRow:
     """An :class:`InodeRow` from an ``inodes`` row in column order."""
     (
         _tree_id, inode_id, layer, block_id, local_label, _label_depth,
-        orig_node_id, represents_block_id, is_canonical,
+        orig_node_id, represents_block_id,
     ) = values
     return InodeRow(
         inode_id, layer, block_id, label_from_string(local_label),
-        orig_node_id, represents_block_id, bool(is_canonical),
+        orig_node_id, represents_block_id,
     )
 
 

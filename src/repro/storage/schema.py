@@ -30,6 +30,10 @@ Versions
 3. One tree-data DDL for every file: no foreign keys, and no
    ``idx_nodes_dist``/``idx_nodes_parent``, which no hot query read and
    every write maintained.
+4. Inode ``r`` is node ``r``'s canonical inode, so the
+   ``inodes.is_canonical`` flag and ``idx_inodes_orig`` (which found
+   the flagged inode of a node) are gone, and ``idx_nodes_name`` is
+   partial: it indexes named nodes only.
 
 :func:`create_schema` upgrades an older file in place, one step function
 per version.  Each step reads the file's structure (``PRAGMA
@@ -43,18 +47,22 @@ Conventions
   of a node is exactly ``node_id BETWEEN n.node_id AND n.pre_order_end``.
 * ``inodes.local_label`` stores the dotted Dewey string local to the
   block; ``label_depth`` is its component count (bounded by the tree's
-  ``f``); ``is_canonical`` marks the one inode that is a node's canonical
-  position (boundary nodes also appear as the ε root of their split
-  block).
+  ``f``).
+* Inode ``r`` is node ``r``'s canonical position, in layer 0, with
+  ``orig_node_id = r``, for every ``r < n_nodes``; the canonical inode
+  of a node is a primary-key fetch.  The other inodes follow from
+  ``n_nodes`` on: the ε copies rooting layer 0's split blocks (each
+  with its boundary node as ``orig_node_id``), then the upper layers.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 from repro.errors import StorageError
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 _META_DDL = """
     CREATE TABLE IF NOT EXISTS meta (
@@ -102,12 +110,12 @@ _CATALOGUE_DDL: tuple[str, ...] = (
 )
 
 
-def _tree_data_tables(suffix: str) -> tuple[str, ...]:
-    """``CREATE TABLE`` of ``nodes``/``blocks``/``inodes``, each name
-    followed by ``suffix``: empty in :data:`TREE_DATA_DDL`, ``_v3`` for
-    the copies the version-3 rebuild renames over the old tables."""
-    return (
-        f"""
+def _nodes_table(suffix: str) -> str:
+    """``CREATE TABLE`` of ``nodes`` under the name ``nodes`` +
+    ``suffix``: empty in :data:`TREE_DATA_DDL`, non-empty for the copy
+    a version step's rebuild renames over the old table (as are the
+    two builders below)."""
+    return f"""
         CREATE TABLE IF NOT EXISTS nodes{suffix} (
             tree_id        INTEGER NOT NULL,
             node_id        INTEGER NOT NULL,
@@ -121,8 +129,12 @@ def _tree_data_tables(suffix: str) -> tuple[str, ...]:
             is_leaf        INTEGER NOT NULL,
             PRIMARY KEY (tree_id, node_id)
         ) WITHOUT ROWID
-        """,
-        f"""
+        """
+
+
+def _blocks_table(suffix: str) -> str:
+    """``CREATE TABLE`` of ``blocks`` + ``suffix``."""
+    return f"""
         CREATE TABLE IF NOT EXISTS blocks{suffix} (
             tree_id         INTEGER NOT NULL,
             block_id        INTEGER NOT NULL,
@@ -132,8 +144,12 @@ def _tree_data_tables(suffix: str) -> tuple[str, ...]:
             rep_inode_id    INTEGER,
             PRIMARY KEY (tree_id, block_id)
         ) WITHOUT ROWID
-        """,
-        f"""
+        """
+
+
+def _inodes_table(suffix: str) -> str:
+    """``CREATE TABLE`` of ``inodes`` + ``suffix``."""
+    return f"""
         CREATE TABLE IF NOT EXISTS inodes{suffix} (
             tree_id             INTEGER NOT NULL,
             inode_id            INTEGER NOT NULL,
@@ -143,25 +159,26 @@ def _tree_data_tables(suffix: str) -> tuple[str, ...]:
             label_depth         INTEGER NOT NULL,
             orig_node_id        INTEGER,
             represents_block_id INTEGER,
-            is_canonical        INTEGER NOT NULL,
             PRIMARY KEY (tree_id, inode_id)
         ) WITHOUT ROWID
-        """,
-    )
+        """
 
 
 TREE_DATA_DDL: tuple[str, ...] = (
-    *_tree_data_tables(""),
+    _nodes_table(""),
+    _blocks_table(""),
+    _inodes_table(""),
     # Access paths of the hot queries; clade, children and scans read
-    # primary-key ranges of the pre-order ids instead.
-    "CREATE INDEX IF NOT EXISTS idx_nodes_name ON nodes(tree_id, name)",
+    # primary-key ranges of the pre-order ids, and a canonical inode is
+    # a primary-key fetch.  No name lookup can match an unnamed node,
+    # so the name index leaves them out.
+    """
+    CREATE INDEX IF NOT EXISTS idx_nodes_name
+        ON nodes(tree_id, name) WHERE name IS NOT NULL
+    """,
     """
     CREATE UNIQUE INDEX IF NOT EXISTS idx_inodes_label
         ON inodes(tree_id, block_id, local_label)
-    """,
-    """
-    CREATE INDEX IF NOT EXISTS idx_inodes_orig
-        ON inodes(tree_id, orig_node_id, is_canonical)
     """,
 )
 """The tree-data tables and their indexes, the same in every file."""
@@ -195,7 +212,6 @@ TABLE_COLUMNS: dict[str, tuple[str, ...]] = {
     "inodes": (
         "tree_id", "inode_id", "layer", "block_id", "local_label",
         "label_depth", "orig_node_id", "represents_block_id",
-        "is_canonical",
     ),
 }
 """The schema as structured data: table -> column names, in DDL order.
@@ -232,26 +248,37 @@ def _add_shard_column(connection: Any) -> None:
 _REBUILD_WITHOUT_FOREIGN_KEYS: tuple[str, ...] = (
     # SQLite cannot drop a foreign key in place.  Its documented
     # procedure: create the new table, copy, drop the old table (and
-    # with it the old indexes), rename, recreate the indexes.
-    *_tree_data_tables("_v3"),
+    # with it the old indexes), rename, recreate the indexes.  The
+    # version-4 step rebuilds ``inodes``, and its key with it.
+    _nodes_table("_v3"),
+    _blocks_table("_v3"),
     "INSERT INTO nodes_v3 SELECT * FROM nodes",
     "INSERT INTO blocks_v3 SELECT * FROM blocks",
-    "INSERT INTO inodes_v3 SELECT * FROM inodes",
     "DROP TABLE nodes",
     "DROP TABLE blocks",
-    "DROP TABLE inodes",
     "ALTER TABLE nodes_v3 RENAME TO nodes",
     "ALTER TABLE blocks_v3 RENAME TO blocks",
-    "ALTER TABLE inodes_v3 RENAME TO inodes",
     *TREE_DATA_DDL,
 )
 
 
+@contextmanager
+def _one_transaction(connection: Any) -> Iterator[None]:
+    """One transaction around a version step's statements: a failure
+    leaves the file as it was."""
+    # DDL opens no implicit transaction, so this one is explicit.
+    connection.execute("BEGIN")
+    try:
+        yield
+    except BaseException:
+        connection.rollback()
+        raise
+    connection.commit()
+
+
 def _drop_foreign_keys_and_unread_indexes(connection: Any) -> None:
     """Version 3: drop ``idx_nodes_dist`` and ``idx_nodes_parent``, and
-    rebuild tree-data tables that still reference ``trees``.
-
-    One transaction: a failure leaves the file as it was.
+    rebuild ``nodes`` and ``blocks`` if they still reference ``trees``.
     """
     indexes = {
         row[1] for row in connection.execute("PRAGMA index_list(nodes)")
@@ -260,25 +287,103 @@ def _drop_foreign_keys_and_unread_indexes(connection: Any) -> None:
     rebuild = any(
         connection.execute(f"PRAGMA foreign_key_list({table})").fetchone()
         is not None
-        for table in ("nodes", "blocks", "inodes")
+        for table in ("nodes", "blocks")
     )
     if not stale and not rebuild:
         return
-    # DDL opens no implicit transaction, so this one is explicit.
-    connection.execute("BEGIN")
-    try:
+    with _one_transaction(connection):
         connection.execute("DROP INDEX IF EXISTS idx_nodes_dist")
         connection.execute("DROP INDEX IF EXISTS idx_nodes_parent")
         if rebuild:
             for statement in _REBUILD_WITHOUT_FOREIGN_KEYS:
                 connection.execute(statement)
-    except BaseException:
-        connection.rollback()
-        raise
-    connection.commit()
 
 
-_VERSION_STEPS = (_add_shard_column, _drop_foreign_keys_and_unread_indexes)
+_RENUMBER_INODES: tuple[str, ...] = (
+    """
+    CREATE TEMP TABLE inode_ids (
+        tree_id INTEGER NOT NULL,
+        old_id  INTEGER NOT NULL,
+        new_id  INTEGER NOT NULL,
+        PRIMARY KEY (tree_id, old_id)
+    ) WITHOUT ROWID
+    """,
+    # A node's canonical inode takes the node's id; the others keep
+    # their order from n_nodes (the tree's canonical count) on.  The
+    # flag is not read but derived from the structure it mirrors (an
+    # inode is canonical unless it lies above layer 0 or is the ε copy
+    # rooting a split block), so no statement names a dropped column.
+    """
+    INSERT INTO inode_ids (tree_id, old_id, new_id)
+    SELECT tree_id, inode_id,
+           CASE WHEN canonical THEN orig_node_id
+                ELSE SUM(canonical) OVER (PARTITION BY tree_id)
+                     + ROW_NUMBER() OVER (
+                           PARTITION BY tree_id, canonical ORDER BY inode_id
+                       ) - 1
+           END
+    FROM (
+        SELECT tree_id, inode_id, orig_node_id,
+               layer = 0 AND (block_id = 0 OR label_depth > 0) AS canonical
+        FROM inodes
+    )
+    """,
+    _inodes_table("_v4"),
+    """
+    INSERT INTO inodes_v4
+    SELECT inodes.tree_id, new_id, layer, block_id, local_label,
+           label_depth, orig_node_id, represents_block_id
+    FROM inodes
+    JOIN inode_ids
+      ON inode_ids.tree_id = inodes.tree_id AND old_id = inode_id
+    """,
+    """
+    UPDATE blocks SET
+        root_inode_id = (
+            SELECT new_id FROM inode_ids
+            WHERE inode_ids.tree_id = blocks.tree_id
+              AND old_id = root_inode_id
+        ),
+        source_inode_id = (
+            SELECT new_id FROM inode_ids
+            WHERE inode_ids.tree_id = blocks.tree_id
+              AND old_id = source_inode_id
+        ),
+        rep_inode_id = (
+            SELECT new_id FROM inode_ids
+            WHERE inode_ids.tree_id = blocks.tree_id
+              AND old_id = rep_inode_id
+        )
+    """,
+    # Dropping the old table drops its indexes.
+    "DROP TABLE inodes",
+    "ALTER TABLE inodes_v4 RENAME TO inodes",
+    "DROP INDEX idx_nodes_name",
+    *TREE_DATA_DDL,
+    "DROP TABLE inode_ids",
+)
+
+
+def _number_canonical_inodes_by_node(connection: Any) -> None:
+    """Version 4: renumber the inodes so that inode ``r`` is node
+    ``r``'s canonical inode, dropping the flag column and its index, and
+    make ``idx_nodes_name`` partial.  Runs on a file whose ``inodes``
+    still has ``is_canonical``."""
+    columns = {
+        row[1] for row in connection.execute("PRAGMA table_info(inodes)")
+    }
+    if "is_canonical" not in columns:
+        return
+    with _one_transaction(connection):
+        for statement in _RENUMBER_INODES:
+            connection.execute(statement)
+
+
+_VERSION_STEPS = (
+    _add_shard_column,
+    _drop_foreign_keys_and_unread_indexes,
+    _number_canonical_inodes_by_node,
+)
 """One function per version after the first, applied in order."""
 
 

@@ -76,9 +76,9 @@ _INSERT_NODE_CHUNK = _NODES + (_NODE_ROW + ", ") * (CHUNK_ROWS - 1) + _NODE_ROW
 
 _INODES = (
     "INSERT INTO inodes (tree_id, inode_id, layer, block_id, local_label, "
-    "label_depth, orig_node_id, represents_block_id, is_canonical) VALUES "
+    "label_depth, orig_node_id, represents_block_id) VALUES "
 )
-_INODE_ROW = "(?, ?, ?, ?, ?, ?, ?, ?, ?)"
+_INODE_ROW = "(?, ?, ?, ?, ?, ?, ?, ?)"
 _INSERT_INODE = _INODES + _INODE_ROW
 _INSERT_INODE_CHUNK = (
     _INODES + (_INODE_ROW + ", ") * (CHUNK_ROWS - 1) + _INODE_ROW
@@ -149,7 +149,6 @@ def _insert_tree_rows(
             map(len, index.inode_label),
             index.inode_orig,
             index.inode_represents,
-            index.inode_canonical,
         ),
     )
 
@@ -1058,45 +1057,47 @@ class StoredTree:
 
     def fetch_tree(self) -> PhyloTree:
         """Reconstruct the full in-memory :class:`PhyloTree`."""
-        rows = self.db.query_all(
-            "SELECT node_id, parent_id, name, edge_length FROM nodes "
-            "WHERE tree_id = ? ORDER BY node_id",
-            (self._tree_id,),
+        root = self._link_rows(
+            self.db.query_all(
+                "SELECT node_id, parent_id, name, edge_length FROM nodes "
+                "WHERE tree_id = ? ORDER BY node_id",
+                (self._tree_id,),
+            )
         )
-        if not rows:
-            raise StorageError(f"tree {self.info.name!r} has no nodes")
-        nodes: dict[int, Node] = {}
-        root: Node | None = None
-        for row in rows:
-            node = Node(row["name"], row["edge_length"])
-            nodes[row["node_id"]] = node
-            if row["parent_id"] is None:
-                root = node
-            else:
-                nodes[row["parent_id"]].add_child(node)
-        assert root is not None
         return PhyloTree(root, name=self.info.name)
 
     def fetch_subtree(self, node_id: int) -> PhyloTree:
         """Reconstruct the subtree rooted at ``node_id`` (one range scan)."""
         anchor = self.node(node_id)
-        rows = self.db.query_all(
-            "SELECT node_id, parent_id, name, edge_length FROM nodes "
-            "WHERE tree_id = ? AND node_id BETWEEN ? AND ? ORDER BY node_id",
-            (self._tree_id, anchor.node_id, anchor.pre_order_end),
+        root = self._link_rows(
+            self.db.query_all(
+                "SELECT node_id, parent_id, name, edge_length FROM nodes "
+                "WHERE tree_id = ? AND node_id BETWEEN ? AND ? "
+                "ORDER BY node_id",
+                (self._tree_id, anchor.node_id, anchor.pre_order_end),
+            )
         )
-        nodes: dict[int, Node] = {}
-        root: Node | None = None
-        for row in rows:
-            node = Node(row["name"], row["edge_length"])
-            nodes[row["node_id"]] = node
-            parent_id = row["parent_id"]
-            if parent_id is not None and parent_id in nodes:
-                nodes[parent_id].add_child(node)
-            else:
-                root = node
-        assert root is not None
-        return PhyloTree(root.detach(), name=None)
+        return PhyloTree(root, name=None)
+
+    def _link_rows(self, rows: list[Row]) -> Node:
+        """The root of the ``Node`` tree of pre-ordered ``nodes`` rows.
+
+        The first row is the root; every later row's parent came before
+        it (``parent_id < node_id``), so each node is linked straight
+        to its parent: ``Node.add_child``'s cycle check walks to the
+        root, which is quadratic in the tree's depth.
+        """
+        if not rows:
+            raise StorageError(f"tree {self.info.name!r} has no nodes")
+        first, *rest = rows
+        root = Node(first["name"], first["edge_length"])
+        nodes = {first["node_id"]: root}
+        for row in rest:
+            node = nodes[row["node_id"]] = Node(row["name"], row["edge_length"])
+            parent = nodes[row["parent_id"]]
+            node.parent = parent
+            parent.children.append(node)
+        return root
 
     def __repr__(self) -> str:
         return f"StoredTree({self.info.name!r}, nodes={self.info.n_nodes})"

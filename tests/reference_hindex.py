@@ -6,9 +6,10 @@ a stack walk that decomposes a ``PhyloTree`` into blocks, and a layer
 loop that builds each upper layer as a fresh ``PhyloTree`` of synthetic
 nodes.  The code below is that construction unchanged; only the
 read-side queries are left out.  Tests compare the production tables
-(and the rows a load writes) against it, so a wrong rank-space build
-cannot also be the oracle that checks it.  It is test-only: nothing
-under ``src/`` imports it.
+(and the rows a load writes) against it, after :func:`v4_numbering`
+maps its inode ids onto schema version 4's, so a wrong rank-space
+build cannot also be the oracle that checks it.  It is test-only:
+nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -292,3 +293,33 @@ class ReferenceIndex:
             return self._inode_of_node[id(node)]
         except KeyError:
             raise QueryError("node does not belong to the indexed tree") from None
+
+
+def v4_numbering(reference: ReferenceIndex) -> tuple[list[int], list[int]]:
+    """Schema version 4's inode ids for ``reference``'s inodes.
+
+    The reference numbers inodes layer by layer, block by block, each
+    block as its ε copy then its members.  Version 4 gives the node of
+    pre-order rank ``r`` the id ``r`` for its canonical inode, and every
+    other inode keeps its relative order from ``n`` (the node count) on.
+    This is the one renumbering the oracles apply to the reference.
+
+    Returns ``(order, new_id)``: ``order[new]`` is the reference's id of
+    the inode numbered ``new``, and ``new_id[old]`` is its inverse.  It
+    asserts that the canonical inodes are ``n`` distinct layer-0 inodes,
+    each holding its own node, so that they map onto ``0..n-1``.
+    """
+    nodes = list(reference.tree.preorder())
+    canonical = [reference.inode_of(node) for node in nodes]
+    assert len(set(canonical)) == len(nodes)
+    for node, inode in zip(nodes, canonical):
+        assert reference.inode_layer[inode] == 0
+        assert reference.inode_orig[inode] is node
+    taken = set(canonical)
+    order = canonical + [
+        inode for inode in range(len(reference.inode_layer)) if inode not in taken
+    ]
+    new_id = [0] * len(order)
+    for new, old in enumerate(order):
+        new_id[old] = new
+    return order, new_id

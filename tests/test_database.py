@@ -112,9 +112,13 @@ class TestSchema:
             row["name"] for row in rows
             if not row["name"].startswith("sqlite_autoindex")
         }
-        assert names == {"idx_nodes_name", "idx_inodes_label", "idx_inodes_orig"}
-        assert "idx_nodes_dist" not in names
-        assert "idx_nodes_parent" not in names
+        assert names == {"idx_nodes_name", "idx_inodes_label"}
+        # The name index is partial: unnamed nodes are left out.
+        partial = {
+            row["name"]: row["partial"]
+            for row in db.query_all("PRAGMA index_list(nodes)")
+        }
+        assert partial == {"idx_nodes_name": 1, "sqlite_autoindex_nodes_1": 0}
 
     def test_primary_and_shard_files_share_one_tree_data_ddl(self, tmp_path):
         """The tree-data tables and indexes are declared once: their
@@ -135,8 +139,7 @@ class TestSchema:
         CrimsonDatabase(tmp_path / "shard.db", shard_schema=True).close()
         primary = tree_data_sql(tmp_path / "primary.db")
         assert [name for _, name, _ in primary] == [
-            "blocks", "idx_inodes_label", "idx_inodes_orig", "idx_nodes_name",
-            "inodes", "nodes",
+            "blocks", "idx_inodes_label", "idx_nodes_name", "inodes", "nodes",
         ]
         assert "REFERENCES" not in " ".join(sql for _, _, sql in primary)
         assert primary == tree_data_sql(tmp_path / "shard.db")

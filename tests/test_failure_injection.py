@@ -49,9 +49,9 @@ class TestIndexCorruption:
 
     def test_missing_canonical_inode(self, store, stored):
         lla = stored.node_by_name("Lla")
+        # Node r's canonical inode is inode r.
         store.db.execute(
-            "DELETE FROM inodes WHERE orig_node_id = ? AND is_canonical = 1",
-            (lla.node_id,),
+            "DELETE FROM inodes WHERE inode_id = ?", (lla.node_id,)
         )
         for walk in WALKS:
             with pytest.raises(StorageError, match="canonical"):

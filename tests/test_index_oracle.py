@@ -3,10 +3,11 @@
 :class:`~repro.core.hindex.HierarchicalIndex` builds every layer from
 per-rank child lists; ``tests/reference_hindex.py`` keeps the older
 construction that decomposed real and synthetic ``Node`` trees.  Every
-table the store writes — inode layer, block, label, original node,
-represented block and canonical flag; block layer, root, source and
-representative — must come out identical, and each label's dotted text
-must be the label.
+table the store writes — inode layer, block, label, original node and
+represented block; block layer, root, source and representative — must
+come out identical once the reference's inode ids are mapped onto
+schema version 4's by ``reference_hindex.v4_numbering``, and each
+label's dotted text must be the label.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference_hindex import ReferenceIndex
+from reference_hindex import ReferenceIndex, v4_numbering
 from test_properties import attachment_trees
 from test_tree_repository import SHAPES
 
@@ -34,7 +35,6 @@ def tables(index):
         "inode_label": index.inode_label,
         "inode_orig": index.inode_orig,
         "inode_represents": index.inode_represents,
-        "inode_canonical": index.inode_canonical,
         "block_layer": index.block_layer,
         "block_root_inode": index.block_root_inode,
         "block_source_inode": index.block_source_inode,
@@ -43,27 +43,32 @@ def tables(index):
 
 
 def reference_tables(tree, f):
-    """The reference's tables, its ``Node`` references mapped to ranks."""
+    """The reference's tables in version-4 inode ids, its ``Node``
+    references mapped to ranks."""
     reference = ReferenceIndex(tree, f)
     rank = {id(node): position for position, node in enumerate(tree.preorder())}
-    canonical = set(reference._inode_of_node.values())
+    order, new_id = v4_numbering(reference)
+
+    def inodes(table):
+        return [table[old] for old in order]
+
+    def refs(table):
+        return [None if old is None else new_id[old] for old in table]
+
     return {
         "n_layers": reference.n_layers,
-        "inode_layer": reference.inode_layer,
-        "inode_block": reference.inode_block,
-        "inode_label": reference.inode_label,
+        "inode_layer": inodes(reference.inode_layer),
+        "inode_block": inodes(reference.inode_block),
+        "inode_label": inodes(reference.inode_label),
         "inode_orig": [
             None if node is None else rank[id(node)]
-            for node in reference.inode_orig
+            for node in inodes(reference.inode_orig)
         ],
-        "inode_represents": reference.inode_represents,
-        "inode_canonical": [
-            inode in canonical for inode in range(len(reference.inode_layer))
-        ],
+        "inode_represents": inodes(reference.inode_represents),
         "block_layer": reference.block_layer,
-        "block_root_inode": reference.block_root_inode,
-        "block_source_inode": reference.block_source_inode,
-        "block_rep_inode": reference.block_rep_inode,
+        "block_root_inode": refs(reference.block_root_inode),
+        "block_source_inode": refs(reference.block_source_inode),
+        "block_rep_inode": refs(reference.block_rep_inode),
     }
 
 

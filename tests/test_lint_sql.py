@@ -263,6 +263,40 @@ class TestSqlRules:
         assert "'w'" in findings[1].message
         assert "'idx_gone'" in findings[2].message
 
+    def test_a_column_alias_is_known_to_its_statement(self, tmp_path):
+        """``expr AS name`` defines a column the enclosing query may
+        read; a table alias is not one, and a partial index's ``WHERE``
+        is checked against the indexed table."""
+        info = parse_statement(
+            "SELECT CASE WHEN big THEN k END FROM "
+            "(SELECT k, v > 1 AS big FROM t AS a)"
+        )
+        assert info.column_aliases == {"big"}
+        assert info.aliases == {"a": "t"}
+        (tmp_path / "storage").mkdir()
+        (tmp_path / "storage" / "schema.py").write_text(
+            'TABLE_COLUMNS = {"t": ("k", "v")}\n'
+            "DDL_STATEMENTS = (\n"
+            '    "CREATE TABLE IF NOT EXISTS t (k INTEGER, v TEXT)",\n'
+            '    "CREATE INDEX IF NOT EXISTS idx_t_v ON t(k, v) '
+            'WHERE v IS NOT NULL",\n'
+            ")\n"
+            "SHARD_DDL_STATEMENTS = ()\n"
+        )
+        (tmp_path / "storage" / "repo.py").write_text(
+            "def reads(db):\n"
+            '    db.execute("SELECT SUM(big) FROM (SELECT v > 1 AS big FROM t)")\n'
+            '    db.execute("SELECT SUM(big) FROM (SELECT v > 1 AS bog FROM t)")\n'
+            '    db.execute("CREATE INDEX idx_t_w ON t(k) WHERE w IS NOT NULL")\n'
+        )
+        _, findings = lint_project(tmp_path, SQL)
+        assert [(f.rule, f.line) for f in findings] == [
+            ("sql-schema", 3),
+            ("sql-schema", 4),
+        ]
+        assert "'big'" in findings[0].message
+        assert "'w'" in findings[1].message
+
 
 class TestWireRules:
     def test_seeded_violations_are_found(self):
@@ -298,6 +332,11 @@ class TestStatementCensus:
         for text in census["statements"]:
             assert parse_statement(text).kind != "other" or \
                 text.upper().startswith("PRAGMA")
+        # Schema version 4 dropped the canonical flag and its index; no
+        # statement, the upgrade from version 3 included, names them.
+        for text in census["statements"]:
+            assert "is_canonical" not in text
+            assert "idx_inodes_orig" not in text
 
     def test_runtime_smoke_workload_is_contained_in_the_census(
         self, sanitized, tmp_path

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ParseError, StorageError, TreeStructureError
 from repro.storage.loader import DataLoader
+from repro.trees.tree import PhyloTree
 
 NEXUS_WITH_DATA = """#NEXUS
 BEGIN TAXA;
@@ -201,6 +202,37 @@ class TestInMemoryLoading:
         loader = DataLoader(store, report=messages.append)
         loader.load_tree(fig1)
         assert any("structure only" in message for message in messages)
+
+
+class TestNoExtraWalks:
+    """A load reports sizes from the catalogue, never by walking the
+    tree again before storing it."""
+
+    @pytest.fixture(autouse=True)
+    def size_raises(self, monkeypatch):
+        def refuse(tree):
+            raise AssertionError("PhyloTree.size walked the tree")
+
+        monkeypatch.setattr(PhyloTree, "size", refuse)
+
+    @pytest.mark.parametrize("silent", [True, False])
+    def test_newick_load(self, store, silent):
+        messages = []
+        loader = store.loader if silent else DataLoader(store, messages.append)
+        handle = loader.load_newick_text("((a:1,b:1):1,c:2);", name="nwk")
+        assert handle.info.n_nodes == 5
+        assert silent or "stored 'nwk': 5 nodes, 3 leaves" in messages
+
+    @pytest.mark.parametrize("silent", [True, False])
+    def test_nexus_load(self, store, silent):
+        messages = []
+        loader = store.loader if silent else DataLoader(store, messages.append)
+        handles = loader.load_nexus_text(NEXUS_TREES_ONLY, name="batch")
+        assert [handle.info.n_nodes for handle in handles] == [3, 5]
+        assert silent or any(
+            message.startswith("stored 'batch-second': 5 nodes")
+            for message in messages
+        )
 
 
 class TestAppendSpecies:

@@ -56,12 +56,27 @@ class TestDetectsCorruption:
         assert any("interval" in problem for problem in report.problems)
 
     def test_missing_canonical_inode(self, store, stored):
+        # Node r's canonical inode is inode r.
         store.db.execute(
-            "DELETE FROM inodes WHERE is_canonical = 1 AND orig_node_id = "
+            "DELETE FROM inodes WHERE inode_id = "
             "(SELECT node_id FROM nodes WHERE name = 'Spy')"
         )
         report = verify_tree(store, "fig1-sample")
         assert any("canonical" in problem for problem in report.problems)
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["orig_node_id = orig_node_id + 1", "orig_node_id = NULL", "layer = 1"],
+    )
+    def test_canonical_inode_of_another_position(self, store, stored, damage):
+        store.db.execute(
+            f"UPDATE inodes SET {damage} WHERE inode_id = "
+            "(SELECT node_id FROM nodes WHERE name = 'Spy')"
+        )
+        report = verify_tree(store, "fig1-sample")
+        assert report.problems == [
+            "1 nodes without a canonical inode (inode r in layer 0 holding node r)"
+        ]
 
     def test_label_over_bound(self, store, stored):
         store.db.execute("UPDATE inodes SET label_depth = 99 WHERE local_label != ''")

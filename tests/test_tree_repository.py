@@ -3,19 +3,22 @@
 from __future__ import annotations
 
 import random
+import time
 
 import numpy as np
 import pytest
 
 import repro.storage.tree_repository as tree_repository
-from reference_hindex import ReferenceIndex
+from reference_hindex import ReferenceIndex, v4_numbering
 from repro.core.dewey import label_to_string
 from repro.errors import QueryError, StorageError
 from repro.simulation.birth_death import yule_tree
 from repro.storage.store import CrimsonStore
 from repro.trees.build import balanced, caterpillar, sample_tree, star
 from repro.trees.newick import parse_newick
+from repro.trees.node import Node
 from repro.trees.traversal import naive_lca
+from repro.trees.tree import PhyloTree
 
 
 @pytest.fixture
@@ -204,6 +207,40 @@ class TestMaterialization:
         handle = repo.store_tree(tree, name="b3")
         assert handle.fetch_tree().to_newick() == tree.to_newick()
 
+    @staticmethod
+    def deep_caterpillar(depth):
+        """A caterpillar ``depth`` levels deep, linked by hand:
+        ``add_child``'s cycle check walks to the root, which would make
+        building it quadratic."""
+        root = spine = Node("root")
+        for level in range(1, depth + 1):
+            for child in (Node(f"t{level}", 1.0), Node(None, 0.5)):
+                child.parent = spine
+                spine.children.append(child)
+            spine = child
+        spine.name = "deepest"
+        return PhyloTree(root, name="deep")
+
+    def test_deep_tree_fetches_in_linear_time(self, repo):
+        tree = self.deep_caterpillar(20_000)
+        handle = repo.store_tree(tree, f=8)
+        started = time.perf_counter()
+        fetched = handle.fetch_tree()
+        assert time.perf_counter() - started < 1.0
+        assert fetched.to_newick() == tree.to_newick()
+
+    def test_deep_subtree_matches_the_in_memory_extraction(self, repo):
+        tree = self.deep_caterpillar(3_000)
+        handle = repo.store_tree(tree, f=8)
+        spine = tree.root
+        for _ in range(1_000):
+            spine = spine.children[1]
+        expected = PhyloTree(spine.detach())
+        fetched = handle.fetch_subtree(2_000)
+        assert fetched.root.parent is None
+        assert fetched.to_newick() == expected.to_newick()
+        assert fetched.size() == 4_001
+
 
 # ----------------------------------------------------------------------
 # Row-level differential: what a load writes vs the in-memory helpers
@@ -222,11 +259,16 @@ SHAPES = {
 }
 
 
-def expected_rows(tree, f, tree_id):
+def expected_rows(tree, f, tree_id, version=4):
     """The rows and catalogue figures of ``tree``, built from the
     node pointers, ``PhyloTree``'s own tables and the ``Node``-based
     reference index of ``tests/reference_hindex.py`` — none of the
-    loader's or the production index's code."""
+    loader's or the production index's code.
+
+    ``version=3`` gives the rows schema version 3 wrote: the
+    reference's own inode ids and an ``is_canonical`` column.  The
+    default is the current layout, the same rows renumbered by
+    ``v4_numbering`` without that column."""
     order = list(tree.preorder())
     rank = {id(node): position for position, node in enumerate(order)}
     depths = tree.depths()
@@ -282,6 +324,15 @@ def expected_rows(tree, f, tree_id):
         )
         for block in range(len(index.block_layer))
     ]
+    if version >= 4:
+        v4_order, new_id = v4_numbering(index)
+        inodes = [
+            (tree_id, new_id[old], *inodes[old][2:-1]) for old in v4_order
+        ]
+        blocks = [
+            (*row[:3], *(None if old is None else new_id[old] for old in row[3:]))
+            for row in blocks
+        ]
     catalogue = (
         len(order),
         tree.n_leaves(),
