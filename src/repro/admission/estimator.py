@@ -6,8 +6,9 @@ million taxa would starve every warm point query behind it.  This
 module predicts a request's cost *before* execution, from catalogue
 stats the store already has — tree sizes from :class:`TreeInfo` rows,
 index shape (``n_layers`` / ``n_blocks``), and the live residency of
-the per-handle row caches (:meth:`StoredQueryEngine.resident_fraction`
-and the pinned-segment counters).  Warm repeat queries estimate
+the per-handle row caches (:meth:`StoredQueryEngine.resident_fraction`)
+and of the tree's shared index skeleton (its row counts, which every
+handle of the tree fills and reads).  Warm repeat queries estimate
 near-zero statements, cold full-catalogue analytics estimate high —
 the cold/warm split that changes disk-based query cost by orders of
 magnitude.
@@ -18,7 +19,7 @@ were the whole tree, a ``match`` as a full materialization, because
 admission control must refuse what *could* starve the service, not
 what probably won't.  Warmth only ever lowers the bound through
 observed cache residency, never through optimism about data the
-estimator has not seen: the pinned-skeleton residency discounts only
+estimator has not seen: the skeleton residency discounts only
 the skeleton climb of a layered-LCA walk, while its canonical inodes,
 label lookups and result rows stay priced cold.  The walk's cold price
 follows its real structure — one recursive pair walk for ``lca`` and
@@ -116,16 +117,16 @@ def _batches(keys: float) -> int:
 
 
 def _skeleton_residency(handle) -> float:
-    """Observed residency of the pinned index skeleton of one handle.
+    """Observed residency of the index skeleton the handle reads.
 
-    The layered-LCA walk climbs inode and block rows that the engine
-    pins (roughly two skeleton rows per block); the pinned-segment
-    sizes over that bound say how much of a cold walk is already paid.
+    The layered-LCA walk climbs the block and inode rows the tree's
+    shared :class:`~repro.storage.engine.IndexSkeleton` holds (roughly
+    two skeleton rows per block); its row count over that bound says
+    how much of a cold walk is already paid, whichever handle paid it.
     """
-    stats = handle.cache_stats()
-    pinned = stats["inodes"].pinned + stats["blocks"].pinned
+    resident = len(handle.engine.skeleton)
     bound = max(1, 2 * handle.info.n_blocks)
-    return min(1.0, pinned / bound)
+    return min(1.0, resident / bound)
 
 
 def _scan_residency(handle) -> float:

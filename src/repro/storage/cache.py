@@ -9,21 +9,16 @@ least-recently-used eviction and hit/miss/eviction counters that
 :meth:`repro.storage.engine.StoredQueryEngine.cache_stats` aggregates
 for the benchmarks.
 
-Segmented admission
--------------------
-A cache holds two segments, each LRU-bounded by ``maxsize`` on its own:
-
-* the **probationary** segment, where ordinary ``put`` calls land, and
-* the **pinned** segment, for entries inserted with ``put(...,
-  pinned=True)``.
-
-Eviction never crosses segments: a flood of probationary inserts — a
-layer-0 full-tree scan, like the analytics subsystem's bipartition
-extraction — can only evict other probationary entries, so the pinned
-upper-layer index rows that every layered-LCA walk depends on stay
-resident and the warm-path statement-count guarantee survives
-adversarial scan loads.  The engine decides what to pin (see
-:mod:`repro.storage.engine`); the cache only honours the flag.
+Scan resistance
+---------------
+The index skeleton every layered-LCA walk climbs — every block row,
+every upper-layer inode and the layer-0 inodes the walk reaches through
+block references — does not live in these caches at all: it lives in
+the tree's :class:`~repro.storage.engine.IndexSkeleton`, shared by
+every handle of the store and never evicted.  A flood of inserts here —
+a layer-0 full-tree scan, like a whole-tree node fetch — can only evict
+other layer-0 rows, so the warm-path statement-count guarantee survives
+adversarial scan loads without a second segment in each cache.
 """
 
 from __future__ import annotations
@@ -44,11 +39,9 @@ class CacheStats:
     hits / misses:
         Lookup outcomes since creation (or the last ``reset_stats``).
     evictions:
-        Entries dropped to respect the size bound (either segment).
+        Entries dropped to respect the size bound.
     size / maxsize:
-        Current total entries and the per-segment entry bound.
-    pinned:
-        Entries currently held in the pinned segment.
+        Current entries and the entry bound.
     """
 
     hits: int = 0
@@ -56,7 +49,6 @@ class CacheStats:
     evictions: int = 0
     size: int = 0
     maxsize: int = 0
-    pinned: int = 0
 
     @property
     def lookups(self) -> int:
@@ -75,7 +67,6 @@ class CacheStats:
             evictions=self.evictions + other.evictions,
             size=self.size + other.size,
             maxsize=self.maxsize + other.maxsize,
-            pinned=self.pinned + other.pinned,
         )
 
     def as_dict(self) -> dict[str, int | float]:
@@ -86,7 +77,6 @@ class CacheStats:
             "evictions": self.evictions,
             "size": self.size,
             "maxsize": self.maxsize,
-            "pinned": self.pinned,
             "hit_rate": round(self.hit_rate, 4),
         }
 
@@ -95,62 +85,41 @@ _MISSING = object()
 
 
 class LRUCache:
-    """Bounded mapping with least-recently-used eviction and a pinned
-    segment that ordinary inserts can never evict.
+    """Bounded mapping with least-recently-used eviction.
 
     Parameters
     ----------
     maxsize:
-        Maximum number of entries **per segment**; must be at least 1
+        Maximum number of entries; must be at least 1
         (:class:`~repro.errors.StorageError` otherwise, so callers can
         catch configuration mistakes as :class:`~repro.errors.CrimsonError`).
-        A cache therefore holds at most ``2 · maxsize`` entries, but the
-        pinned segment only grows as large as the index rows actually
-        pinned into it (``O(n/f)`` for the engine's uses).
 
     Notes
     -----
     ``get`` counts a hit or a miss; ``put`` never counts a lookup, so
-    pre-warming (batch fills) does not inflate the hit rate.  A pinned
-    ``put`` promotes a probationary key; the reverse never happens —
-    pinning is sticky (see :meth:`put`).
+    pre-warming (batch fills) does not inflate the hit rate.
     """
 
-    __slots__ = ("maxsize", "_data", "_pinned", "hits", "misses", "evictions")
+    __slots__ = ("maxsize", "_data", "hits", "misses", "evictions")
 
     def __init__(self, maxsize: int) -> None:
         if maxsize < 1:
             raise StorageError(f"cache size must be >= 1, got {maxsize}")
         self.maxsize = maxsize
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
-        self._pinned: OrderedDict[Hashable, Any] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
     def __len__(self) -> int:
-        return len(self._data) + len(self._pinned)
+        return len(self._data)
 
     def __contains__(self, key: Hashable) -> bool:
         """Membership test; does not count as a lookup or refresh recency."""
-        return key in self._data or key in self._pinned
-
-    @property
-    def pinned_count(self) -> int:
-        return len(self._pinned)
-
-    def is_pinned(self, key: Hashable) -> bool:
-        """Whether ``key`` sits in the pinned segment; like ``in``, not
-        a lookup and no recency refresh."""
-        return key in self._pinned
+        return key in self._data
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         """Fetch ``key``, refreshing its recency; counts a hit or miss."""
-        value = self._pinned.get(key, _MISSING)
-        if value is not _MISSING:
-            self.hits += 1
-            self._pinned.move_to_end(key)
-            return value
         value = self._data.get(key, _MISSING)
         if value is _MISSING:
             self.misses += 1
@@ -159,39 +128,22 @@ class LRUCache:
         self._data.move_to_end(key)
         return value
 
-    def put(self, key: Hashable, value: Any, pinned: bool = False) -> None:
-        """Insert or refresh ``key``, evicting the segment's LRU entry
-        when that segment is full.
-
-        ``pinned`` entries live in the pinned segment, which only
-        pinned inserts can evict from; unpinned (probationary) inserts
-        evict among themselves.  Pinning is **sticky**: once a key is
-        pinned, an unpinned re-put refreshes it *in place* — otherwise
-        a scan that happens to re-fetch a skeleton row (a repeated
-        adversarial scan, say) would demote it into the probationary
-        segment and evict it, silently voiding the admission guarantee.
-        A pinned put does promote a probationary key.
-        """
-        if not pinned and key in self._pinned:
-            self._pinned.move_to_end(key)
-            self._pinned[key] = value
+    def put(self, key: Hashable, value: Any) -> None:
+        """Insert or refresh ``key``, evicting the least recently used
+        entry when the cache is full."""
+        data = self._data
+        if key in data:
+            data.move_to_end(key)
+            data[key] = value
             return
-        target = self._pinned if pinned else self._data
-        if pinned:
-            self._data.pop(key, None)  # promotion
-        if key in target:
-            target.move_to_end(key)
-            target[key] = value
-            return
-        target[key] = value
-        if len(target) > self.maxsize:
-            target.popitem(last=False)
+        data[key] = value
+        if len(data) > self.maxsize:
+            data.popitem(last=False)
             self.evictions += 1
 
     def clear(self) -> None:
         """Drop all entries (counters are kept; see ``reset_stats``)."""
         self._data.clear()
-        self._pinned.clear()
 
     def reset_stats(self) -> None:
         self.hits = 0
@@ -204,13 +156,12 @@ class LRUCache:
             hits=self.hits,
             misses=self.misses,
             evictions=self.evictions,
-            size=len(self),
+            size=len(self._data),
             maxsize=self.maxsize,
-            pinned=len(self._pinned),
         )
 
     def __repr__(self) -> str:
         return (
-            f"LRUCache(size={len(self._data)}+{len(self._pinned)}p"
-            f"/{self.maxsize}, hits={self.hits}, misses={self.misses})"
+            f"LRUCache(size={len(self._data)}/{self.maxsize}, "
+            f"hits={self.hits}, misses={self.misses})"
         )

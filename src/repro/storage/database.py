@@ -127,13 +127,18 @@ class CrimsonDatabase:
         if not read_only:
             self._guard_role(shard_schema)
             # A refused (newer) file or a failed upgrade must not leak
-            # the connection.
+            # the connection, and is reported against the file.
             try:
                 create_schema(self._connection, shard=shard_schema)
                 self._connection.commit()
             except StorageError as error:
                 self.close()
                 raise StorageError(f"{self.path!r}: {error}") from None
+            except Exception as error:
+                self.close()
+                raise StorageError(
+                    f"{self.path!r}: schema upgrade failed: {error}"
+                ) from error
             except BaseException:
                 self.close()
                 raise

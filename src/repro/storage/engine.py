@@ -9,13 +9,12 @@ time.  :class:`StoredQueryEngine` sits between the query layer and
 cheap in four ways:
 
 1. **Bounded LRU caches of typed rows.**  Stored trees are immutable,
-   and the index's upper layers are tiny (``O(n/f)`` rows), so block,
-   inode and node rows are cached per handle.  A warm repeat query
-   executes **zero** SQL statements.  Each row is converted once, when
-   it is fetched, into a frozen
-   :mod:`repro.storage.rows` record — a ``NodeRow`` the query layer
-   returns as is, an ``InodeRow`` whose Dewey label is already a tuple
-   — so a hit does no column lookups and no label parsing.  Every
+   so node rows and the layer-0 inodes a walk starts and ends on are
+   cached per handle.  A warm repeat query executes **zero** SQL
+   statements.  Each row is converted once, when it is fetched, into a
+   frozen :mod:`repro.storage.rows` record — a ``NodeRow`` the query
+   layer returns as is, an ``InodeRow`` whose Dewey label is already a
+   tuple — so a hit does no column lookups and no label parsing.  Every
    fetched row is cross-populated under all its lookup keys (an inode
    is cached by id *and* by ``(block, label tuple)``), so one access
    path warms the others.  Node ``r``'s canonical inode is inode ``r``
@@ -31,17 +30,23 @@ cheap in four ways:
    advances all its pairs one index layer or source-chain hop at a
    time, so a cold batch (and the ``project_stored`` built on it) pays
    one round trip per round, not one per pair and hop.
-3. **Segmented admission.**  Upper-layer inode rows (``layer > 0``) and
-   block rows — the ``O(n/f)`` skeleton every layered-LCA walk climbs —
-   are inserted *pinned* (:meth:`repro.storage.cache.LRUCache.put`
-   with ``pinned=True``): a layer-0 scan (a whole-tree batch fetch
-   such as
+3. **One shared index skeleton per tree.**  Every block row, every
+   upper-layer inode (``layer > 0``) and every inode a walk reaches
+   through a block's root/source/rep reference (``referenced_inode``,
+   layer 0 included) — the ``O(n/f)`` skeleton every layered-LCA walk
+   climbs — goes into the tree's :class:`IndexSkeleton`, not into the
+   handle's LRU caches.  The store keeps one skeleton per tree and
+   hands it to every handle it opens on the tree, in every thread, so
+   a fresh handle's cold walk (one per trial of
+   ``BenchmarkManager.run_trial``) re-reads none of the rows an earlier
+   handle fetched.  The skeleton only grows and is never evicted, so a
+   layer-0 scan (a whole-tree batch fetch such as
    :meth:`~repro.storage.tree_repository.StoredTree.preorder_rows`)
-   churns only the probationary segment and can never evict them, so
-   the warm-path statement bound survives adversarial scan loads.  A
-   probationary inode the walk reaches through the skeleton is promoted
-   once; a hit on an inode that is already pinned is a single ``get``
-   with no re-put, so a warm walk writes nothing to the caches.
+   churns only the LRU caches and the warm-path statement bound
+   survives adversarial scan loads.  Every lookup that may hit a
+   skeleton row reads the skeleton's dict first, with no lock, and a
+   hit writes nothing, so a warm walk writes nothing to either
+   structure.
 4. **A narrow scan beside the caches.**  The analytics subsystem needs
    four columns of every row, once per tree.  :meth:`scan_table` reads
    them with one primary-key range statement as plain tuples, without
@@ -54,44 +59,54 @@ cheap in four ways:
 Cache knobs
 -----------
 ``cache_size`` (per-handle, default :data:`DEFAULT_CACHE_SIZE` = 4096)
-bounds **each segment** of each of the five row caches; memory is
-therefore at most ``5 · cache_size`` probationary rows plus the pinned
-index rows (at most ``cache_size`` each for the inode/block caches,
-and in practice only the ``O(n/f)`` upper-layer rows) per open handle,
-plus one scan table of a tree of at most ``cache_size`` nodes (for
-analytics, the distinct non-trivial cluster bitmasks and two tuples of
-leaf names: about 570 KB for a 2,000-leaf Yule tree, below the
-four-column rows it is built from).  The five caches and the scan table
-are the only state: there is no module-level memo, so nothing outlives
-the handle.  A cached row is a slotted record
-no larger than the ``sqlite3.Row`` (and its value tuple) it replaces;
-an inode's label tuple takes the place of its dotted string, and the
-inode caches share one record per row.  Pass ``cache_size`` through
-``CrimsonStore.open(path, cache_size=...)`` (every handle the store
-opens), ``CrimsonStore.open_tree`` / ``TreeRepository.open(name,
-cache_size=...)`` (one handle), or the CLI's global ``--cache-size``
-flag.  Sizing
-guidance: blocks and inodes above layer 0 number about ``n/f`` and
-``n/(f-1)`` rows, so a cache of ``n/f`` entries makes every upper-layer
-hop a hit; layer-0 node rows are only worth caching for skewed (hot-key)
-workloads.  ``cache_stats()`` exposes per-cache ``hits`` / ``misses`` /
-``evictions`` so the benchmarks (``benchmarks/bench_stored_lca.py``) can
-verify the warm path, and ``clear_cache()`` restores cold-start
-behaviour for measurements.
+bounds each of the five row caches of a handle, and each kind (blocks,
+inodes) of the tree's skeleton: memory is therefore at most
+``5 · cache_size`` rows per open handle, plus at most ``cache_size``
+skeleton rows per kind per tree, store-wide (in practice only the
+``O(n/f)`` skeleton rows: skeleton rows past the cap stay in the
+handle's LRU caches instead), plus one scan table of a tree of at most
+``cache_size`` nodes (for analytics, the distinct non-trivial cluster
+bitmasks and two tuples of leaf names: about 570 KB for a 2,000-leaf
+Yule tree, below the four-column rows it is built from).  The caches,
+the scan table and the store's skeletons are the only state: there is
+no module-level memo, so nothing outlives the store, and a file
+re-created at the same path starts from empty skeletons.  A cached row
+is a slotted record no larger than the ``sqlite3.Row`` (and its value
+tuple) it replaces; an inode's label tuple takes the place of its
+dotted string, and the inode caches share one record per row.  Pass
+``cache_size`` through ``CrimsonStore.open(path, cache_size=...)``
+(every handle the store opens, sharing the skeletons),
+``CrimsonStore.open_tree`` / ``TreeRepository.open(name,
+cache_size=...)`` (one handle, with a private skeleton when the size
+differs from the store's), or the CLI's global ``--cache-size`` flag.
+Sizing guidance: blocks and inodes above layer 0 number about ``n/f``
+and ``n/(f-1)`` rows, so a bound of ``n/f`` entries keeps every
+upper-layer hop in the skeleton; layer-0 node rows are only worth
+caching for skewed (hot-key) workloads.  ``cache_stats()`` exposes
+per-cache ``hits`` / ``misses`` / ``evictions`` and a ``skeleton``
+entry so the benchmarks (``benchmarks/bench_stored_lca.py``) can verify
+the warm path, and ``clear_cache()`` restores cold-start behaviour for
+measurements — for every handle of the tree, as it drops the shared
+skeleton too.
 
 Concurrency
 -----------
 An engine (like the handle that owns it) is **not** shared between
 threads: ``CrimsonStore.open_tree`` hands every thread its own handle
-bound to that thread's pooled read-only connection, so the caches need
-no locking and hit/miss counters stay exact per thread.
+bound to that thread's pooled read-only connection, so the LRU caches
+need no locking and hit/miss counters stay exact per thread.  The
+skeleton is shared: lookups read its plain dicts without a lock (a
+stored row never changes, so any thread may insert it), and its one
+lock, taken only around inserts, is a leaf in the lock order.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Iterable, Sequence, TypeVar, cast
 
 from repro.core.dewey import DeweyLabel, label_to_string
+from repro.errors import StorageError
 from repro.storage.cache import CacheStats, LRUCache
 from repro.storage.database import CrimsonDatabase
 from repro.storage.rows import (
@@ -118,6 +133,68 @@ def chunked(values: Sequence, size: int = _IN_CHUNK) -> Iterable[Sequence]:
         yield values[start : start + size]
 
 
+class IndexSkeleton:
+    """The index skeleton of one stored tree, shared by its handles.
+
+    Three plain dicts — block rows by id, skeleton inode rows by id, and
+    the same inode rows by ``(block, label tuple)`` — that only grow:
+    every block row, every upper-layer (``layer > 0``) inode, and every
+    layer-0 inode a walk reaches through a block's root/source/rep
+    reference.  Stored rows never change and a ``tree_id`` is never
+    re-issued, so one copy serves every handle and thread of a store.
+
+    Lookups read the dicts directly, with no lock; :meth:`add_block` and
+    :meth:`add_inode` take the lock around their insert.  Each dict
+    holds at most ``maxsize`` rows (the handle's ``cache_size``): a row
+    past the cap is refused and the handle keeps it in its own LRU
+    cache instead.
+    """
+
+    __slots__ = ("maxsize", "blocks", "inodes", "inode_at", "_lock")
+
+    def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE) -> None:
+        if maxsize < 1:
+            raise StorageError(f"cache size must be >= 1, got {maxsize}")
+        self.maxsize = maxsize
+        self.blocks: dict[int, BlockRow] = {}
+        self.inodes: dict[int, InodeRow] = {}
+        self.inode_at: dict[tuple[int, DeweyLabel], InodeRow] = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        """Rows held: blocks plus inodes (``inode_at`` re-keys the
+        inodes)."""
+        return len(self.blocks) + len(self.inodes)
+
+    def add_block(self, row: BlockRow) -> bool:
+        """Admit a block row; ``False`` when the skeleton is full and
+        does not hold it.  A full skeleton takes no lock."""
+        if len(self.blocks) < self.maxsize:
+            with self._lock:
+                if len(self.blocks) < self.maxsize:
+                    self.blocks[row.block_id] = row
+                    return True
+        return row.block_id in self.blocks
+
+    def add_inode(self, row: InodeRow) -> bool:
+        """Admit an inode row under both its keys, like
+        :meth:`add_block`."""
+        if len(self.inodes) < self.maxsize:
+            with self._lock:
+                if len(self.inodes) < self.maxsize:
+                    self.inodes[row.inode_id] = row
+                    self.inode_at[(row.block_id, row.label)] = row
+                    return True
+        return row.inode_id in self.inodes
+
+    def clear(self) -> None:
+        """Drop every row (the tree's handles start cold again)."""
+        with self._lock:
+            self.blocks.clear()
+            self.inodes.clear()
+            self.inode_at.clear()
+
+
 class StoredQueryEngine:
     """Cached, batched reads over one stored tree's rows.
 
@@ -129,6 +206,10 @@ class StoredQueryEngine:
         Catalogue id of the tree this engine serves.
     cache_size:
         Entry bound applied to each individual row cache.
+    skeleton:
+        The tree's :class:`IndexSkeleton`, shared with the other
+        handles of the store; ``None`` gives the engine a private one
+        bounded by ``cache_size``.
 
     Notes
     -----
@@ -139,7 +220,7 @@ class StoredQueryEngine:
     ``QueryError`` / ``StorageError`` vocabulary.  Rows of a stored tree
     never change, so cached rows cannot go stale; deleting and
     re-storing a tree allocates a fresh ``tree_id`` and therefore a
-    fresh handle.
+    fresh handle and skeleton.
     """
 
     def __init__(
@@ -147,10 +228,17 @@ class StoredQueryEngine:
         db: CrimsonDatabase,
         tree_id: int,
         cache_size: int = DEFAULT_CACHE_SIZE,
+        skeleton: IndexSkeleton | None = None,
     ) -> None:
         self.db = db
         self.tree_id = tree_id
         self.cache_size = cache_size
+        self.skeleton = skeleton if skeleton is not None else IndexSkeleton(
+            cache_size
+        )
+        # Lookups the skeleton answered; the others are counted by the
+        # row cache of their kind.
+        self._skeleton_hits = 0
         self._nodes = LRUCache(cache_size)  # node_id -> NodeRow
         self._node_ids = LRUCache(cache_size)  # name -> node_id
         self._inodes = LRUCache(cache_size)  # inode_id -> InodeRow
@@ -171,20 +259,25 @@ class StoredQueryEngine:
             self._node_ids.put(row.name, row.node_id)
         return row
 
-    def _remember_inode(self, row: InodeRow, pin: bool = False) -> InodeRow:
+    def _remember_inode(
+        self, row: InodeRow, referenced: bool = False
+    ) -> InodeRow:
         # Upper-layer inodes are part of the O(n/f) skeleton of every
-        # layered walk: pin them so layer-0 scans cannot evict them.
-        # Callers set ``pin`` for layer-0 rows reached through the
-        # skeleton too (block root/source/rep chains — also O(n/f)).
-        pinned = pin or row.layer > 0
-        self._inodes.put(row.inode_id, row, pinned=pinned)
-        self._inode_at.put((row.block_id, row.label), row, pinned=pinned)
+        # layered walk, and so are the layer-0 rows reached through
+        # block root/source/rep references (``referenced``).  Everything
+        # else, and skeleton rows past the skeleton's cap, stays in this
+        # handle's LRU caches.
+        if (referenced or row.layer > 0) and self.skeleton.add_inode(row):
+            return row
+        self._inodes.put(row.inode_id, row)
+        self._inode_at.put((row.block_id, row.label), row)
         return row
 
     def _remember_block(self, values: Sequence) -> BlockRow:
         row = as_block_row(values)
-        # All block rows are index skeleton (O(n/f) of them): pinned.
-        self._blocks.put(row.block_id, row, pinned=True)
+        # All block rows are index skeleton (O(n/f) of them).
+        if not self.skeleton.add_block(row):
+            self._blocks.put(row.block_id, row)
         return row
 
     # ------------------------------------------------------------------
@@ -320,21 +413,34 @@ class StoredQueryEngine:
         """
         return self.inodes_many(node_ids)
 
-    def inode(self, inode_id: int, pin: bool = False) -> InodeRow | None:
-        """Fetch an inode by id; ``pin`` marks it as index skeleton.
+    def inode(self, inode_id: int) -> InodeRow | None:
+        """Fetch an inode by id."""
+        return self._inode(inode_id, False)
 
-        The LCA walk sets ``pin`` when resolving block root/source/rep
-        references: those inodes — layer 0 included — are part of the
-        ``O(n/f)`` structure every walk climbs, so they join the pinned
-        segment and survive layer-0 scans.
+    def inodes_many(self, inode_ids: Iterable[int]) -> dict[int, InodeRow]:
+        """Batch twin of :meth:`inode`: one lookup per distinct id, the
+        misses in one ``IN (...)`` fill."""
+        return self._inodes_of(inode_ids, False)
+
+    def referenced_inode(self, inode_id: int) -> InodeRow | None:
+        """Fetch an inode a block references (its root, source or rep).
+
+        Those inodes — layer 0 included — are part of the ``O(n/f)``
+        structure every layered walk climbs, so the row joins the
+        tree's :class:`IndexSkeleton`, also when this handle's cache
+        already held it.
         """
+        return self._inode(inode_id, True)
+
+    def _inode(self, inode_id: int, referenced: bool) -> InodeRow | None:
+        row = self.skeleton.inodes.get(inode_id)
+        if row is not None:
+            self._skeleton_hits += 1
+            return row
         row = self._inodes.get(inode_id)
         if row is not None:
-            if pin and not self._inodes.is_pinned(inode_id):
-                # Promote a probationary hit: once an inode is known to
-                # be skeleton, scans must not evict it.  A pinned hit
-                # is already there and costs no re-put.
-                self._remember_inode(row, pin=True)
+            if referenced:
+                self.skeleton.add_inode(row)
             return row
         values = self.db.query_one(
             "SELECT * FROM inodes WHERE tree_id = ? AND inode_id = ?",
@@ -342,23 +448,38 @@ class StoredQueryEngine:
         )
         if values is None:
             return None
-        return self._remember_inode(as_inode_row(values), pin=pin)
+        return self._remember_inode(as_inode_row(values), referenced)
 
-    def inodes_many(
-        self, inode_ids: Iterable[int], pin: bool = False
+    def referenced_inodes_many(
+        self, inode_ids: Iterable[int]
     ) -> dict[int, InodeRow]:
-        """Batch twin of :meth:`inode`: one ``get`` per distinct id, the
-        misses in one ``IN (...)`` fill, the same pinning rules."""
+        """Batch twin of :meth:`referenced_inode`."""
+        return self._inodes_of(inode_ids, True)
+
+    def _inodes_of(
+        self, inode_ids: Iterable[int], referenced: bool
+    ) -> dict[int, InodeRow]:
+        """Inodes by id: the skeleton, then this handle's cache, then
+        one ``IN (...)`` fill per chunk of misses."""
         found: dict[int, InodeRow] = {}
         missing: list[int] = []
+        shared = self.skeleton.inodes.get
         get = self._inodes.get
         for inode_id in dict.fromkeys(inode_ids):
+            row = shared(inode_id)
+            if row is not None:
+                self._skeleton_hits += 1
+                found[inode_id] = row
+                continue
             row = get(inode_id)
             if row is None:
                 missing.append(inode_id)
                 continue
-            if pin and not self._inodes.is_pinned(inode_id):
-                self._remember_inode(row, pin=True)
+            if referenced:
+                # Known skeleton now: a hit in this handle's cache
+                # joins the shared skeleton, where scans cannot evict
+                # it.
+                self.skeleton.add_inode(row)
             found[inode_id] = row
         for chunk in chunked(missing):
             placeholders = ",".join("?" for _ in chunk)
@@ -368,13 +489,18 @@ class StoredQueryEngine:
                 (self.tree_id, *chunk),
                 plain=True,
             ):
-                row = self._remember_inode(as_inode_row(values), pin=pin)
+                row = self._remember_inode(as_inode_row(values), referenced)
                 found[row.inode_id] = row
         return found
 
     def inode_at(self, block_id: int, label: DeweyLabel) -> InodeRow | None:
         """The inode at ``label`` (a parsed Dewey tuple) of a block."""
-        row = self._inode_at.get((block_id, label))
+        key = (block_id, label)
+        row = self.skeleton.inode_at.get(key)
+        if row is not None:
+            self._skeleton_hits += 1
+            return row
+        row = self._inode_at.get(key)
         if row is not None:
             return row
         values = self.db.query_one(
@@ -399,8 +525,14 @@ class StoredQueryEngine:
         """
         found: dict[tuple[int, DeweyLabel], InodeRow] = {}
         missing: dict[int, list[str]] = {}
+        shared = self.skeleton.inode_at.get
         get = self._inode_at.get
         for key in dict.fromkeys(keys):
+            row = shared(key)
+            if row is not None:
+                self._skeleton_hits += 1
+                found[key] = row
+                continue
             row = get(key)
             if row is not None:
                 found[key] = row
@@ -421,6 +553,10 @@ class StoredQueryEngine:
         return found
 
     def block(self, block_id: int) -> BlockRow | None:
+        row = self.skeleton.blocks.get(block_id)
+        if row is not None:
+            self._skeleton_hits += 1
+            return row
         row = self._blocks.get(block_id)
         if row is not None:
             return row
@@ -433,12 +569,18 @@ class StoredQueryEngine:
         return self._remember_block(values)
 
     def blocks_many(self, block_ids: Iterable[int]) -> dict[int, BlockRow]:
-        """Batch twin of :meth:`block`: one ``get`` per distinct id, the
+        """Batch twin of :meth:`block`: one lookup per distinct id, the
         misses in one ``IN (...)`` fill."""
         found: dict[int, BlockRow] = {}
         missing: list[int] = []
+        shared = self.skeleton.blocks.get
         get = self._blocks.get
         for block_id in dict.fromkeys(block_ids):
+            row = shared(block_id)
+            if row is not None:
+                self._skeleton_hits += 1
+                found[block_id] = row
+                continue
             row = get(block_id)
             if row is not None:
                 found[block_id] = row
@@ -472,8 +614,21 @@ class StoredQueryEngine:
         return {name: getattr(self, f"_{name}") for name in self._CACHE_NAMES}
 
     def cache_stats(self) -> dict[str, CacheStats]:
-        """Per-cache counters plus a ``"total"`` aggregate."""
+        """Per-cache counters, the ``"skeleton"`` entry and a
+        ``"total"`` aggregate.
+
+        The skeleton entry counts the lookups it answered for this
+        handle; a lookup it cannot answer is counted, hit or miss, by
+        the row cache of its kind, so ``total`` counts every lookup
+        once.  Its ``size`` is the shared row count (blocks plus
+        inodes) and its ``maxsize`` the cap on both.
+        """
         stats = {name: cache.stats for name, cache in self._caches().items()}
+        stats["skeleton"] = CacheStats(
+            hits=self._skeleton_hits,
+            size=len(self.skeleton),
+            maxsize=2 * self.skeleton.maxsize,
+        )
         total = CacheStats()
         for value in stats.values():
             total = total + value
@@ -503,15 +658,17 @@ class StoredQueryEngine:
         return resident / len(probed)
 
     def clear_cache(self) -> None:
-        """Drop all cached rows and the scan table (cold-start; counters
-        are kept)."""
+        """Drop all cached rows, the tree's shared skeleton and the
+        scan table (cold-start; counters are kept)."""
         for cache in self._caches().values():
             cache.clear()
+        self.skeleton.clear()
         self._scan = None
 
     def reset_cache_stats(self) -> None:
         for cache in self._caches().values():
             cache.reset_stats()
+        self._skeleton_hits = 0
 
     def __repr__(self) -> str:
         total = self.cache_stats()["total"]

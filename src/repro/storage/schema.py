@@ -309,15 +309,17 @@ _RENUMBER_INODES: tuple[str, ...] = (
     ) WITHOUT ROWID
     """,
     # A node's canonical inode takes the node's id; the others keep
-    # their order from n_nodes (the tree's canonical count) on.  The
-    # flag is not read but derived from the structure it mirrors (an
-    # inode is canonical unless it lies above layer 0 or is the ε copy
-    # rooting a split block), so no statement names a dropped column.
+    # their order from the tree's node count on, so a damaged file whose
+    # canonical inode rows are not one per node still numbers every
+    # inode apart (verify() then reports the fault).  The flag is not
+    # read but derived from the structure it mirrors (an inode is
+    # canonical unless it lies above layer 0 or is the ε copy rooting a
+    # split block), so no statement names a dropped column.
     """
     INSERT INTO inode_ids (tree_id, old_id, new_id)
     SELECT tree_id, inode_id,
            CASE WHEN canonical THEN orig_node_id
-                ELSE SUM(canonical) OVER (PARTITION BY tree_id)
+                ELSE COALESCE(n_nodes, 0)
                      + ROW_NUMBER() OVER (
                            PARTITION BY tree_id, canonical ORDER BY inode_id
                        ) - 1
@@ -327,6 +329,9 @@ _RENUMBER_INODES: tuple[str, ...] = (
                layer = 0 AND (block_id = 0 OR label_depth > 0) AS canonical
         FROM inodes
     )
+    LEFT JOIN (
+        SELECT tree_id, COUNT(*) AS n_nodes FROM nodes GROUP BY tree_id
+    ) USING (tree_id)
     """,
     _inodes_table("_v4"),
     """

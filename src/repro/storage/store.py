@@ -54,10 +54,14 @@ calling thread's pooled reader on the tree's shard (or to that shard's
 writer when the store has no pools — in-memory stores, or
 ``readers=0``).  Handles and their row caches are cached per thread, so
 repeated queries from a worker thread hit warm caches without any
-cross-thread sharing.  All writes — loading, deleting, history
-recording — go through writer connections whose transactions serialize
-behind per-connection locks; :meth:`query` serializes its optional
-history recording behind a lock so concurrent readers may record safely.
+cross-thread sharing; the one shared structure is each tree's
+append-only :class:`~repro.storage.engine.IndexSkeleton`, which every
+handle and thread of the store reads without a lock, so a fresh handle
+finds the index rows its predecessors fetched.  All writes — loading,
+deleting, history recording — go through writer connections whose
+transactions serialize behind per-connection locks; :meth:`query`
+serializes its optional history recording behind a lock so concurrent
+readers may record safely.
 """
 
 from __future__ import annotations
@@ -98,7 +102,7 @@ from repro.storage.api import (
 )
 from repro.storage.cache import CacheStats
 from repro.storage.database import CrimsonDatabase
-from repro.storage.engine import DEFAULT_CACHE_SIZE
+from repro.storage.engine import DEFAULT_CACHE_SIZE, IndexSkeleton
 from repro.storage.loader import DataLoader, Reporter, _silent
 from repro.storage.pool import ReaderPool, Shard
 from repro.storage.query_repository import QueryRepository
@@ -190,6 +194,9 @@ class CrimsonStore:
         self.cache_size = (
             cache_size if cache_size is not None else DEFAULT_CACHE_SIZE
         )
+        # tree_id -> the tree's shared index skeleton, filled lazily by
+        # every handle of the tree (see index_skeleton).
+        self._skeletons: dict[int, IndexSkeleton] = {}
         self.pool: ReaderPool | None = None
         self._shards: list[Shard] = []
         try:
@@ -308,6 +315,7 @@ class CrimsonStore:
         if self.pool is not None:
             self.pool.close()
         self.db.close()
+        self._skeletons.clear()
 
     @property
     def is_closed(self) -> bool:
@@ -433,6 +441,30 @@ class CrimsonStore:
             self._placement_cursor += 1
             return tied[self._placement_cursor % len(tied)]
 
+    def index_skeleton(
+        self, tree_id: int, cache_size: int | None = None
+    ) -> IndexSkeleton:
+        """The index skeleton every handle of tree ``tree_id`` shares.
+
+        Created empty on first use and filled by the handles' walks.
+        Stored rows never change and a ``tree_id`` is never re-issued
+        in a file, so one copy is right for every handle and thread of
+        this store.  A handle whose ``cache_size`` differs from the
+        store's gets a private skeleton bounded by its own size.
+        """
+        if cache_size is not None and cache_size != self.cache_size:
+            return IndexSkeleton(cache_size)
+        skeleton = self._skeletons.get(tree_id)
+        if skeleton is None:
+            skeleton = self._skeletons.setdefault(
+                tree_id, IndexSkeleton(self.cache_size)
+            )
+        return skeleton
+
+    def drop_index_skeleton(self, tree_id: int) -> None:
+        """Forget tree ``tree_id``'s skeleton (its tree was deleted)."""
+        self._skeletons.pop(tree_id, None)
+
     def _bump_catalogue_epoch(self) -> None:
         """Make every thread's cached handles revalidate on next use."""
         self._catalogue_epoch += 1
@@ -493,8 +525,11 @@ class CrimsonStore:
         ``tree_id``.  Stored rows never change and ids are never
         re-issued, so the same id means the same rows; a re-stored
         name gets a fresh ``tree_id`` and so a fresh handle.  Mutations
-        made through *another* store or process are not observed; pass
-        an explicit ``cache_size`` to get a fresh, uncached handle.
+        made through *another* store or process are not observed.  Every
+        handle of a tree shares the tree's index skeleton
+        (:meth:`index_skeleton`); pass an explicit ``cache_size`` to get
+        a fresh handle, with a private skeleton when the size differs
+        from the store's.
 
         Raises
         ------
@@ -503,7 +538,12 @@ class CrimsonStore:
         """
         if cache_size is not None:
             info = catalogue_info(self.reader_database(), name)
-            return StoredTree(self.shard_reader(info.shard), info, cache_size)
+            return StoredTree(
+                self.shard_reader(info.shard),
+                info,
+                cache_size,
+                self.index_skeleton(info.tree_id, cache_size),
+            )
         handles: dict[str, tuple[int, StoredTree]] | None = getattr(
             self._local, "handles", None
         )
@@ -521,7 +561,10 @@ class CrimsonStore:
             handles[name] = (epoch, cached)
             return cached
         handle = StoredTree(
-            self.shard_reader(info.shard), info, self.cache_size
+            self.shard_reader(info.shard),
+            info,
+            self.cache_size,
+            self.index_skeleton(info.tree_id),
         )
         handles[name] = (epoch, handle)
         with self._handles_lock:
@@ -666,8 +709,25 @@ class CrimsonStore:
         with self._handles_lock:
             handles = list(self._live_handles)
         totals: dict[str, CacheStats] = {}
+        counted: list[IndexSkeleton] = []
         for handle in handles:
-            for name, stats in handle.cache_stats().items():
+            per_cache = handle.cache_stats()
+            skeleton = handle.engine.skeleton
+            if any(skeleton is seen for seen in counted):
+                # A shared skeleton's rows count once, its hits per handle.
+                shared = per_cache["skeleton"]
+                total = per_cache["total"]
+                per_cache["skeleton"] = dataclasses.replace(
+                    shared, size=0, maxsize=0
+                )
+                per_cache["total"] = dataclasses.replace(
+                    total,
+                    size=total.size - shared.size,
+                    maxsize=total.maxsize - shared.maxsize,
+                )
+            else:
+                counted.append(skeleton)
+            for name, stats in per_cache.items():
                 existing = totals.get(name)
                 totals[name] = stats if existing is None else existing + stats
         out: dict[str, Any] = {"handles": len(handles)}

@@ -17,13 +17,15 @@ answers LCA with the paper's layered algorithm *directly over SQL row
 fetches* — no in-memory index is rebuilt — demonstrating the paper's
 point that single queries touch only a small portion of a huge tree.
 Row access is mediated by a per-handle
-:class:`~repro.storage.engine.StoredQueryEngine`, which LRU-caches the
-immutable block/inode/node rows as typed records
-(:mod:`repro.storage.rows`) and batches multi-key fetches, so the warm
-path executes zero SQL statements and ``lca_batch`` walks whole
-workloads up the index in lock step, a round of ``IN (...)`` queries
-per layer and source-chain hop.  :class:`NodeRow`
-lives in :mod:`repro.storage.rows` and is re-exported here.
+:class:`~repro.storage.engine.StoredQueryEngine`, which keeps the
+immutable rows as typed records (:mod:`repro.storage.rows`) — the index
+skeleton in an :class:`~repro.storage.engine.IndexSkeleton` shared by
+every handle of the tree, the other rows in per-handle LRU caches — and
+batches multi-key fetches, so the warm path executes zero SQL
+statements and ``lca_batch`` walks whole workloads up the index in lock
+step, a round of ``IN (...)`` queries per layer and source-chain hop.
+:class:`NodeRow` lives in :mod:`repro.storage.rows` and is re-exported
+here.
 """
 
 from __future__ import annotations
@@ -40,7 +42,12 @@ from repro.core.lca import DEFAULT_LABEL_BOUND
 from repro.errors import QueryError, StorageError
 from repro.storage.cache import CacheStats
 from repro.storage.database import CrimsonDatabase, Row
-from repro.storage.engine import DEFAULT_CACHE_SIZE, StoredQueryEngine, T
+from repro.storage.engine import (
+    DEFAULT_CACHE_SIZE,
+    IndexSkeleton,
+    StoredQueryEngine,
+    T,
+)
 from repro.storage.rows import BlockRow, InodeRow, NodeRow, as_node_row
 from repro.trees.node import Node
 from repro.trees.traversal import PreorderColumns, preorder_columns
@@ -385,6 +392,7 @@ class TreeRepository:
             data_db,
             TreeInfo(tree_id, *catalogue),
             cache_size=self.store.cache_size,
+            skeleton=self.store.index_skeleton(tree_id),
         )
 
     @staticmethod
@@ -418,13 +426,18 @@ class TreeRepository:
         """Open a query handle on a stored tree.
 
         The handle binds to the writer of the shard the tree's catalogue
-        row names.  ``cache_size`` overrides the store's default for
-        this handle.
+        row names and shares the tree's index skeleton with the store's
+        other handles.  ``cache_size`` overrides the store's default for
+        this handle; a size that differs from the store's also gives the
+        handle a private skeleton.
         """
         size = cache_size if cache_size is not None else self.store.cache_size
         info = self.info(name)
         return StoredTree(
-            self.store.shard_database(info.shard), info, cache_size=size
+            self.store.shard_database(info.shard),
+            info,
+            cache_size=size,
+            skeleton=self.store.index_skeleton(info.tree_id, size),
         )
 
     def list_trees(self) -> list[TreeInfo]:
@@ -470,6 +483,7 @@ class TreeRepository:
                     connection.execute(
                         f"DELETE FROM {table} WHERE tree_id = ?", (info.tree_id,)
                     )
+        self.store.drop_index_skeleton(info.tree_id)
         self.store._bump_catalogue_epoch()
 
     def __repr__(self) -> str:
@@ -487,7 +501,10 @@ class StoredTree:
     are; scan-shaped reads (:meth:`clade`, :meth:`leaves`,
     :meth:`leaves_in_subtree`, ...) build theirs by position from plain
     tuples.  ``cache_size`` bounds each row cache; :meth:`cache_stats`
-    exposes the counters.
+    exposes the counters.  ``skeleton`` is the tree's
+    :class:`~repro.storage.engine.IndexSkeleton`, which the store shares
+    between every handle it opens on the tree (``None``: a private
+    one).
 
     A handle is bound to one ``tree_id``.  ``CrimsonStore.open_tree``
     caches handles per thread and, after a delete, revalidates them
@@ -502,11 +519,12 @@ class StoredTree:
         db: CrimsonDatabase,
         info: TreeInfo,
         cache_size: int = DEFAULT_CACHE_SIZE,
+        skeleton: IndexSkeleton | None = None,
     ) -> None:
         self.db = db
         self.info = info
         self._tree_id = info.tree_id
-        self.engine = StoredQueryEngine(db, info.tree_id, cache_size)
+        self.engine = StoredQueryEngine(db, info.tree_id, cache_size, skeleton)
 
     def _raise_missing(self, message: str) -> None:
         """Raise for a row lookup that found nothing.
@@ -608,9 +626,10 @@ class StoredTree:
 
         Cold it costs ``ceil(n / chunk)`` ``IN (...)`` statements and
         fills the node-row cache; a warm repeat (``cache_size >= n``)
-        costs **zero** — while the engine's segmented admission keeps
-        the scan from evicting the pinned upper-layer index rows the
-        point-query warm path depends on.  Analytics reads the narrower
+        costs **zero** — and the scan cannot evict the index rows the
+        point-query warm path depends on, which live in the tree's
+        shared :class:`~repro.storage.engine.IndexSkeleton`, not in the
+        handle's row caches.  Analytics reads the narrower
         :meth:`scan_table` instead.
 
         Raises
@@ -700,9 +719,8 @@ class StoredTree:
     # ------------------------------------------------------------------
 
     def _inode(self, inode_id: int) -> InodeRow:
-        # Only ever called to resolve block root/source/rep references,
-        # which are index skeleton: pin them against layer-0 scans.
-        row = self.engine.inode(inode_id, pin=True)
+        # Only ever called to resolve block root/source/rep references.
+        row = self.engine.referenced_inode(inode_id)
         if row is None:
             raise StorageError(f"index corrupt: missing inode {inode_id}")
         return row
@@ -952,9 +970,9 @@ class StoredTree:
             ) from None
 
     def _inodes_by_id(self, inode_ids: list[int]) -> list[InodeRow]:
-        """Rep or source inodes by id, in order (one batch fill); pinned
-        as index skeleton, like :meth:`_inode`."""
-        found = self.engine.inodes_many(inode_ids, pin=True)
+        """Rep or source inodes by id, in order (one batch fill); index
+        skeleton, like :meth:`_inode`."""
+        found = self.engine.referenced_inodes_many(inode_ids)
         try:
             return [found[inode_id] for inode_id in inode_ids]
         except KeyError as error:
@@ -985,7 +1003,9 @@ class StoredTree:
         return self.engine.cache_stats()
 
     def clear_cache(self) -> None:
-        """Drop all cached rows — subsequent queries start cold."""
+        """Drop all cached rows, the tree's shared index skeleton
+        included — subsequent queries, on every handle of the tree,
+        start cold."""
         self.engine.clear_cache()
 
     def reset_cache_stats(self) -> None:

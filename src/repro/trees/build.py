@@ -51,14 +51,24 @@ def caterpillar(n_leaves: int, edge_length: float = 1.0) -> PhyloTree:
     """
     if n_leaves < 2:
         raise TreeStructureError("a caterpillar needs at least 2 leaves")
+
+    def link(parent: Node, name: str | None) -> Node:
+        # Every node is new, so it cannot close a cycle: link it
+        # directly, as Node.add_child's cycle check walks to the root
+        # (quadratic in the spine's length).
+        child = Node(name, edge_length)
+        child.parent = parent
+        parent.children.append(child)
+        return child
+
     root = Node()
     spine = root
     for index in range(1, n_leaves):
-        spine.new_child(f"t{index}", edge_length)
+        link(spine, f"t{index}")
         if index < n_leaves - 1:
-            spine = spine.new_child(None, edge_length)
+            spine = link(spine, None)
         else:
-            spine.new_child(f"t{n_leaves}", edge_length)
+            link(spine, f"t{n_leaves}")
     return PhyloTree(root, name=f"caterpillar-{n_leaves}")
 
 

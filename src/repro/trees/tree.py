@@ -54,13 +54,20 @@ class PhyloTree:
         return tree
 
     def copy(self) -> "PhyloTree":
-        """Deep-copy the tree structure (names, lengths, child order)."""
+        """Deep-copy the tree structure (names, lengths, child order).
+
+        Each clone is linked straight to its parent's clone, which the
+        pre-order walk made first: the clones are all new, so no cycle
+        check (``Node.add_child`` walks to the root) is needed.
+        """
         mapping: dict[int, Node] = {}
         for node in self.root.preorder():
             clone = Node(node.name, node.length)
             mapping[id(node)] = clone
             if node.parent is not None:
-                mapping[id(node.parent)].add_child(clone)
+                parent = mapping[id(node.parent)]
+                clone.parent = parent
+                parent.children.append(clone)
         return PhyloTree(mapping[id(self.root)], name=self.name)
 
     # ------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import numpy as np
@@ -33,6 +34,16 @@ def store():
     """An in-memory Crimson store, closed after the test."""
     with CrimsonStore.open() as crimson:
         yield crimson
+
+
+@pytest.fixture
+def store_with_cache():
+    """Opens in-memory stores of a given ``cache_size``, closed after
+    the test."""
+    with contextlib.ExitStack() as stack:
+        yield lambda size: stack.enter_context(
+            CrimsonStore.open(cache_size=size)
+        )
 
 
 @pytest.fixture

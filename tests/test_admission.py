@@ -203,6 +203,37 @@ class TestEstimatorSoundness:
                     run(request, state)
             assert overruns == []
 
+    @pytest.mark.parametrize("f", [2, 4, 8])
+    @pytest.mark.parametrize("kind", ["fig1", "random", "yule", "caterpillar"])
+    def test_fresh_handle_on_a_warmed_skeleton(
+        self, kind, f, random_tree_factory
+    ):
+        """A fresh handle's row caches are empty, but the tree's shared
+        skeleton already holds what another handle's walks fetched —
+        half of the requests' walks, then all of them."""
+        with CrimsonStore.open() as store:
+            store.load_tree(
+                _soundness_tree(kind, random_tree_factory), name=kind, f=f
+            )
+            warmer = store.trees.open(kind)
+            requests = _soundness_requests(warmer, random.Random(f))
+            overruns = []
+            for warmed in (requests[::2], requests):
+                for request in warmed:
+                    store._execute(warmer, request)
+                for request in requests:
+                    fresh = store.trees.open(kind)
+                    assert fresh.engine.skeleton is warmer.engine.skeleton
+                    estimate = estimate_query(request, fresh)
+                    with fresh.db.count_statements() as counter:
+                        store._execute(fresh, request)
+                    if counter.count > estimate.statements:
+                        overruns.append(
+                            (len(warmed), request.operation, counter.count,
+                             estimate.statements)
+                        )
+            assert overruns == []
+
 
 # ----------------------------------------------------------------------
 # Controller

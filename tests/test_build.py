@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.errors import TreeStructureError
@@ -13,6 +15,8 @@ from repro.trees.build import (
     sample_tree,
     star,
 )
+from repro.trees.newick import write_newick
+from repro.trees.tree import validate_tree
 
 
 class TestSampleTree:
@@ -53,6 +57,22 @@ class TestCaterpillar:
     def test_custom_edge_length(self):
         tree = caterpillar(5, edge_length=2.0)
         assert tree.find("t1").length == 2.0
+
+    def test_deep_build_and_copy_are_linear(self):
+        # Node.add_child's cycle check walks to the root, which is
+        # quadratic in the spine's length: both link nodes directly.
+        start = time.perf_counter()
+        tree = caterpillar(20_000)
+        built = time.perf_counter() - start
+        start = time.perf_counter()
+        clone = tree.copy()
+        copied = time.perf_counter() - start
+        assert built < 1.0 and copied < 1.0
+        assert tree.max_depth() == 19_999
+        assert write_newick(clone) == write_newick(tree)
+        originals = {id(node) for node in tree.preorder()}
+        assert not originals & {id(node) for node in clone.preorder()}
+        validate_tree(clone)
 
 
 class TestBalanced:

@@ -9,7 +9,6 @@ batch) to the same answers on random trees across several ``f`` values.
 
 from __future__ import annotations
 
-import contextlib
 import random
 
 import numpy as np
@@ -22,6 +21,7 @@ from repro.core.lca import LcaService
 from repro.errors import QueryError, StorageError
 from repro.simulation.birth_death import yule_tree
 from repro.storage.cache import CacheStats, LRUCache
+from repro.storage.engine import IndexSkeleton
 from repro.storage.projection import project_stored
 from repro.storage.sanitize import record_statements, statement_budget
 from repro.storage.store import CrimsonStore
@@ -32,16 +32,6 @@ from repro.trees.traversal import naive_lca
 @pytest.fixture
 def repo(store):
     return store.trees
-
-
-@pytest.fixture
-def store_with_cache():
-    """Opens in-memory stores of a given ``cache_size``, closed after
-    the test."""
-    with contextlib.ExitStack() as stack:
-        yield lambda size: stack.enter_context(
-            CrimsonStore.open(cache_size=size)
-        )
 
 
 @pytest.fixture
@@ -101,75 +91,18 @@ class TestLRUCache:
 
 
 class TestSegmentedAdmission:
-    """The pinned segment: ordinary inserts can never evict pinned rows."""
-
-    def test_pinned_entries_survive_a_probationary_flood(self):
-        cache = LRUCache(4)
-        cache.put("index", "skeleton", pinned=True)
-        for key in range(100):
-            cache.put(key, key)
-        assert cache.get("index") == "skeleton"
-        assert len(cache) == 5  # 4 probationary + 1 pinned
-        assert cache.pinned_count == 1
-
-    def test_pinned_segment_is_bounded_and_lru(self):
-        cache = LRUCache(2)
-        cache.put("a", 1, pinned=True)
-        cache.put("b", 2, pinned=True)
-        cache.get("a")  # refresh: "b" becomes the pinned LRU entry
-        cache.put("c", 3, pinned=True)
-        assert cache.get("a") == 1
-        assert cache.get("b") is None
-        assert cache.get("c") == 3
-        assert cache.evictions == 1
-
-    def test_pinning_is_sticky(self):
-        cache = LRUCache(2)
-        cache.put("k", 1)
-        cache.put("k", 2, pinned=True)  # promotion
-        assert cache.pinned_count == 1
-        assert len(cache) == 1
-        # An unpinned re-put refreshes in place — never demotes.
-        cache.put("k", 3)
-        assert cache.pinned_count == 1
-        assert cache.get("k") == 3
-
-    def test_repeated_scans_cannot_demote_pinned_rows(self):
-        cache = LRUCache(4)
-        cache.put("skeleton", "row", pinned=True)
-        for _round in range(3):
-            # A scan that re-fetches the skeleton key unpinned ...
-            cache.put("skeleton", "row")
-            for key in range(100):
-                cache.put(key, key)
-        # ... still cannot push it out.
-        assert cache.get("skeleton") == "row"
-        assert cache.pinned_count == 1
-
-    def test_stats_report_pinned_entries(self):
-        cache = LRUCache(4)
-        cache.put("a", 1, pinned=True)
-        cache.put("b", 2)
-        stats = cache.stats
-        assert stats.pinned == 1
-        assert stats.size == 2
-        assert stats.as_dict()["pinned"] == 1
-
-    def test_clear_drops_both_segments(self):
-        cache = LRUCache(4)
-        cache.put("a", 1, pinned=True)
-        cache.put("b", 2)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.pinned_count == 0
+    """Scan resistance: the index skeleton lives in the tree's shared
+    ``IndexSkeleton``, which layer-0 scans through the row caches can
+    never evict."""
 
     def test_full_tree_scan_cannot_evict_index_rows(self, store_with_cache):
         """The ROADMAP cache-admission item, end to end: after a warm-up,
         an adversarial layer-0 scan (every node row, every canonical
-        inode — the analytics extraction pattern) must leave the pinned
-        index skeleton resident, so the repeated point-query workload
-        re-fetches only the handful of evicted layer-0 rows instead of
-        re-walking the index from cold.
+        inode — the analytics extraction pattern) must leave the index
+        skeleton resident, so the warm walk up the index runs no SQL
+        and the repeated point-query workload re-fetches only the
+        handful of evicted layer-0 rows instead of re-walking the index
+        from cold.
         """
         store = store_with_cache(256)
         repo = store.trees
@@ -186,37 +119,40 @@ class TestSegmentedAdmission:
         with store.db.count_statements() as counter:
             workload()
         assert counter.count == 0  # fully warm before the scan
-        inodes = handle.engine._inodes
-        skeleton = [
-            inode
-            for inode in range(2 * handle.info.n_nodes)
-            if inodes.is_pinned(inode)
-        ]
-        assert skeleton
+        skeleton = handle.engine.skeleton
+        resident = (dict(skeleton.blocks), dict(skeleton.inodes))
+        assert resident[0] and resident[1]
+        ends = handle.engine.canonical_inodes_many(
+            [handle.node_by_name(name).node_id for name in ("t1", "t600")]
+        )
+        sides = list(ends.values())
 
         # The adversarial scan: more layer-0 rows than the cache holds.
         # Run it twice — the second round re-fetches rows the first
-        # evicted, which must not demote pinned skeleton rows (pinning
-        # is sticky).
+        # evicted.
         assert handle.info.n_nodes > 256
         for _round in range(2):
             handle.preorder_rows()
             handle.engine.canonical_inodes_many(range(handle.info.n_nodes))
+        assert (skeleton.blocks, skeleton.inodes) == resident
 
-        before = {
-            name: stats.misses
-            for name, stats in handle.cache_stats().items()
-        }
+        # The warm walk — block and rep fills on every layer, the walk
+        # one layer up, the source-chain climb — is all skeleton.
+        with store.db.count_statements() as counter:
+            reps = handle._inodes_by_id(
+                [block.rep_inode_id for block in handle._blocks_of(sides)]
+            )
+            (upper,) = handle._lca_level(reps)
+            climbed = handle._climb_to(sides, [upper.represents_block_id])
+        assert counter.count == 0
+        assert climbed[0].block_id == climbed[1].block_id
+
+        before = handle.cache_stats()["blocks"].misses
         with store.db.count_statements() as counter:
             workload()
-        after = handle.cache_stats()
-        # The index skeleton (blocks, pinned inodes) stays resident:
-        # canonical inodes share the inode cache, so its misses count
-        # the evicted layer-0 rows the repeat re-fetches ...
-        assert after["blocks"].misses == before["blocks"]
-        assert all(inodes.is_pinned(inode) for inode in skeleton)
-        # ... so the post-scan repeat costs a few layer-0 re-fetches,
-        # not a cold re-walk.
+        assert handle.cache_stats()["blocks"].misses == before
+        # The post-scan repeat costs a few layer-0 re-fetches, not a
+        # cold re-walk.
         assert 0 < counter.count <= 20
         assert counter.count < cold // 10
 
@@ -279,7 +215,7 @@ class TestWarmPath:
 
 class TestTypedRowCaches:
     """Rows are typed once, when they enter a cache; a warm hit only
-    reads them.  The counters, the pinning and the answers are those of
+    reads them.  The answers and the per-lookup counts are those of
     the untyped-row engine."""
 
     def test_warm_repeat_makes_no_sql_and_no_cache_puts(
@@ -299,33 +235,43 @@ class TestTypedRowCaches:
         puts = []
         original = LRUCache.put
 
-        def counting_put(cache, key, value, pinned=False):
+        def counting_put(cache, key, value):
             puts.append(key)
-            original(cache, key, value, pinned)
+            original(cache, key, value)
 
         monkeypatch.setattr(LRUCache, "put", counting_put)
+        for name in ("add_block", "add_inode"):
+            monkeypatch.setattr(
+                IndexSkeleton, name, lambda skeleton, row: puts.append(row)
+            )
         with store.db.count_statements() as counter:
             workload()
         assert counter.count == 0
         assert puts == []
 
     def test_fixed_workload_counters_are_unchanged(self, random_tree_factory):
-        """Per-cache (hits, misses, evictions, size, pinned) of a fixed
-        cold-then-warm workload, as recorded with ``sqlite3.Row``
-        caches that re-put every pinned hit.
+        """Per-cache (hits, misses, evictions, size) of a fixed
+        cold-then-warm workload.
 
-        Misses, evictions, sizes and pinned counts are those of the
-        per-pair batch walk.  Hits are lower since ``lca_batch`` walks
-        its pairs level by level: each round looks every distinct key
-        up once, where the per-pair walk looked it up once per pair and
-        hop.
+        Every lookup is counted once, so the totals of hits and misses
+        are those recorded with ``sqlite3.Row`` caches (2207, 283).
+        The ``skeleton`` entry holds the 994 lookups the shared index
+        skeleton answered: the 460 block hits the blocks cache counted
+        when block rows were pinned there, and the 446 inode and 88
+        label hits on the 61 pinned inodes.  Its size is those rows
+        once, 32 blocks and 61 inodes (the pinned counts of the blocks
+        and inodes caches).  The four skeleton inodes that were first
+        fetched as layer-0 rows and then reached through a block keep a
+        copy in the inode caches, so those hold 85 rows, not 81.
 
-        Canonical inodes had a cache of their own, (237, 71, 0, 104, 0)
-        on this workload.  Node ``r``'s canonical inode is now inode
-        ``r``, looked up in the inode cache, which counts those hits and
-        misses on top of its own (435, 57); the totals are unchanged,
-        and the total size drops by the 104 rows the inode cache already
-        held."""
+        Hits are lower than with the per-pair batch walk since
+        ``lca_batch`` walks its pairs level by level: each round looks
+        every distinct key up once, where the per-pair walk looked it
+        up once per pair and hop (602 block hits, 322 label lookups).
+
+        Canonical inodes had a cache of their own, (237, 71, 0, 104) on
+        this workload.  Node ``r``'s canonical inode is inode ``r``,
+        looked up in the inode cache."""
         with CrimsonStore.open() as store:
             store.load_tree(random_tree_factory(300, seed=7), name="fixed", f=3)
             handle = store.open_tree("fixed", cache_size=4096)
@@ -345,30 +291,25 @@ class TestTypedRowCaches:
                 handle.clade(["L40", "L41"])
                 handle.node(123)
             counters = {
-                name: (s.hits, s.misses, s.evictions, s.size, s.pinned)
+                name: (s.hits, s.misses, s.evictions, s.size)
                 for name, s in handle.cache_stats().items()
             }
+            skeleton = handle.engine.skeleton
+            assert (len(skeleton.blocks), len(skeleton.inodes)) == (32, 61)
         assert counters == {
-            # Per-pair walk: 602 hits (one block lookup per pair and hop).
-            "blocks": (460, 32, 0, 32, 32),
-            # 322: one label lookup per pair and layer.
-            "inode_at": (198, 14, 0, 142, 61),
-            # Per-pair walk: 577 rep/source hits (one per pair and hop)
-            # and 457 canonical ones (each canonical inode read twice,
-            # in the prefetch and again when its pair's walk started).
-            # The canonical share, now 237, was 257 while ``lca_many``
-            # folded its set: a prefetch plus two lookups per fold
-            # step, where the pre-order extremes walk looks up two
-            # inodes once.
-            "inodes": (672, 128, 0, 142, 61),
-            "node_ids": (350, 94, 0, 109, 0),
-            # 583: one result-row lookup per walked pair, not per
-            # distinct result.
-            "nodes": (527, 15, 0, 109, 0),
-            "total": (2207, 283, 0, 534, 154),
+            # Every block row is skeleton: only the fills are counted here.
+            "blocks": (0, 32, 0, 0),
+            "inode_at": (110, 14, 0, 85),
+            "inodes": (226, 128, 0, 85),
+            "node_ids": (350, 94, 0, 109),
+            # 583 with the per-pair walk: one result-row lookup per
+            # walked pair, not per distinct result.
+            "nodes": (527, 15, 0, 109),
+            "skeleton": (994, 0, 0, 93),
+            "total": (2207, 283, 0, 481),
         }
 
-    def test_probationary_skeleton_inode_is_promoted(self, store_with_cache):
+    def test_referenced_inode_joins_the_skeleton(self, store_with_cache):
         repo = store_with_cache(4096).trees
         repo.store_tree(caterpillar(600), name="deep", f=4)
         handle = repo.open("deep")
@@ -377,14 +318,15 @@ class TestTypedRowCaches:
         source = engine.block(deepest.block_id).source_inode_id
         assert source is not None
         handle.clear_cache()
-        # Reached outside the skeleton first: a probationary layer-0 row.
+        # Reached outside the skeleton first: a layer-0 row of this
+        # handle's own cache.
         row = engine.inode(source)
         assert row.layer == 0
-        assert not engine._inodes.is_pinned(source)
+        assert source not in engine.skeleton.inodes
         # The walk from the deepest block to the root climbs through it.
         assert handle.lca("t1", "t600").node_id == 0
-        assert engine._inodes.is_pinned(source)
-        assert engine._inode_at.is_pinned((row.block_id, row.label))
+        assert engine.skeleton.inodes[source] is row
+        assert engine.skeleton.inode_at[(row.block_id, row.label)] is row
 
     @pytest.mark.parametrize("seed", [2, 9])
     def test_constant_eviction_agrees_with_dewey(
@@ -528,6 +470,8 @@ class TestLevelSynchronousWalk:
         counts = []
         for pairs in (base, more):
             handle = repo.open("bal")
+            # The first handle filled the tree's shared skeleton.
+            handle.clear_cache()
             with store.db.count_statements() as counter:
                 handle.lca_batch(pairs)
             counts.append(counter.count)

@@ -247,7 +247,7 @@ def test_failed_rebuild_leaves_the_version_2_file_as_it_was(
         (*rebuild[:renamed], "INSERT INTO nodes SELECT * FROM nodes",
          *rebuild[renamed:]),
     )
-    with pytest.raises(sqlite3.IntegrityError):
+    with pytest.raises(StorageError, match=f"{path.name}.*upgrade failed"):
         CrimsonStore.open(path)
     assert file_state(path) == before
     monkeypatch.setattr(schema, "_REBUILD_WITHOUT_FOREIGN_KEYS", rebuild)
@@ -275,13 +275,59 @@ def test_failed_renumbering_leaves_the_version_3_files_as_they_were(
         (*steps[:renamed], "INSERT INTO nodes SELECT * FROM nodes",
          *steps[renamed:]),
     )
-    with pytest.raises(sqlite3.IntegrityError):
+    with pytest.raises(StorageError, match="upgrade failed.*UNIQUE"):
         CrimsonStore.open(path, shards=shards)
     assert [file_state(target) for target in files] == before
     monkeypatch.setattr(schema, "_RENUMBER_INODES", steps)
     with CrimsonStore.open(path, shards=shards) as store:
         assert_rows_match_the_oracle(store)
     assert_upgraded(path, shards)
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_version_3_file_missing_a_canonical_inode_opens(tmp_path, shards):
+    """Non-canonical inodes are numbered from the tree's node count, so
+    a missing canonical row cannot make a new id collide with a node
+    id: the file opens, and verify() reports the fault."""
+    path = tmp_path / "v3.db"
+    write_old_store(path, version=3, shards=shards)
+    # The caterpillar's first leaf, t1 (node 1): no block hangs from a
+    # leaf, so its canonical inode is no block's root or source.
+    tree_id = [name for name, _, _ in old_trees()].index("cat") + 1
+    target = shard_path(path, (tree_id - 1) % shards) if shards > 1 else path
+    connection = sqlite3.connect(target)
+    deleted = connection.execute(
+        "DELETE FROM inodes WHERE tree_id = ? AND orig_node_id = 1 "
+        "AND is_canonical = 1",
+        (tree_id,),
+    ).rowcount
+    connection.commit()
+    connection.close()
+    assert deleted == 1
+    with CrimsonStore.open(path) as store:
+        (report,) = store.verify("cat")
+        assert report.problems == [
+            "1 nodes without a canonical inode "
+            "(inode r in layer 0 holding node r)"
+        ]
+        assert all(other.ok for other in store.verify() if other.tree_name != "cat")
+    assert_upgraded(path, shards)
+
+
+def test_failing_upgrade_raises_storage_error_naming_the_file(
+    tmp_path, monkeypatch
+):
+    path = tmp_path / "v3.db"
+    write_old_store(path, version=3, shards=1)
+    before = file_state(path)
+    monkeypatch.setattr(
+        schema,
+        "_RENUMBER_INODES",
+        (*schema._RENUMBER_INODES[:1], "SELECT no_such_column FROM inodes"),
+    )
+    with pytest.raises(StorageError, match=f"{path.name}.*no_such_column"):
+        CrimsonStore.open(path)
+    assert file_state(path) == before
 
 
 @pytest.mark.parametrize("role", ["primary", "shard"])
