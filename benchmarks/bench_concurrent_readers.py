@@ -31,6 +31,7 @@ from pathlib import Path
 
 from repro.storage.api import QueryRequest
 from repro.storage.store import CrimsonStore
+from repro.storage.tree_repository import StoredTree
 from repro.trees.build import caterpillar
 
 from _latency import latency_summary
@@ -67,8 +68,11 @@ class _Phase:
             # The per-thread cached handle keeps its row caches.
             handle = self.store.open_tree("deep")
         else:
-            # A fresh handle per run: every query hits SQL again.
-            handle = self.store.open_tree("deep", cache_size=4096)
+            # A fresh handle per run with an empty skeleton of its own
+            # (not the store's shared one, which the other runs and
+            # threads fill): every query hits SQL again.
+            shared = self.store.open_tree("deep")
+            handle = StoredTree(shared.db, shared.info, cache_size=4096)
         got = [row.node_id for row in handle.lca_batch(self.pairs)]
         if got != self.expected:
             with self._lock:

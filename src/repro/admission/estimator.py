@@ -7,11 +7,11 @@ module predicts a request's cost *before* execution, from catalogue
 stats the store already has — tree sizes from :class:`TreeInfo` rows,
 index shape (``n_layers`` / ``n_blocks``), and the live residency of
 the per-handle row caches (:meth:`StoredQueryEngine.resident_fraction`)
-and of the tree's shared index skeleton (its row counts, which every
-handle of the tree fills and reads).  Warm repeat queries estimate
-near-zero statements, cold full-catalogue analytics estimate high —
-the cold/warm split that changes disk-based query cost by orders of
-magnitude.
+and whether the tree's shared index skeleton, which every handle of the
+tree fills and reads, already holds a layered walk's whole climb.  Warm
+repeat queries estimate near-zero statements, cold full-catalogue
+analytics estimate high — the cold/warm split that changes disk-based
+query cost by orders of magnitude.
 
 The estimate is deliberately a **worst-case bound**, not an
 expectation: a ``clade`` request is costed as if the spanning clade
@@ -19,9 +19,10 @@ were the whole tree, a ``match`` as a full materialization, because
 admission control must refuse what *could* starve the service, not
 what probably won't.  Warmth only ever lowers the bound through
 observed cache residency, never through optimism about data the
-estimator has not seen: the skeleton residency discounts only
-the skeleton climb of a layered-LCA walk, while its canonical inodes,
-label lookups and result rows stay priced cold.  The walk's cold price
+estimator has not seen: a skeleton that holds every row a walk can
+climb waives only the skeleton climb of a layered-LCA walk, while its
+canonical inodes, label lookups and result rows stay priced cold, and
+a partly filled skeleton waives nothing.  The walk's cold price
 follows its real structure — one recursive pair walk for ``lca`` and
 ``clade``, the level-synchronous rounds of ``lca_batch`` and
 ``project`` — with source chains bounded by the index shape
@@ -117,16 +118,19 @@ def _batches(keys: float) -> int:
 
 
 def _skeleton_residency(handle) -> float:
-    """Observed residency of the index skeleton the handle reads.
+    """``1.0`` when the tree's shared
+    :class:`~repro.storage.engine.IndexSkeleton` holds every row a
+    layered walk climbs
+    (:meth:`~repro.storage.engine.IndexSkeleton.holds_climb`), else
+    ``0.0``.
 
-    The layered-LCA walk climbs the block and inode rows the tree's
-    shared :class:`~repro.storage.engine.IndexSkeleton` holds (roughly
-    two skeleton rows per block); its row count over that bound says
-    how much of a cold walk is already paid, whichever handle paid it.
+    A partly filled skeleton is priced cold: rows resident in one
+    region of the tree say nothing of the rows a walk through another
+    region needs, and any handle of the store may have filled them.
     """
-    resident = len(handle.engine.skeleton)
-    bound = max(1, 2 * handle.info.n_blocks)
-    return min(1.0, resident / bound)
+    info = handle.info
+    holds = handle.engine.skeleton.holds_climb(info.n_blocks, info.n_layers)
+    return 1.0 if holds else 0.0
 
 
 def _scan_residency(handle) -> float:
@@ -159,10 +163,10 @@ def _pair_statements(info, skeleton: float) -> float:
     (``lca`` and ``clade`` reduce their set to its pre-order extremes).
 
     Two canonical inodes, one label lookup per layer and the result's
-    node row; then the skeleton climb, discounted by its observed
-    ``skeleton`` residency: two blocks and two rep inodes on every
-    layer below the top, and a block and a source inode per chain hop
-    of either side.
+    node row; then the skeleton climb, waived when ``skeleton`` is
+    ``1.0`` (the skeleton holds the whole climb): two blocks and two
+    rep inodes on every layer below the top, and a block and a source
+    inode per chain hop of either side.
     """
     climbing = max(0, info.n_layers - 1)
     climb = 4 * climbing + 4 * _chain_hops(info)
@@ -175,8 +179,8 @@ def _batch_statements(info, pairs: int, skeleton: float) -> float:
 
     One canonical fill, a label lookup per distinct block of each
     layer (at most ``pairs`` per layer, and every block at most once)
-    and one fill of result rows; then the skeleton climb, discounted by
-    its observed ``skeleton`` residency: a block fill and a rep fill on
+    and one fill of result rows; then the skeleton climb, waived when
+    ``skeleton`` is ``1.0``: a block fill and a rep fill on
     every layer below the top, and a block fill and a source fill per
     hop round.  Fills are chunked ``IN (...)`` statements over their
     keys.
@@ -195,7 +199,7 @@ def _walk_rows(info, pairs: int, skeleton: float) -> float:
     """Rows a cold walk over ``pairs`` pairs can fetch: per pair two
     canonical inodes, a label inode per layer and the result row, plus
     the skeleton rows it climbs (a block, its rep and a source inode,
-    each fetched at most once per handle), discounted by residency."""
+    each fetched at most once per handle), waived with the climb."""
     layers = max(1, info.n_layers)
     climbed = 2 * pairs * (layers + _chain_hops(info))
     return pairs * (3 + layers) + 3 * min(info.n_blocks, climbed) * (1.0 - skeleton)

@@ -32,15 +32,15 @@ cheap in four ways:
    one round trip per round, not one per pair and hop.
 3. **One shared index skeleton per tree.**  Every block row, every
    upper-layer inode (``layer > 0``) and every inode a walk reaches
-   through a block's root/source/rep reference (``referenced_inode``,
-   layer 0 included) — the ``O(n/f)`` skeleton every layered-LCA walk
-   climbs — goes into the tree's :class:`IndexSkeleton`, not into the
-   handle's LRU caches.  The store keeps one skeleton per tree and
-   hands it to every handle it opens on the tree, in every thread, so
-   a fresh handle's cold walk (one per trial of
-   ``BenchmarkManager.run_trial``) re-reads none of the rows an earlier
-   handle fetched.  The skeleton only grows and is never evicted, so a
-   layer-0 scan (a whole-tree batch fetch such as
+   through a block's root/source/rep reference (``inode(...,
+   referenced=True)``, layer 0 included) — the ``O(n/f)`` skeleton
+   every layered-LCA walk climbs — goes into the tree's
+   :class:`IndexSkeleton`, not into the handle's LRU caches.  The
+   store keeps one skeleton per tree and hands it to every handle it
+   opens on the tree, in every thread, so a fresh handle's cold walk
+   (one per trial of ``BenchmarkManager.run_trial``) re-reads none of
+   the rows an earlier handle fetched.  The skeleton only grows and is
+   never evicted, so a layer-0 scan (a whole-tree batch fetch such as
    :meth:`~repro.storage.tree_repository.StoredTree.preorder_rows`)
    churns only the LRU caches and the warm-path statement bound
    survives adversarial scan loads.  Every lookup that may hit a
@@ -59,10 +59,11 @@ cheap in four ways:
 Cache knobs
 -----------
 ``cache_size`` (per-handle, default :data:`DEFAULT_CACHE_SIZE` = 4096)
-bounds each of the five row caches of a handle, and each kind (blocks,
-inodes) of the tree's skeleton: memory is therefore at most
-``5 · cache_size`` rows per open handle, plus at most ``cache_size``
-skeleton rows per kind per tree, store-wide (in practice only the
+bounds each of the five row caches of a handle; the store's
+``cache_size`` bounds each kind (blocks, inodes) of a tree's skeleton.
+Memory is therefore at most ``5 · cache_size`` rows per open handle,
+plus at most the store's ``cache_size`` skeleton rows per kind per
+tree, store-wide (in practice only the
 ``O(n/f)`` skeleton rows: skeleton rows past the cap stay in the
 handle's LRU caches instead), plus one scan table of a tree of at most
 ``cache_size`` nodes (for analytics, the distinct non-trivial cluster
@@ -77,8 +78,8 @@ dotted string, and the inode caches share one record per row.  Pass
 ``cache_size`` through ``CrimsonStore.open(path, cache_size=...)``
 (every handle the store opens, sharing the skeletons),
 ``CrimsonStore.open_tree`` / ``TreeRepository.open(name,
-cache_size=...)`` (one handle, with a private skeleton when the size
-differs from the store's), or the CLI's global ``--cache-size`` flag.
+cache_size=...)`` (one handle's row caches; it still shares the tree's
+skeleton), or the CLI's global ``--cache-size`` flag.
 Sizing guidance: blocks and inodes above layer 0 number about ``n/f``
 and ``n/(f-1)`` rows, so a bound of ``n/f`` entries keeps every
 upper-layer hop in the skeleton; layer-0 node rows are only worth
@@ -150,7 +151,10 @@ class IndexSkeleton:
     cache instead.
     """
 
-    __slots__ = ("maxsize", "blocks", "inodes", "inode_at", "_lock")
+    __slots__ = (
+        "maxsize", "blocks", "inodes", "inode_at", "_lock", "_climbable",
+        "_checked_at",
+    )
 
     def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE) -> None:
         if maxsize < 1:
@@ -160,6 +164,10 @@ class IndexSkeleton:
         self.inodes: dict[int, InodeRow] = {}
         self.inode_at: dict[tuple[int, DeweyLabel], InodeRow] = {}
         self._lock = threading.Lock()
+        # Memo of holds_climb: True once proven, else the row count
+        # the last failed check saw.
+        self._climbable = False
+        self._checked_at = -1
 
     def __len__(self) -> int:
         """Rows held: blocks plus inodes (``inode_at`` re-keys the
@@ -187,12 +195,45 @@ class IndexSkeleton:
                     return True
         return row.inode_id in self.inodes
 
+    def holds_climb(self, n_blocks: int, n_layers: int) -> bool:
+        """Whether a layered walk's climb runs no SQL on a tree of
+        ``n_blocks`` blocks in ``n_layers`` layers: the skeleton holds
+        every block below the top layer's single block (a walk never
+        reads that one) and every rep and source inode they reference.
+
+        The skeleton only grows, so a ``True`` is kept until
+        :meth:`clear`, and a ``False`` is re-checked (one pass over the
+        blocks) only once the skeleton has grown.
+        """
+        if self._climbable:
+            return True
+        if len(self.blocks) < n_blocks - 1 or len(self) == self._checked_at:
+            return False
+        top = n_layers - 1
+        with self._lock:
+            self._checked_at = len(self)
+            inodes = self.inodes
+            below = [
+                block for block in self.blocks.values() if block.layer < top
+            ]
+            self._climbable = len(below) >= n_blocks - 1 and all(
+                (block.rep_inode_id is None or block.rep_inode_id in inodes)
+                and (
+                    block.source_inode_id is None
+                    or block.source_inode_id in inodes
+                )
+                for block in below
+            )
+            return self._climbable
+
     def clear(self) -> None:
         """Drop every row (the tree's handles start cold again)."""
         with self._lock:
             self.blocks.clear()
             self.inodes.clear()
             self.inode_at.clear()
+            self._climbable = False
+            self._checked_at = -1
 
 
 class StoredQueryEngine:
@@ -413,26 +454,17 @@ class StoredQueryEngine:
         """
         return self.inodes_many(node_ids)
 
-    def inode(self, inode_id: int) -> InodeRow | None:
-        """Fetch an inode by id."""
-        return self._inode(inode_id, False)
+    def inode(
+        self, inode_id: int, referenced: bool = False
+    ) -> InodeRow | None:
+        """Fetch an inode by id.
 
-    def inodes_many(self, inode_ids: Iterable[int]) -> dict[int, InodeRow]:
-        """Batch twin of :meth:`inode`: one lookup per distinct id, the
-        misses in one ``IN (...)`` fill."""
-        return self._inodes_of(inode_ids, False)
-
-    def referenced_inode(self, inode_id: int) -> InodeRow | None:
-        """Fetch an inode a block references (its root, source or rep).
-
-        Those inodes — layer 0 included — are part of the ``O(n/f)``
-        structure every layered walk climbs, so the row joins the
-        tree's :class:`IndexSkeleton`, also when this handle's cache
+        ``referenced`` marks an inode a block references (its root,
+        source or rep): those — layer 0 included — are part of the
+        ``O(n/f)`` structure every layered walk climbs, so the row joins
+        the tree's :class:`IndexSkeleton`, also when this handle's cache
         already held it.
         """
-        return self._inode(inode_id, True)
-
-    def _inode(self, inode_id: int, referenced: bool) -> InodeRow | None:
         row = self.skeleton.inodes.get(inode_id)
         if row is not None:
             self._skeleton_hits += 1
@@ -450,17 +482,11 @@ class StoredQueryEngine:
             return None
         return self._remember_inode(as_inode_row(values), referenced)
 
-    def referenced_inodes_many(
-        self, inode_ids: Iterable[int]
+    def inodes_many(
+        self, inode_ids: Iterable[int], referenced: bool = False
     ) -> dict[int, InodeRow]:
-        """Batch twin of :meth:`referenced_inode`."""
-        return self._inodes_of(inode_ids, True)
-
-    def _inodes_of(
-        self, inode_ids: Iterable[int], referenced: bool
-    ) -> dict[int, InodeRow]:
-        """Inodes by id: the skeleton, then this handle's cache, then
-        one ``IN (...)`` fill per chunk of misses."""
+        """Batch twin of :meth:`inode`: the skeleton, then this handle's
+        cache, then one ``IN (...)`` fill per chunk of misses."""
         found: dict[int, InodeRow] = {}
         missing: list[int] = []
         shared = self.skeleton.inodes.get

@@ -441,19 +441,16 @@ class CrimsonStore:
             self._placement_cursor += 1
             return tied[self._placement_cursor % len(tied)]
 
-    def index_skeleton(
-        self, tree_id: int, cache_size: int | None = None
-    ) -> IndexSkeleton:
+    def index_skeleton(self, tree_id: int) -> IndexSkeleton:
         """The index skeleton every handle of tree ``tree_id`` shares.
 
         Created empty on first use and filled by the handles' walks.
         Stored rows never change and a ``tree_id`` is never re-issued
         in a file, so one copy is right for every handle and thread of
-        this store.  A handle whose ``cache_size`` differs from the
-        store's gets a private skeleton bounded by its own size.
+        this store.  It holds at most the store's ``cache_size`` rows
+        per kind; a handle keeps skeleton rows past that cap in its own
+        row caches, which its own ``cache_size`` bounds.
         """
-        if cache_size is not None and cache_size != self.cache_size:
-            return IndexSkeleton(cache_size)
         skeleton = self._skeletons.get(tree_id)
         if skeleton is None:
             skeleton = self._skeletons.setdefault(
@@ -527,9 +524,11 @@ class CrimsonStore:
         name gets a fresh ``tree_id`` and so a fresh handle.  Mutations
         made through *another* store or process are not observed.  Every
         handle of a tree shares the tree's index skeleton
-        (:meth:`index_skeleton`); pass an explicit ``cache_size`` to get
-        a fresh handle, with a private skeleton when the size differs
-        from the store's.
+        (:meth:`index_skeleton`).  Pass an explicit ``cache_size`` to get
+        a fresh handle with empty row caches of that size; it still
+        reads the shared skeleton, so for a fully cold handle call its
+        ``clear_cache()``, which also empties the tree's skeleton for
+        every handle.
 
         Raises
         ------
@@ -542,7 +541,7 @@ class CrimsonStore:
                 self.shard_reader(info.shard),
                 info,
                 cache_size,
-                self.index_skeleton(info.tree_id, cache_size),
+                self.index_skeleton(info.tree_id),
             )
         handles: dict[str, tuple[int, StoredTree]] | None = getattr(
             self._local, "handles", None
@@ -705,32 +704,29 @@ class CrimsonStore:
         )
 
     def _stats_caches(self) -> dict[str, Any]:
-        """Row-cache stats aggregated over every live query handle."""
+        """Row-cache stats aggregated over every live query handle, with
+        the store's shared skeletons counted once."""
         with self._handles_lock:
             handles = list(self._live_handles)
         totals: dict[str, CacheStats] = {}
-        counted: list[IndexSkeleton] = []
         for handle in handles:
-            per_cache = handle.cache_stats()
-            skeleton = handle.engine.skeleton
-            if any(skeleton is seen for seen in counted):
-                # A shared skeleton's rows count once, its hits per handle.
-                shared = per_cache["skeleton"]
-                total = per_cache["total"]
-                per_cache["skeleton"] = dataclasses.replace(
-                    shared, size=0, maxsize=0
-                )
-                per_cache["total"] = dataclasses.replace(
-                    total,
-                    size=total.size - shared.size,
-                    maxsize=total.maxsize - shared.maxsize,
-                )
-            else:
-                counted.append(skeleton)
-            for name, stats in per_cache.items():
+            for name, stats in handle.cache_stats().items():
+                if name == "total":
+                    continue
+                if name == "skeleton":
+                    # Hits are per handle; rows belong to the store.
+                    stats = CacheStats(hits=stats.hits)
                 existing = totals.get(name)
                 totals[name] = stats if existing is None else existing + stats
         out: dict[str, Any] = {"handles": len(handles)}
+        if not totals:
+            return out
+        skeletons = list(self._skeletons.values())
+        totals["skeleton"] = totals["skeleton"] + CacheStats(
+            size=sum(len(skeleton) for skeleton in skeletons),
+            maxsize=sum(2 * skeleton.maxsize for skeleton in skeletons),
+        )
+        totals["total"] = sum(totals.values(), CacheStats())
         for name in sorted(totals):
             out[name] = totals[name].as_dict()
         return out

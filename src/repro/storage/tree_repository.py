@@ -428,8 +428,7 @@ class TreeRepository:
         The handle binds to the writer of the shard the tree's catalogue
         row names and shares the tree's index skeleton with the store's
         other handles.  ``cache_size`` overrides the store's default for
-        this handle; a size that differs from the store's also gives the
-        handle a private skeleton.
+        this handle's row caches.
         """
         size = cache_size if cache_size is not None else self.store.cache_size
         info = self.info(name)
@@ -437,7 +436,7 @@ class TreeRepository:
             self.store.shard_database(info.shard),
             info,
             cache_size=size,
-            skeleton=self.store.index_skeleton(info.tree_id, size),
+            skeleton=self.store.index_skeleton(info.tree_id),
         )
 
     def list_trees(self) -> list[TreeInfo]:
@@ -720,7 +719,7 @@ class StoredTree:
 
     def _inode(self, inode_id: int) -> InodeRow:
         # Only ever called to resolve block root/source/rep references.
-        row = self.engine.referenced_inode(inode_id)
+        row = self.engine.inode(inode_id, referenced=True)
         if row is None:
             raise StorageError(f"index corrupt: missing inode {inode_id}")
         return row
@@ -972,7 +971,7 @@ class StoredTree:
     def _inodes_by_id(self, inode_ids: list[int]) -> list[InodeRow]:
         """Rep or source inodes by id, in order (one batch fill); index
         skeleton, like :meth:`_inode`."""
-        found = self.engine.referenced_inodes_many(inode_ids)
+        found = self.engine.inodes_many(inode_ids, referenced=True)
         try:
             return [found[inode_id] for inode_id in inode_ids]
         except KeyError as error:

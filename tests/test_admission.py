@@ -39,7 +39,7 @@ from repro.simulation.birth_death import yule_tree
 from repro.storage import engine, wire
 from repro.storage.api import AnalyticsRequest, QueryRequest
 from repro.storage.store import CrimsonStore
-from repro.trees.build import caterpillar, sample_tree
+from repro.trees.build import balanced, caterpillar, sample_tree
 
 
 @pytest.fixture
@@ -233,6 +233,50 @@ class TestEstimatorSoundness:
                              estimate.statements)
                         )
             assert overruns == []
+
+    def test_skeleton_warm_in_one_half_prices_the_other_cold(self):
+        """Walks confined to the left half of a balanced tree fill most
+        of the skeleton but none of the right half's climb.  Discounting
+        by the fraction of skeleton rows resident under-priced 12 of
+        these 31 right-half walks (28 statements against 17); only a
+        skeleton that holds the whole climb is discounted now."""
+        with CrimsonStore.open() as store:
+            store.load_tree(balanced(10), name="bal", f=2)
+            warmer = store.trees.open("bal")
+            leaves = warmer.leaf_names()
+            half = len(leaves) // 2
+            left, right = leaves[:half], leaves[half:]
+            rng = random.Random(3)
+            for _ in range(200):
+                warmer.lca(*rng.sample(left, 2))
+            skeleton = warmer.engine.skeleton
+            info = warmer.info
+            assert not skeleton.holds_climb(info.n_blocks, info.n_layers)
+
+            def overruns(requests):
+                found = []
+                for request in requests:
+                    fresh = store.trees.open("bal")
+                    estimate = estimate_query(request, fresh)
+                    with fresh.db.count_statements() as counter:
+                        store._execute(fresh, request)
+                    if counter.count > estimate.statements:
+                        found.append((counter.count, estimate.statements))
+                return found
+
+            walks = [
+                QueryRequest.lca("bal", *rng.sample(right, 2))
+                for _ in range(31)
+            ]
+            assert overruns(walks) == []
+            # Every node paired with a node of the other half climbs
+            # every block below the top one.
+            last = info.n_nodes - 1
+            warmer.lca_batch(
+                [(node, end) for node in range(last) for end in (1, last)]
+            )
+            assert skeleton.holds_climb(info.n_blocks, info.n_layers)
+            assert overruns(walks) == []
 
 
 # ----------------------------------------------------------------------

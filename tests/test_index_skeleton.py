@@ -213,21 +213,21 @@ class TestSharedAcrossHandles:
                 for handle in handles
             )
 
-    def test_explicit_cache_size_gets_a_private_skeleton(self, store):
+    def test_explicit_cache_size_shares_the_skeleton(self, store):
         """Fails on the old design only for want of the attribute: every
         handle's rows were private there."""
         store.trees.store_tree(caterpillar(40), name="deep", f=4)
         shared = store.open_tree("deep")
-        same = store.trees.open("deep", cache_size=store.cache_size)
-        private = store.open_tree("deep", cache_size=16)
-        other = store.trees.open("deep", cache_size=16)
-        assert same.engine.skeleton is shared.engine.skeleton
-        assert private.engine.skeleton is not shared.engine.skeleton
-        assert other.engine.skeleton is not private.engine.skeleton
-        assert private.engine.skeleton.maxsize == 16
-        private.lca("t1", "t40")
-        assert len(private.engine.skeleton) > 0
-        assert len(shared.engine.skeleton) == 0
+        handles = [
+            store.trees.open("deep", cache_size=store.cache_size),
+            store.open_tree("deep", cache_size=16),
+            store.trees.open("deep", cache_size=16),
+        ]
+        for handle in handles:
+            assert handle.engine.skeleton is shared.engine.skeleton
+        assert shared.engine.skeleton.maxsize == store.cache_size
+        assert handles[1].lca("t1", "t40").node_id == 0
+        assert len(shared.engine.skeleton) > 0
 
     @pytest.mark.parametrize("seed", [1, 6])
     def test_tiny_cap_bounds_the_skeleton_and_keeps_answers(
