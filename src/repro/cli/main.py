@@ -539,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sql-census",
         default=None,
         metavar="PATH",
-        help="also write the static SQL statement census as JSON",
+        help="also write the SQL catalogue's statements as JSON",
     )
     lint.add_argument(
         "--rules",

@@ -42,13 +42,7 @@ from repro.lint.rules_layering import (
     SqliteLayering,
 )
 from repro.lint.rules_resources import ManagedResources
-from repro.lint.rules_sql import (
-    SqlInterpolation,
-    SqlPlaceholders,
-    SqlSchema,
-    SqlSchemaSync,
-    build_census,
-)
+from repro.lint.rules_sql import SqlInterpolation, build_census
 from repro.lint.rules_wire import WireErrorDetails
 
 __all__ = [
@@ -74,10 +68,7 @@ ALL_RULES: tuple[Rule, ...] = (
     LockOrder(),
     SameThreadGuard(),
     ManagedResources(),
-    SqlSchema(),
-    SqlPlaceholders(),
     SqlInterpolation(),
-    SqlSchemaSync(),
     WireErrorDetails(),
 )
 
@@ -116,7 +107,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         type=Path,
         default=None,
         metavar="PATH",
-        help="also write the static SQL statement census as JSON",
+        help="also write the SQL catalogue's statements as JSON",
     )
     parser.add_argument(
         "--rules",
@@ -152,7 +143,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         import json as _json
 
         options.sql_census.write_text(
-            _json.dumps(build_census(project), indent=2, sort_keys=True)
+            _json.dumps(build_census(), indent=2, sort_keys=True)
             + "\n",
             encoding="utf-8",
         )

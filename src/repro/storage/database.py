@@ -22,6 +22,7 @@ from typing import Any, Iterator
 from urllib.parse import quote
 
 from repro.errors import StorageError
+from repro.storage import sql
 from repro.storage.sanitize import maybe_sanitize
 from repro.storage.schema import create_schema
 
@@ -117,13 +118,13 @@ class CrimsonDatabase:
                 f"cannot open database {self.path!r}: {error}"
             ) from error
         self._connection.row_factory = sqlite3.Row
-        self._connection.execute("PRAGMA foreign_keys = ON")
+        self._connection.execute(sql.FOREIGN_KEYS_ON)
         if read_only:
             # Belt and braces: reject writes at the connection level too.
-            self._connection.execute("PRAGMA query_only = ON")
+            self._connection.execute(sql.QUERY_ONLY_ON)
         elif self.path != ":memory:":
-            self._connection.execute("PRAGMA journal_mode = WAL")
-            self._connection.execute("PRAGMA synchronous = NORMAL")
+            self._connection.execute(sql.JOURNAL_MODE_WAL)
+            self._connection.execute(sql.SYNCHRONOUS_NORMAL)
         if not read_only:
             self._guard_role(shard_schema)
             # A refused (newer) file or a failed upgrade must not leak
@@ -153,9 +154,7 @@ class CrimsonDatabase:
         and open under either role.
         """
         try:
-            row = self._connection.execute(
-                "SELECT value FROM meta WHERE key = 'role'"
-            ).fetchone()
+            row = self._connection.execute(sql.FILE_ROLE).fetchone()
         except sqlite3.Error:
             return  # no meta table yet: a brand-new or foreign file
         existing = row[0] if row is not None else None
@@ -254,7 +253,9 @@ class CrimsonDatabase:
                 connection.rollback()
                 raise
 
-    def execute(self, sql: str, parameters: tuple = ()) -> sqlite3.Cursor:
+    def execute(
+        self, statement: str, parameters: tuple = ()
+    ) -> sqlite3.Cursor:
         """Run one statement on the live connection.
 
         Statements take the same lock as :meth:`transaction` (reentrant,
@@ -272,19 +273,21 @@ class CrimsonDatabase:
         self.statements_executed += 1
         with self._transaction_lock:
             try:
-                return self.connection.execute(sql, parameters)
+                return self.connection.execute(statement, parameters)
             except sqlite3.Error as error:
                 raise StorageError(
                     f"statement on {self.path!r} failed: {error}"
                 ) from error
 
-    def query_one(self, sql: str, parameters: tuple = ()) -> sqlite3.Row | None:
+    def query_one(
+        self, statement: str, parameters: tuple = ()
+    ) -> sqlite3.Row | None:
         """Run a statement and return the first row (or ``None``)."""
         with self._transaction_lock:  # the fetch steps the cursor too
-            return self.execute(sql, parameters).fetchone()
+            return self.execute(statement, parameters).fetchone()
 
     def query_all(
-        self, sql: str, parameters: tuple = (), *, plain: bool = False
+        self, statement: str, parameters: tuple = (), *, plain: bool = False
     ) -> list[Any]:
         """Run a statement and return all rows.
 
@@ -293,7 +296,7 @@ class CrimsonDatabase:
         read columns by position.
         """
         with self._transaction_lock:
-            cursor = self.execute(sql, parameters)
+            cursor = self.execute(statement, parameters)
             if plain:
                 cursor.row_factory = None
             return cursor.fetchall()

@@ -108,6 +108,7 @@ from typing import Callable, Iterable, Sequence, TypeVar, cast
 
 from repro.core.dewey import DeweyLabel, label_to_string
 from repro.errors import StorageError
+from repro.storage import sql
 from repro.storage.cache import CacheStats, LRUCache
 from repro.storage.database import CrimsonDatabase
 from repro.storage.rows import (
@@ -329,10 +330,7 @@ class StoredQueryEngine:
         row = self._nodes.get(node_id)
         if row is not None:
             return row
-        values = self.db.query_one(
-            "SELECT * FROM nodes WHERE tree_id = ? AND node_id = ?",
-            (self.tree_id, node_id),
-        )
+        values = self.db.query_one(sql.NODE, (self.tree_id, node_id))
         return self._remember_node(values) if values is not None else None
 
     def node_row_by_name(self, name: str) -> NodeRow | None:
@@ -341,11 +339,7 @@ class StoredQueryEngine:
             cached = self._nodes.get(node_id)
             if cached is not None:
                 return cached
-        values = self.db.query_one(
-            "SELECT * FROM nodes INDEXED BY idx_nodes_name "
-            "WHERE tree_id = ? AND name = ?",
-            (self.tree_id, name),
-        )
+        values = self.db.query_one(sql.NODE_BY_NAME, (self.tree_id, name))
         return self._remember_node(values) if values is not None else None
 
     def node_rows_many(self, node_ids: Iterable[int]) -> dict[int, NodeRow]:
@@ -360,10 +354,8 @@ class StoredQueryEngine:
             else:
                 missing.append(node_id)
         for chunk in chunked(missing):
-            placeholders = ",".join("?" for _ in chunk)
             for values in self.db.query_all(
-                f"SELECT * FROM nodes WHERE tree_id = ? "
-                f"AND node_id IN ({placeholders})",
+                sql.in_list(sql.NODES_BY_IDS, len(chunk)),
                 (self.tree_id, *chunk),
                 plain=True,
             ):
@@ -386,10 +378,8 @@ class StoredQueryEngine:
             else:
                 missing.append(name)
         for chunk in chunked(missing):
-            placeholders = ",".join("?" for _ in chunk)
             for values in self.db.query_all(
-                f"SELECT * FROM nodes INDEXED BY idx_nodes_name "
-                f"WHERE tree_id = ? AND name IN ({placeholders})",
+                sql.in_list(sql.NODES_BY_NAMES, len(chunk)),
                 (self.tree_id, *chunk),
                 plain=True,
             ):
@@ -415,8 +405,7 @@ class StoredQueryEngine:
         if self._scan is not None:
             return cast(T, self._scan)
         rows = self.db.query_all(
-            "SELECT node_id, pre_order_end, is_leaf, name FROM nodes "
-            "WHERE tree_id = ? AND node_id BETWEEN 0 AND ? ORDER BY node_id",
+            sql.SCAN_COLUMNS,
             (self.tree_id, n_nodes - 1),
             plain=True,
         )
@@ -474,10 +463,7 @@ class StoredQueryEngine:
             if referenced:
                 self.skeleton.add_inode(row)
             return row
-        values = self.db.query_one(
-            "SELECT * FROM inodes WHERE tree_id = ? AND inode_id = ?",
-            (self.tree_id, inode_id),
-        )
+        values = self.db.query_one(sql.INODE, (self.tree_id, inode_id))
         if values is None:
             return None
         return self._remember_inode(as_inode_row(values), referenced)
@@ -508,10 +494,8 @@ class StoredQueryEngine:
                 self.skeleton.add_inode(row)
             found[inode_id] = row
         for chunk in chunked(missing):
-            placeholders = ",".join("?" for _ in chunk)
             for values in self.db.query_all(
-                f"SELECT * FROM inodes WHERE tree_id = ? "
-                f"AND inode_id IN ({placeholders})",
+                sql.in_list(sql.INODES_BY_IDS, len(chunk)),
                 (self.tree_id, *chunk),
                 plain=True,
             ):
@@ -530,9 +514,7 @@ class StoredQueryEngine:
         if row is not None:
             return row
         values = self.db.query_one(
-            "SELECT * FROM inodes WHERE tree_id = ? AND block_id = ? "
-            "AND local_label = ?",
-            (self.tree_id, block_id, label_to_string(label)),
+            sql.INODE_AT, (self.tree_id, block_id, label_to_string(label))
         )
         if values is None:
             return None
@@ -566,11 +548,8 @@ class StoredQueryEngine:
                 missing.setdefault(key[0], []).append(label_to_string(key[1]))
         for block_id, labels in missing.items():
             for chunk in chunked(labels):
-                placeholders = ",".join("?" for _ in chunk)
                 for values in self.db.query_all(
-                    f"SELECT * FROM inodes INDEXED BY idx_inodes_label "
-                    f"WHERE tree_id = ? AND block_id = ? "
-                    f"AND local_label IN ({placeholders})",
+                    sql.in_list(sql.INODES_AT, len(chunk)),
                     (self.tree_id, block_id, *chunk),
                     plain=True,
                 ):
@@ -586,10 +565,7 @@ class StoredQueryEngine:
         row = self._blocks.get(block_id)
         if row is not None:
             return row
-        values = self.db.query_one(
-            "SELECT * FROM blocks WHERE tree_id = ? AND block_id = ?",
-            (self.tree_id, block_id),
-        )
+        values = self.db.query_one(sql.BLOCK, (self.tree_id, block_id))
         if values is None:
             return None
         return self._remember_block(values)
@@ -613,10 +589,8 @@ class StoredQueryEngine:
             else:
                 missing.append(block_id)
         for chunk in chunked(missing):
-            placeholders = ",".join("?" for _ in chunk)
             for values in self.db.query_all(
-                f"SELECT * FROM blocks WHERE tree_id = ? "
-                f"AND block_id IN ({placeholders})",
+                sql.in_list(sql.BLOCKS_BY_IDS, len(chunk)),
                 (self.tree_id, *chunk),
                 plain=True,
             ):

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.core.lca import DEFAULT_LABEL_BOUND
 from repro.errors import ParseError, StorageError
+from repro.storage import sql
 from repro.storage.tree_repository import StoredTree
 from repro.trees.nexus import parse_nexus
 from repro.trees.newick import parse_newick
@@ -130,7 +131,7 @@ class DataLoader:
                 )
             seen.add(key)
             validate_tree(tree, require_leaf_names=True)
-            if self.db.query_one("SELECT 1 FROM trees WHERE name = ?", (key,)):
+            if self.db.query_one(sql.TREE_NAME_TAKEN, (key,)):
                 raise StorageError(f"a tree named {key!r} is already stored")
 
         handles: list[StoredTree] = []

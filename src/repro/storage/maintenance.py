@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.storage import sql
 from repro.storage.database import CrimsonDatabase
 from repro.storage.tree_repository import (
     TreeInfo,
@@ -82,7 +83,7 @@ def _orphan_reports(store, catalogue: CrimsonDatabase) -> list[IntegrityReport]:
     """One report per shard holding rows of trees the catalogue lost."""
     known = {
         row["tree_id"]
-        for row in catalogue.query_all("SELECT tree_id FROM trees")
+        for row in catalogue.query_all(sql.CATALOGUED_TREE_IDS)
     }
     reports: list[IntegrityReport] = []
     for shard_id in range(store.shards):
@@ -90,10 +91,8 @@ def _orphan_reports(store, catalogue: CrimsonDatabase) -> list[IntegrityReport]:
         orphans = sorted(
             {
                 row["tree_id"]
-                for table in ("nodes", "inodes", "blocks")
-                for row in data_db.query_all(
-                    f"SELECT DISTINCT tree_id FROM {table}"
-                )
+                for statement in sql.DATA_TREE_IDS
+                for row in data_db.query_all(statement)
             }
             - known
         )
@@ -121,33 +120,30 @@ def _verify_tree_rows(db: CrimsonDatabase, info: TreeInfo) -> IntegrityReport:
     report = IntegrityReport(tree_name=info.name)
     tree_id = info.tree_id
 
-    def one(sql: str, *params) -> int:
-        row = db.query_one(sql, (tree_id, *params))
+    def one(statement: str, *params) -> int:
+        row = db.query_one(statement, (tree_id, *params))
         assert row is not None
         return row[0]
 
     # 1. Catalogue counts.
-    n_nodes = one("SELECT COUNT(*) FROM nodes WHERE tree_id = ?")
+    n_nodes = one(sql.COUNT_NODES)
     if n_nodes != info.n_nodes:
         report.problems.append(
             f"catalogue says {info.n_nodes} nodes, table has {n_nodes}"
         )
-    n_leaves = one("SELECT COUNT(*) FROM nodes WHERE tree_id = ? AND is_leaf = 1")
+    n_leaves = one(sql.COUNT_LEAVES)
     if n_leaves != info.n_leaves:
         report.problems.append(
             f"catalogue says {info.n_leaves} leaves, table has {n_leaves}"
         )
-    n_blocks = one("SELECT COUNT(*) FROM blocks WHERE tree_id = ?")
+    n_blocks = one(sql.COUNT_BLOCKS)
     if n_blocks != info.n_blocks:
         report.problems.append(
             f"catalogue says {info.n_blocks} blocks, table has {n_blocks}"
         )
 
     # 2. Root.
-    roots = db.query_all(
-        "SELECT node_id FROM nodes WHERE tree_id = ? AND parent_id IS NULL",
-        (tree_id,),
-    )
+    roots = db.query_all(sql.ROOTS, (tree_id,))
     if len(roots) != 1 or roots[0]["node_id"] != 0:
         report.problems.append(
             f"expected exactly one root with node_id 0, found "
@@ -155,48 +151,19 @@ def _verify_tree_rows(db: CrimsonDatabase, info: TreeInfo) -> IntegrityReport:
         )
 
     # 3. Parent pointers respect pre-order.
-    bad_parents = one(
-        """
-        SELECT COUNT(*) FROM nodes AS child
-        LEFT JOIN nodes AS parent
-          ON parent.tree_id = child.tree_id
-         AND parent.node_id = child.parent_id
-        WHERE child.tree_id = ? AND child.parent_id IS NOT NULL
-          AND (parent.node_id IS NULL OR parent.node_id >= child.node_id)
-        """
-    )
+    bad_parents = one(sql.BAD_PARENTS)
     if bad_parents:
         report.problems.append(
             f"{bad_parents} nodes with missing or out-of-order parents"
         )
 
     # 4. Clade interval nesting.
-    bad_intervals = one(
-        """
-        SELECT COUNT(*) FROM nodes AS child
-        JOIN nodes AS parent
-          ON parent.tree_id = child.tree_id
-         AND parent.node_id = child.parent_id
-        WHERE child.tree_id = ?
-          AND (child.node_id > child.pre_order_end
-               OR child.pre_order_end > parent.pre_order_end)
-        """
-    )
+    bad_intervals = one(sql.BAD_INTERVALS)
     if bad_intervals:
         report.problems.append(f"{bad_intervals} broken clade intervals")
 
     # 5. Canonical inodes: inode r is node r's, in layer 0.
-    missing_canonical = one(
-        """
-        SELECT COUNT(*) FROM nodes
-        LEFT JOIN inodes
-          ON inodes.tree_id = nodes.tree_id
-         AND inodes.inode_id = nodes.node_id
-        WHERE nodes.tree_id = ?
-          AND (inodes.inode_id IS NULL OR inodes.layer != 0
-               OR inodes.orig_node_id IS NOT nodes.node_id)
-        """
-    )
+    missing_canonical = one(sql.MISSING_CANONICAL)
     if missing_canonical:
         report.problems.append(
             f"{missing_canonical} nodes without a canonical inode "
@@ -204,54 +171,27 @@ def _verify_tree_rows(db: CrimsonDatabase, info: TreeInfo) -> IntegrityReport:
         )
 
     # 6. Label bound and per-block uniqueness.
-    over_bound = one(
-        "SELECT COUNT(*) FROM inodes WHERE tree_id = ? AND label_depth > ?",
-        info.f,
-    )
+    over_bound = one(sql.OVER_BOUND_LABELS, info.f)
     if over_bound:
         report.problems.append(
             f"{over_bound} inode labels exceed the bound f = {info.f}"
         )
-    duplicate_labels = one(
-        """
-        SELECT COUNT(*) FROM (
-            SELECT block_id, local_label FROM inodes WHERE tree_id = ?
-            GROUP BY block_id, local_label HAVING COUNT(*) > 1
-        )
-        """
-    )
+    duplicate_labels = one(sql.DUPLICATE_LABELS)
     if duplicate_labels:
         report.problems.append(
             f"{duplicate_labels} duplicated (block, label) pairs"
         )
 
     # 7. Source inodes of split blocks.
-    bad_sources = one(
-        """
-        SELECT COUNT(*) FROM blocks
-        LEFT JOIN inodes
-          ON inodes.tree_id = blocks.tree_id
-         AND inodes.inode_id = blocks.source_inode_id
-        WHERE blocks.tree_id = ? AND blocks.source_inode_id IS NOT NULL
-          AND (inodes.inode_id IS NULL OR inodes.layer != blocks.layer)
-        """
-    )
+    bad_sources = one(sql.BAD_SOURCES)
     if bad_sources:
         report.problems.append(f"{bad_sources} blocks with invalid source inodes")
 
     # 8. Representatives for blocks in multi-block layers.
-    layer_rows = db.query_all(
-        "SELECT layer, COUNT(*) AS n FROM blocks WHERE tree_id = ? "
-        "GROUP BY layer ORDER BY layer",
-        (tree_id,),
-    )
+    layer_rows = db.query_all(sql.BLOCKS_PER_LAYER, (tree_id,))
     for row in layer_rows:
         if row["n"] > 1:
-            missing_reps = one(
-                "SELECT COUNT(*) FROM blocks WHERE tree_id = ? AND layer = ? "
-                "AND rep_inode_id IS NULL",
-                row["layer"],
-            )
+            missing_reps = one(sql.MISSING_REPS, row["layer"])
             if missing_reps:
                 report.problems.append(
                     f"layer {row['layer']}: {missing_reps} blocks without "

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import QueryError, StorageError
+from repro.storage import sql
 
 if TYPE_CHECKING:
     from repro.storage.store import CrimsonStore
@@ -61,12 +62,7 @@ class QueryRepository:
         issued = _datetime.datetime.now(_datetime.timezone.utc).isoformat()
         with self.db.transaction() as connection:
             cursor = connection.execute(
-                """
-                INSERT INTO query_history
-                    (issued_at, tree_name, operation, params_json,
-                     duration_ms, result_summary)
-                VALUES (?, ?, ?, ?, ?, ?)
-                """,
+                sql.INSERT_HISTORY,
                 (
                     issued,
                     tree_name,
@@ -92,9 +88,7 @@ class QueryRepository:
         StorageError
             If the id does not exist.
         """
-        row = self.db.query_one(
-            "SELECT * FROM query_history WHERE query_id = ?", (query_id,)
-        )
+        row = self.db.query_one(sql.HISTORY_ENTRY, (query_id,))
         if row is None:
             raise StorageError(f"no query {query_id} in history")
         return self._to_entry(row)
@@ -102,15 +96,10 @@ class QueryRepository:
     def recent(self, limit: int = 20, tree_name: str | None = None) -> list[HistoryEntry]:
         """The most recent queries, newest first."""
         if tree_name is None:
-            rows = self.db.query_all(
-                "SELECT * FROM query_history ORDER BY query_id DESC LIMIT ?",
-                (limit,),
-            )
+            rows = self.db.query_all(sql.RECENT_HISTORY, (limit,))
         else:
             rows = self.db.query_all(
-                "SELECT * FROM query_history WHERE tree_name = ? "
-                "ORDER BY query_id DESC LIMIT ?",
-                (tree_name, limit),
+                sql.RECENT_TREE_HISTORY, (tree_name, limit)
             )
         return [self._to_entry(row) for row in rows]
 
@@ -181,8 +170,8 @@ class QueryRepository:
 
     def clear(self) -> int:
         """Delete the whole history; returns the number of rows removed."""
-        row = self.db.query_one("SELECT COUNT(*) AS n FROM query_history")
+        row = self.db.query_one(sql.HISTORY_COUNT)
         assert row is not None
         with self.db.transaction() as connection:
-            connection.execute("DELETE FROM query_history")
+            connection.execute(sql.CLEAR_HISTORY)
         return row["n"]

@@ -8,9 +8,11 @@ tuples.  All three are frozen, slotted dataclasses: a cached row can be
 shared freely, and a :class:`NodeRow` is no bigger than the
 ``sqlite3.Row`` (plus its value tuple) it replaces.
 
-The builders take a row in the table's column order
-(:data:`repro.storage.schema.TABLE_COLUMNS`), as ``SELECT *`` returns
-it — a ``sqlite3.Row`` and a ``plain=True`` tuple both unpack that way.
+The builders take a row in the table's column order (its ``CREATE
+TABLE`` in :data:`repro.storage.sql.TREE_DATA_DDL`), as ``SELECT *``
+returns it — a ``sqlite3.Row`` and a ``plain=True`` tuple both unpack
+that way.  ``tests/test_sql_catalogue.py`` checks the fields against
+``PRAGMA table_info``.
 """
 
 from __future__ import annotations

@@ -104,9 +104,10 @@ def record_statements() -> Iterator[list[tuple[str, str]]]:
 
     Statements on *sanitized* connections only, like
     :func:`statement_budget`.  The yielded list grows in execution
-    order and is the runtime side of the lint SQL census cross-check:
-    every text recorded here must normalize into the statement set
-    ``crimson lint --sql-census`` extracted statically.
+    order and is the runtime side of the SQL catalogue check
+    (``tests/test_sql_catalogue.py``): every text recorded there must
+    normalize to an entry of :mod:`repro.storage.sql`, and every entry
+    must be recorded.
     """
     log: list[tuple[str, str]] = []
     with _state_lock:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.errors import QueryError, StorageError
+from repro.storage import sql
 from repro.storage.engine import chunked
 from repro.storage.tree_repository import StoredTree
 
@@ -73,9 +74,7 @@ class SpeciesRepository:
         ]
 
         if not replace:
-            existing = self.db.query_all(
-                "SELECT node_id FROM species WHERE tree_id = ?", (tree_id,)
-            )
+            existing = self.db.query_all(sql.SPECIES_NODE_IDS, (tree_id,))
             taken = {row["node_id"] for row in existing}
             clashes = [row for row in rows if row[1] in taken]
             if clashes:
@@ -84,13 +83,11 @@ class SpeciesRepository:
                     "pass replace=True to overwrite"
                 )
 
-        statement = (
-            "INSERT OR REPLACE INTO species (tree_id, node_id, sequence, char_type) "
-            "VALUES (?, ?, ?, ?)"
-        )
         with self.db.transaction() as connection:
             for start in range(0, len(rows), _BATCH):
-                connection.executemany(statement, rows[start : start + _BATCH])
+                connection.executemany(
+                    sql.INSERT_SPECIES, rows[start : start + _BATCH]
+                )
         return len(rows)
 
     def sequence_of(self, stored: StoredTree, name: str) -> str:
@@ -122,10 +119,8 @@ class SpeciesRepository:
         node_ids = [node.node_id for node in stored.nodes_by_name(wanted)]
         by_node: dict[int, str] = {}
         for chunk in chunked(node_ids):
-            placeholders = ",".join("?" for _ in chunk)
             for row in self.db.query_all(
-                f"SELECT node_id, sequence FROM species WHERE tree_id = ? "
-                f"AND node_id IN ({placeholders})",
+                sql.in_list(sql.SEQUENCES, len(chunk)),
                 (stored.info.tree_id, *chunk),
             ):
                 by_node[row["node_id"]] = row["sequence"]
@@ -138,10 +133,7 @@ class SpeciesRepository:
 
     def count(self, stored: StoredTree) -> int:
         """Number of species rows attached to a tree."""
-        row = self.db.query_one(
-            "SELECT COUNT(*) AS n FROM species WHERE tree_id = ?",
-            (stored.info.tree_id,),
-        )
+        row = self.db.query_one(sql.SPECIES_COUNT, (stored.info.tree_id,))
         assert row is not None
         return row["n"]
 
@@ -149,7 +141,5 @@ class SpeciesRepository:
         """Drop all species rows of a tree; returns the number removed."""
         before = self.count(stored)
         with self.db.transaction() as connection:
-            connection.execute(
-                "DELETE FROM species WHERE tree_id = ?", (stored.info.tree_id,)
-            )
+            connection.execute(sql.DELETE_SPECIES, (stored.info.tree_id,))
         return before

@@ -90,6 +90,7 @@ from repro.obs import (
     current_span,
     evaluate_health,
 )
+from repro.storage import sql
 from repro.storage.api import (
     AnalyticsRequest,
     AnalyticsResult,
@@ -109,6 +110,7 @@ from repro.storage.query_repository import QueryRepository
 from repro.storage.species_repository import SpeciesRepository
 from repro.storage.tree_repository import (
     StoredTree,
+    TreeInfo,
     TreeRepository,
     catalogue_info,
     catalogue_infos,
@@ -280,7 +282,7 @@ class CrimsonStore:
 
     def _resolve_shard_count(self, requested: int | None) -> int:
         """Reconcile the requested shard count with the stored layout."""
-        row = self.db.query_one("SELECT value FROM meta WHERE key = 'shards'")
+        row = self.db.query_one(sql.STORE_SHARDS)
         stored = int(row["value"]) if row is not None else 1
         if requested is None:
             return stored
@@ -292,11 +294,7 @@ class CrimsonStore:
             )
         if requested > stored:
             with self.db.transaction() as connection:
-                connection.execute(
-                    "INSERT OR REPLACE INTO meta(key, value) "
-                    "VALUES ('shards', ?)",
-                    (str(requested),),
-                )
+                connection.execute(sql.SET_STORE_SHARDS, (str(requested),))
         return requested
 
     # ------------------------------------------------------------------
@@ -428,10 +426,7 @@ class CrimsonStore:
         """
         if self.shards == 1:
             return 0
-        rows = self.db.query_all(
-            "SELECT shard, COALESCE(SUM(n_nodes), 0) AS total "
-            "FROM trees GROUP BY shard"
-        )
+        rows = self.db.query_all(sql.SHARD_NODE_TOTALS)
         totals = {row["shard"]: row["total"] for row in rows}
         smallest = min(totals.get(s, 0) for s in range(self.shards))
         tied = [
@@ -479,9 +474,7 @@ class CrimsonStore:
 
     def tree_count(self) -> int:
         """Number of stored trees — one aggregate on this thread's reader."""
-        row = self.reader_database().query_one(
-            "SELECT COUNT(*) AS n FROM trees"
-        )
+        row = self.reader_database().query_one(sql.TREE_COUNT)
         return int(row["n"])
 
     def describe(self, name: str):
@@ -537,11 +530,8 @@ class CrimsonStore:
         """
         if cache_size is not None:
             info = catalogue_info(self.reader_database(), name)
-            return StoredTree(
-                self.shard_reader(info.shard),
-                info,
-                cache_size,
-                self.index_skeleton(info.tree_id),
+            return self.new_handle(
+                self.shard_reader(info.shard), info, cache_size
             )
         handles: dict[str, tuple[int, StoredTree]] | None = getattr(
             self._local, "handles", None
@@ -559,13 +549,29 @@ class CrimsonStore:
         if cached is not None and cached.info.tree_id == info.tree_id:
             handles[name] = (epoch, cached)
             return cached
+        handle = self.new_handle(self.shard_reader(info.shard), info)
+        handles[name] = (epoch, handle)
+        return handle
+
+    def new_handle(
+        self,
+        db: CrimsonDatabase,
+        info: TreeInfo,
+        cache_size: int | None = None,
+    ) -> StoredTree:
+        """A fresh query handle on the tree ``info`` describes, reading
+        on ``db`` and sharing the tree's index skeleton.
+
+        ``cache_size`` bounds the handle's row caches (default: the
+        store's).  Every handle the store or its repositories open is
+        built here, so :meth:`stats` counts it while it is alive.
+        """
         handle = StoredTree(
-            self.shard_reader(info.shard),
+            db,
             info,
-            self.cache_size,
+            self.cache_size if cache_size is None else cache_size,
             self.index_skeleton(info.tree_id),
         )
-        handles[name] = (epoch, handle)
         with self._handles_lock:
             self._live_handles.add(handle)
         return handle

@@ -7,7 +7,8 @@ one-for-one with :class:`~repro.core.hindex.HierarchicalIndex`), and the
 tree's catalogue row.  Every node column comes from one pre-order walk
 (:func:`~repro.trees.traversal.preorder_columns`), the index rows zip
 the index's flat tables, and all of them stream into fixed-size
-multi-row ``INSERT`` statements (:data:`CHUNK_ROWS` rows each, the
+multi-row ``INSERT`` statements (:data:`~repro.storage.sql.CHUNK_ROWS`
+rows each, the
 remainder through ``executemany``).  A load placed on the primary file
 allocates its id, writes its rows and its catalogue row in one
 transaction and commits once.
@@ -40,6 +41,7 @@ from repro.core.dewey import DeweyLabel, common_prefix, label_to_string
 from repro.core.hindex import HierarchicalIndex
 from repro.core.lca import DEFAULT_LABEL_BOUND
 from repro.errors import QueryError, StorageError
+from repro.storage import sql
 from repro.storage.cache import CacheStats
 from repro.storage.database import CrimsonDatabase, Row
 from repro.storage.engine import (
@@ -57,61 +59,17 @@ if TYPE_CHECKING:
     from repro.storage.store import CrimsonStore
 
 
-#: Rows per multi-row ``INSERT`` of a load.  Writing the 561 rows of a
-#: 128-leaf tree at f = 8 (255 nodes, 288 inodes, 18 blocks) into a
-#: file store took, median of 60-150 transactions on a 2-core x86
-#: host: 5.8-6.0 ms all through ``executemany``; 4.3 ms at 16 rows per
-#: statement, 3.9-4.1 ms at 32, 3.8-4.0 ms at 48, 4.1-4.2 ms at 64 and
-#: 4.4 ms at 128.  On a 2,000-leaf tree the sizes from 32 to 128 were
-#: within run-to-run noise of each other.
-CHUNK_ROWS = 48
-
-_INSERT_CATALOGUE = """
-    INSERT INTO trees
-        (tree_id, name, n_nodes, n_leaves, max_depth, f,
-         n_layers, n_blocks, created_at, description, shard)
-    VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
-"""
-
-_NODES = (
-    "INSERT INTO nodes (tree_id, node_id, parent_id, child_order, name, "
-    "edge_length, depth, dist_from_root, pre_order_end, is_leaf) VALUES "
-)
-_NODE_ROW = "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
-_INSERT_NODE = _NODES + _NODE_ROW
-_INSERT_NODE_CHUNK = _NODES + (_NODE_ROW + ", ") * (CHUNK_ROWS - 1) + _NODE_ROW
-
-_INODES = (
-    "INSERT INTO inodes (tree_id, inode_id, layer, block_id, local_label, "
-    "label_depth, orig_node_id, represents_block_id) VALUES "
-)
-_INODE_ROW = "(?, ?, ?, ?, ?, ?, ?, ?)"
-_INSERT_INODE = _INODES + _INODE_ROW
-_INSERT_INODE_CHUNK = (
-    _INODES + (_INODE_ROW + ", ") * (CHUNK_ROWS - 1) + _INODE_ROW
-)
-
-_BLOCKS = (
-    "INSERT INTO blocks (tree_id, block_id, layer, root_inode_id, "
-    "source_inode_id, rep_inode_id) VALUES "
-)
-_BLOCK_ROW = "(?, ?, ?, ?, ?, ?)"
-_INSERT_BLOCK = _BLOCKS + _BLOCK_ROW
-_INSERT_BLOCK_CHUNK = (
-    _BLOCKS + (_BLOCK_ROW + ", ") * (CHUNK_ROWS - 1) + _BLOCK_ROW
-)
-
-
 def _insert_chunked(
     connection, chunk_sql: str, row_sql: str, rows: Iterable[tuple]
 ) -> None:
-    """Insert ``rows``: :data:`CHUNK_ROWS` per ``chunk_sql`` statement,
+    """Insert ``rows``: :data:`~repro.storage.sql.CHUNK_ROWS` per
+    ``chunk_sql`` statement,
     the remainder one per row through ``executemany`` of ``row_sql``.
 
     ``rows`` is consumed lazily, so at most one chunk is ever held.
     """
     rows = iter(rows)
-    while len(chunk := list(islice(rows, CHUNK_ROWS))) == CHUNK_ROWS:
+    while len(chunk := list(islice(rows, sql.CHUNK_ROWS))) == sql.CHUNK_ROWS:
         connection.execute(chunk_sql, list(chain.from_iterable(chunk)))
     if chunk:
         connection.executemany(row_sql, chunk)
@@ -127,8 +85,8 @@ def _insert_tree_rows(
     nodes = walk.nodes
     _insert_chunked(
         connection,
-        _INSERT_NODE_CHUNK,
-        _INSERT_NODE,
+        sql.INSERT_NODE_CHUNK,
+        sql.INSERT_NODE,
         zip(
             repeat(tree_id),
             count(),
@@ -145,8 +103,8 @@ def _insert_tree_rows(
 
     _insert_chunked(
         connection,
-        _INSERT_INODE_CHUNK,
-        _INSERT_INODE,
+        sql.INSERT_INODE_CHUNK,
+        sql.INSERT_INODE,
         zip(
             repeat(tree_id),
             count(),
@@ -161,8 +119,8 @@ def _insert_tree_rows(
 
     _insert_chunked(
         connection,
-        _INSERT_BLOCK_CHUNK,
-        _INSERT_BLOCK,
+        sql.INSERT_BLOCK_CHUNK,
+        sql.INSERT_BLOCK,
         zip(
             repeat(tree_id),
             count(),
@@ -235,7 +193,7 @@ def catalogue_info(db: CrimsonDatabase, name: str) -> TreeInfo:
     StorageError
         If no tree of that name is stored.
     """
-    row = db.query_one("SELECT * FROM trees WHERE name = ?", (name,))
+    row = db.query_one(sql.TREE_BY_NAME, (name,))
     if row is None:
         raise StorageError(f"no tree named {name!r} in the repository")
     return _info_of(row)
@@ -245,7 +203,7 @@ def catalogue_infos(db: CrimsonDatabase) -> list[TreeInfo]:
     """Every catalogue entry, ordered by name, in one statement on ``db``."""
     return [
         _info_of(row)
-        for row in db.query_all("SELECT * FROM trees ORDER BY name")
+        for row in db.query_all(sql.TREES_BY_NAME)
     ]
 
 
@@ -279,18 +237,10 @@ class TreeRepository:
         Files that predate the counter start it above their highest
         catalogued id.
         """
-        row = connection.execute(
-            "SELECT value FROM meta WHERE key = 'next_tree_id'"
-        ).fetchone()
-        highest = connection.execute(
-            "SELECT COALESCE(MAX(tree_id), 0) FROM trees"
-        ).fetchone()[0]
+        row = connection.execute(sql.NEXT_TREE_ID).fetchone()
+        highest = connection.execute(sql.MAX_TREE_ID).fetchone()[0]
         tree_id = max(int(row[0]) if row is not None else 1, highest + 1)
-        connection.execute(
-            "INSERT OR REPLACE INTO meta(key, value) "
-            "VALUES ('next_tree_id', ?)",
-            (str(tree_id + 1),),
-        )
+        connection.execute(sql.SET_NEXT_TREE_ID, (str(tree_id + 1),))
         return tree_id
 
     # ------------------------------------------------------------------
@@ -310,7 +260,7 @@ class TreeRepository:
         :func:`~repro.trees.tree.validate_tree`) before any placement
         or transaction, and yields both the node columns and the child
         lists the index is built from; every row goes out in
-        :data:`CHUNK_ROWS`-row ``INSERT`` statements.  On
+        :data:`~repro.storage.sql.CHUNK_ROWS`-row ``INSERT`` statements.  On
         the primary file (single-file stores and shard 0) the id
         allocation, the data rows and the catalogue row share one
         transaction: one commit per load, and a failure anywhere leaves
@@ -338,7 +288,7 @@ class TreeRepository:
         key = name or tree.name
         if not key:
             raise StorageError("a stored tree needs a name")
-        if self.db.query_one("SELECT 1 FROM trees WHERE name = ?", (key,)):
+        if self.db.query_one(sql.TREE_NAME_TAKEN, (key,)):
             raise StorageError(f"a tree named {key!r} is already stored")
 
         walk = preorder_columns(tree)
@@ -365,7 +315,7 @@ class TreeRepository:
             # crashed) load on another shard.
             with self.db.transaction() as connection:
                 tree_id = self._allocate_tree_id(connection)
-                connection.execute(_INSERT_CATALOGUE, (tree_id, *catalogue))
+                connection.execute(sql.INSERT_TREE, (tree_id, *catalogue))
                 _insert_tree_rows(connection, tree_id, walk, index)
         else:
             # Cross-file placement: data rows commit into the shard
@@ -381,29 +331,20 @@ class TreeRepository:
                 _insert_tree_rows(connection, tree_id, walk, index)
             try:
                 with self.db.transaction() as connection:
-                    connection.execute(
-                        _INSERT_CATALOGUE, (tree_id, *catalogue)
-                    )
+                    connection.execute(sql.INSERT_TREE, (tree_id, *catalogue))
             except BaseException:
                 self._purge_data_rows(data_db, tree_id)
                 raise
 
-        return StoredTree(
-            data_db,
-            TreeInfo(tree_id, *catalogue),
-            cache_size=self.store.cache_size,
-            skeleton=self.store.index_skeleton(tree_id),
-        )
+        return self.store.new_handle(data_db, TreeInfo(tree_id, *catalogue))
 
     @staticmethod
     def _purge_data_rows(data_db: CrimsonDatabase, tree_id: int) -> None:
         """Best-effort removal of a tree's data rows from its shard."""
         try:
             with data_db.transaction() as connection:
-                for table in ("inodes", "blocks", "nodes"):
-                    connection.execute(
-                        f"DELETE FROM {table} WHERE tree_id = ?", (tree_id,)
-                    )
+                for statement in sql.DELETE_TREE_DATA:
+                    connection.execute(statement, (tree_id,))
         except StorageError:
             # The id is never re-issued, so leftover rows are inert.
             pass
@@ -430,13 +371,9 @@ class TreeRepository:
         other handles.  ``cache_size`` overrides the store's default for
         this handle's row caches.
         """
-        size = cache_size if cache_size is not None else self.store.cache_size
         info = self.info(name)
-        return StoredTree(
-            self.store.shard_database(info.shard),
-            info,
-            cache_size=size,
-            skeleton=self.store.index_skeleton(info.tree_id),
+        return self.store.new_handle(
+            self.store.shard_database(info.shard), info, cache_size
         )
 
     def list_trees(self) -> list[TreeInfo]:
@@ -458,30 +395,21 @@ class TreeRepository:
                 # The tree-data tables carry no foreign keys, so every
                 # table is purged by name (species too, although its key
                 # would cascade).
-                for table in ("species", "inodes", "blocks", "nodes"):
-                    connection.execute(
-                        f"DELETE FROM {table} WHERE tree_id = ?", (info.tree_id,)
-                    )
-                connection.execute(
-                    "DELETE FROM trees WHERE tree_id = ?", (info.tree_id,)
-                )
+                connection.execute(sql.DELETE_SPECIES, (info.tree_id,))
+                for statement in sql.DELETE_TREE_DATA:
+                    connection.execute(statement, (info.tree_id,))
+                connection.execute(sql.DELETE_TREE, (info.tree_id,))
         else:
             # Catalogue first: once the row is gone the tree is
             # unreachable, so a failure before the shard purge leaves
             # only invisible garbage (flagged by verify's orphan check),
             # never a catalogued tree with missing rows.
             with self.db.transaction() as connection:
-                connection.execute(
-                    "DELETE FROM species WHERE tree_id = ?", (info.tree_id,)
-                )
-                connection.execute(
-                    "DELETE FROM trees WHERE tree_id = ?", (info.tree_id,)
-                )
+                connection.execute(sql.DELETE_SPECIES, (info.tree_id,))
+                connection.execute(sql.DELETE_TREE, (info.tree_id,))
             with data_db.transaction() as connection:
-                for table in ("inodes", "blocks", "nodes"):
-                    connection.execute(
-                        f"DELETE FROM {table} WHERE tree_id = ?", (info.tree_id,)
-                    )
+                for statement in sql.DELETE_TREE_DATA:
+                    connection.execute(statement, (info.tree_id,))
         self.store.drop_index_skeleton(info.tree_id)
         self.store._bump_catalogue_epoch()
 
@@ -535,9 +463,7 @@ class StoredTree:
         long-lived handle can lose).  Without the probe, a stale handle
         would misreport every lookup as an unknown-taxon error.
         """
-        probe = self.db.query_one(
-            "SELECT 1 FROM nodes WHERE tree_id = ? LIMIT 1", (self._tree_id,)
-        )
+        probe = self.db.query_one(sql.TREE_HAS_NODES, (self._tree_id,))
         if probe is None:
             raise StorageError(
                 f"tree {self.info.name!r} (id {self._tree_id}) is no longer "
@@ -550,11 +476,11 @@ class StoredTree:
     # Row access
     # ------------------------------------------------------------------
 
-    def _scan(self, sql: str, parameters: tuple) -> list[NodeRow]:
+    def _scan(self, statement: str, parameters: tuple) -> list[NodeRow]:
         """``nodes`` rows of a scan-shaped read, built by position."""
         return [
             as_node_row(values)
-            for values in self.db.query_all(sql, parameters, plain=True)
+            for values in self.db.query_all(statement, parameters, plain=True)
         ]
 
     def node(self, node_id: int) -> NodeRow:
@@ -667,11 +593,7 @@ class StoredTree:
 
     def leaves(self) -> list[NodeRow]:
         """All leaf rows in pre-order."""
-        return self._scan(
-            "SELECT * FROM nodes WHERE tree_id = ? AND is_leaf = 1 "
-            "ORDER BY node_id",
-            (self._tree_id,),
-        )
+        return self._scan(sql.LEAVES, (self._tree_id,))
 
     def leaf_names(self) -> list[str]:
         """Names of all leaves in pre-order.
@@ -681,12 +603,7 @@ class StoredTree:
         StorageError
             If the tree was deleted out from under this handle.
         """
-        rows = self.db.query_all(
-            "SELECT name FROM nodes WHERE tree_id = ? AND is_leaf = 1 "
-            "ORDER BY node_id",
-            (self._tree_id,),
-            plain=True,
-        )
+        rows = self.db.query_all(sql.LEAF_NAMES, (self._tree_id,), plain=True)
         if len(rows) != self.info.n_leaves:
             self._raise_missing(
                 f"tree {self.info.name!r} is missing leaf rows "
@@ -708,8 +625,7 @@ class StoredTree:
         """
         parent = self.node(node_id)
         return self._scan(
-            "SELECT * FROM nodes WHERE tree_id = ? "
-            "AND node_id BETWEEN ? AND ? AND parent_id = ? ORDER BY node_id",
+            sql.CHILDREN,
             (self._tree_id, node_id + 1, parent.pre_order_end, node_id),
         )
 
@@ -1019,17 +935,14 @@ class StoredTree:
         """Minimal spanning clade: all rows under the LCA (pre-order)."""
         anchor = self.lca_many(names_or_ids)
         return self._scan(
-            "SELECT * FROM nodes WHERE tree_id = ? AND node_id BETWEEN ? AND ? "
-            "ORDER BY node_id",
-            (self._tree_id, anchor.node_id, anchor.pre_order_end),
+            sql.CLADE, (self._tree_id, anchor.node_id, anchor.pre_order_end)
         )
 
     def leaves_in_subtree(self, node_id: int) -> list[NodeRow]:
         """Leaf rows inside a node's clade interval."""
         anchor = self.node(node_id)
         return self._scan(
-            "SELECT * FROM nodes WHERE tree_id = ? AND node_id BETWEEN ? AND ? "
-            "AND is_leaf = 1 ORDER BY node_id",
+            sql.CLADE_LEAVES,
             (self._tree_id, anchor.node_id, anchor.pre_order_end),
         )
 
@@ -1037,8 +950,7 @@ class StoredTree:
         """Number of leaves in a node's subtree (single aggregate query)."""
         anchor = self.node(node_id)
         row = self.db.query_one(
-            "SELECT COUNT(*) AS n FROM nodes WHERE tree_id = ? "
-            "AND node_id BETWEEN ? AND ? AND is_leaf = 1",
+            sql.CLADE_LEAF_COUNT,
             (self._tree_id, anchor.node_id, anchor.pre_order_end),
         )
         assert row is not None
@@ -1052,19 +964,7 @@ class StoredTree:
         parent found by primary key, with no sort.  On the Figure-1 tree
         with ``time = 1`` this returns exactly ``{Bha, x, Syn, Bsu}``.
         """
-        frontier = self._scan(
-            """
-            SELECT child.* FROM nodes AS child
-            JOIN nodes AS parent
-              ON parent.tree_id = child.tree_id
-             AND parent.node_id = child.parent_id
-            WHERE child.tree_id = ?
-              AND child.dist_from_root > ?
-              AND parent.dist_from_root <= ?
-            ORDER BY child.node_id
-            """,
-            (self._tree_id, time, time),
-        )
+        frontier = self._scan(sql.TIME_FRONTIER, (self._tree_id, time, time))
         root = self.root()
         if root.dist_from_root > time:
             frontier.insert(0, root)
@@ -1077,11 +977,7 @@ class StoredTree:
     def fetch_tree(self) -> PhyloTree:
         """Reconstruct the full in-memory :class:`PhyloTree`."""
         root = self._link_rows(
-            self.db.query_all(
-                "SELECT node_id, parent_id, name, edge_length FROM nodes "
-                "WHERE tree_id = ? ORDER BY node_id",
-                (self._tree_id,),
-            )
+            self.db.query_all(sql.TREE_SHAPE, (self._tree_id,))
         )
         return PhyloTree(root, name=self.info.name)
 
@@ -1090,9 +986,7 @@ class StoredTree:
         anchor = self.node(node_id)
         root = self._link_rows(
             self.db.query_all(
-                "SELECT node_id, parent_id, name, edge_length FROM nodes "
-                "WHERE tree_id = ? AND node_id BETWEEN ? AND ? "
-                "ORDER BY node_id",
+                sql.SUBTREE_SHAPE,
                 (self._tree_id, anchor.node_id, anchor.pre_order_end),
             )
         )

@@ -1,15 +1,13 @@
-"""One sink call per sql-* violation kind (see the fixture README)."""
+"""The bad catalogue's call sites, and one statement built around it."""
+
+from repro.storage import sql
 
 
 def bad(db, name):
-    # sql-schema: ``weight`` is not a column of ``trees``.
-    db.query_one("SELECT weight FROM trees WHERE name = ?", (name,))
-    # sql-schema: ``missing_table`` exists in neither DDL nor
-    # TABLE_COLUMNS.
-    db.query_all("SELECT * FROM missing_table")
-    # sql-placeholders: two ``?`` but the tuple carries one value.
-    db.execute("INSERT INTO trees (tree_id, name) VALUES (?, ?)", (1,))
+    db.query_one(sql.UNKNOWN_COLUMN, (name,))
+    db.query_all(sql.UNKNOWN_TABLE)
+    # Two ``?`` but the tuple carries one value.
+    db.execute(sql.TWO_PLACEHOLDERS, (1,))
     # sql-interpolation: a runtime value spliced into the statement.
     db.execute(f"DELETE FROM trees WHERE name = '{name}'")
-    # sql-schema: the alias resolves, the qualified column does not.
-    db.query_one("SELECT t.nope FROM trees AS t")
+    db.query_one(sql.UNKNOWN_QUALIFIED_COLUMN)

@@ -213,6 +213,26 @@ class TestSharedAcrossHandles:
                 for handle in handles
             )
 
+    def test_store_stats_count_every_kind_of_handle(self, store):
+        """Fails on the old registry, which only the cached
+        ``open_tree`` path fed (``handles == 1``)."""
+        loaded = store.trees.store_tree(caterpillar(40), name="deep", f=4)
+        handles = [
+            loaded,
+            store.open_tree("deep"),
+            store.open_tree("deep", cache_size=64),
+            store.trees.open("deep"),
+        ]
+        for handle in handles:
+            assert handle.lca("t1", "t40").node_id == 0
+            assert handle.lca("t1", "t40").node_id == 0
+        caches = store.stats().caches
+        assert caches["handles"] == 4
+        assert caches["nodes"]["hits"] > 0
+        assert caches["total"]["hits"] == sum(
+            handle.cache_stats()["total"].hits for handle in handles
+        )
+
     def test_explicit_cache_size_shares_the_skeleton(self, store):
         """Fails on the old design only for want of the attribute: every
         handle's rows were private there."""

@@ -34,21 +34,12 @@ from repro.lint.rules_layering import (
     SqliteLayering,
 )
 from repro.lint.rules_resources import ManagedResources
-from repro.lint.rules_sql import (
-    SqlInterpolation,
-    SqlPlaceholders,
-    SqlSchema,
-    SqlSchemaSync,
-    build_census,
-    sql_sites,
-)
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
 
 LAYERING = (SqliteLayering(), ReadOnlyImports(), NoCliImports())
 ERRORS = (TypedRaises(), SwallowedExceptions(), RegistrySync())
 CONCURRENCY = (ReaderEscape(), LockOrder(), SameThreadGuard())
-SQL = (SqlSchema(), SqlPlaceholders(), SqlInterpolation(), SqlSchemaSync())
 
 
 def lint_fixture(name: str, rules):
@@ -75,7 +66,7 @@ class TestRepoIsClean:
         assert len(ids) == len(set(ids))
         for rule_id in ids:
             assert rule_id == rule_id.lower() and " " not in rule_id
-        assert len(ids) == 15
+        assert len(ids) == 12
 
 
 class TestLayeringRules:

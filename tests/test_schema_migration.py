@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import repro.storage.schema as schema
+import repro.storage.sql as sql
 from repro.core.hindex import HierarchicalIndex
 from repro.errors import StorageError
 from repro.simulation.birth_death import yule_tree
@@ -237,20 +238,20 @@ def test_failed_rebuild_leaves_the_version_2_file_as_it_was(
     before = file_state(path)
     assert before["version"] == "2"
     assert DROPPED_INDEXES <= before["indexes"]
-    rebuild = schema._REBUILD_WITHOUT_FOREIGN_KEYS
+    rebuild = sql.REBUILD_WITHOUT_FOREIGN_KEYS
     renamed = rebuild.index("ALTER TABLE blocks_v3 RENAME TO blocks") + 1
     # Fail after the old tables are dropped and the copies renamed over
     # them, before the indexes come back: a duplicate primary key.
     monkeypatch.setattr(
-        schema,
-        "_REBUILD_WITHOUT_FOREIGN_KEYS",
+        sql,
+        "REBUILD_WITHOUT_FOREIGN_KEYS",
         (*rebuild[:renamed], "INSERT INTO nodes SELECT * FROM nodes",
          *rebuild[renamed:]),
     )
     with pytest.raises(StorageError, match=f"{path.name}.*upgrade failed"):
         CrimsonStore.open(path)
     assert file_state(path) == before
-    monkeypatch.setattr(schema, "_REBUILD_WITHOUT_FOREIGN_KEYS", rebuild)
+    monkeypatch.setattr(sql, "REBUILD_WITHOUT_FOREIGN_KEYS", rebuild)
     with CrimsonStore.open(path) as store:
         assert_rows_match_the_oracle(store)
     assert_upgraded(path, shards=1)
@@ -265,20 +266,20 @@ def test_failed_renumbering_leaves_the_version_3_files_as_they_were(
     files = [shard_path(path, k) if k else path for k in range(shards)]
     before = [file_state(target) for target in files]
     assert before[0]["version"] == "3"
-    steps = schema._RENUMBER_INODES
+    steps = sql.RENUMBER_INODES
     renamed = steps.index("ALTER TABLE inodes_v4 RENAME TO inodes") + 1
     # Fail after the renumbered table replaced the old one and the
     # block references were rewritten: a duplicate primary key.
     monkeypatch.setattr(
-        schema,
-        "_RENUMBER_INODES",
+        sql,
+        "RENUMBER_INODES",
         (*steps[:renamed], "INSERT INTO nodes SELECT * FROM nodes",
          *steps[renamed:]),
     )
     with pytest.raises(StorageError, match="upgrade failed.*UNIQUE"):
         CrimsonStore.open(path, shards=shards)
     assert [file_state(target) for target in files] == before
-    monkeypatch.setattr(schema, "_RENUMBER_INODES", steps)
+    monkeypatch.setattr(sql, "RENUMBER_INODES", steps)
     with CrimsonStore.open(path, shards=shards) as store:
         assert_rows_match_the_oracle(store)
     assert_upgraded(path, shards)
@@ -321,9 +322,9 @@ def test_failing_upgrade_raises_storage_error_naming_the_file(
     write_old_store(path, version=3, shards=1)
     before = file_state(path)
     monkeypatch.setattr(
-        schema,
-        "_RENUMBER_INODES",
-        (*schema._RENUMBER_INODES[:1], "SELECT no_such_column FROM inodes"),
+        sql,
+        "RENUMBER_INODES",
+        (*sql.RENUMBER_INODES[:1], "SELECT no_such_column FROM inodes"),
     )
     with pytest.raises(StorageError, match=f"{path.name}.*no_such_column"):
         CrimsonStore.open(path)
