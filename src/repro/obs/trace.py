@@ -26,7 +26,14 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
 
-_active = threading.local()
+
+class _Active(threading.local):
+    # A class default, so reading an unset thread's span is a plain
+    # attribute hit rather than a caught AttributeError.
+    span: Optional[Span] = None
+
+
+_active = _Active()
 
 
 def new_trace_id() -> str:
@@ -42,7 +49,12 @@ def new_trace_id() -> str:
 
 
 class Span:
-    """One request's timing record: total duration plus per-phase ms."""
+    """One request's timing record: total duration plus per-phase ms.
+
+    :meth:`add_phase` adds a duration the caller timed itself (the
+    store's request path passes differences of its own clock stamps);
+    :meth:`phase` times a ``with`` body and calls it.
+    """
 
     __slots__ = (
         "verb",
@@ -73,14 +85,19 @@ class Span:
         self.error_kind: Optional[str] = None
         self.duration_ms: Optional[float] = None
 
+    def add_phase(self, label: str, ms: float) -> None:
+        """Add ``ms`` milliseconds to phase ``label``."""
+        phases = self.phases
+        phases[label] = phases.get(label, 0.0) + ms
+
     @contextmanager
     def phase(self, label: str) -> Iterator[None]:
+        """Time the ``with`` body into phase ``label``."""
         start = time.perf_counter()
         try:
             yield
         finally:
-            elapsed_ms = (time.perf_counter() - start) * 1000.0
-            self.phases[label] = self.phases.get(label, 0.0) + elapsed_ms
+            self.add_phase(label, (time.perf_counter() - start) * 1000.0)
 
     def annotate(self, key: str, value: Any) -> None:
         self.annotations[key] = value
@@ -115,14 +132,13 @@ class Span:
 
 def current_span() -> Optional[Span]:
     """The span activated on this thread, or None outside a request."""
-    span = getattr(_active, "span", None)
-    return span if isinstance(span, Span) else None
+    return _active.span
 
 
 @contextmanager
 def activate(span: Span) -> Iterator[Span]:
     """Make ``span`` the thread's current span for the duration."""
-    previous = getattr(_active, "span", None)
+    previous = _active.span
     _active.span = span
     try:
         yield span

@@ -57,7 +57,11 @@ repeated queries from a worker thread hit warm caches without any
 cross-thread sharing; the one shared structure is each tree's
 append-only :class:`~repro.storage.engine.IndexSkeleton`, which every
 handle and thread of the store reads without a lock, so a fresh handle
-finds the index rows its predecessors fetched.  All writes — loading,
+finds the index rows its predecessors fetched.  A delete revalidates
+only the cached handles on the name it removed: it stamps that name
+from a store-wide counter, and each thread's handle on it checks the
+catalogue once more on its next use, while handles on every other name
+stay as they are.  All writes — loading,
 deleting, history recording — go through writer connections whose
 transactions serialize behind per-connection locks; :meth:`query`
 serializes its optional history recording behind a lock so concurrent
@@ -66,12 +70,12 @@ readers may record safely.
 
 from __future__ import annotations
 
-import dataclasses
+import itertools
 import threading
 import time
 import weakref
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any
 
 from repro.admission import (
     AdmissionController,
@@ -80,6 +84,7 @@ from repro.admission import (
     estimate_analytics,
     estimate_query,
 )
+from repro.core.pattern import match_pattern
 from repro.errors import QueryError, StorageError
 from repro.obs import (
     HealthThresholds,
@@ -90,7 +95,7 @@ from repro.obs import (
     current_span,
     evaluate_health,
 )
-from repro.storage import sql
+from repro.storage import projection, sql
 from repro.storage.api import (
     AnalyticsRequest,
     AnalyticsResult,
@@ -115,6 +120,7 @@ from repro.storage.tree_repository import (
     catalogue_info,
     catalogue_infos,
 )
+from repro.trees.newick import parse_newick
 
 
 def shard_path(path: str | Path, shard: int) -> str:
@@ -253,11 +259,14 @@ class CrimsonStore:
         self._record_lock = threading.Lock()
         self._placement_lock = threading.Lock()
         self._placement_cursor = -1
-        # Bumped by TreeRepository.delete_tree (via the hook below) so
-        # every thread's cached handles revalidate after a catalogue
-        # mutation: a handle whose name still resolves to its tree_id is
-        # kept, a deleted-and-restored name gets a fresh one.
-        self._catalogue_epoch = 0
+        # Name -> stamp of its latest delete (see forget_tree).  Every
+        # thread's cached handle on that name revalidates once; handles
+        # on other names are untouched.  Stamps come from one counter,
+        # so two deletes never write the same stamp.
+        self._deleted: dict[str, int] = {}
+        self._delete_stamps = itertools.count(1)
+        # (verb, operation) -> the instruments _serve records into.
+        self._meters: dict[tuple[str, str], tuple] = {}
 
     @classmethod
     def open(
@@ -453,13 +462,12 @@ class CrimsonStore:
             )
         return skeleton
 
-    def drop_index_skeleton(self, tree_id: int) -> None:
-        """Forget tree ``tree_id``'s skeleton (its tree was deleted)."""
+    def forget_tree(self, name: str, tree_id: int) -> None:
+        """Drop what the store caches for a deleted tree: its index
+        skeleton, and (by stamping its name) every thread's cached
+        handle on ``name``, which :meth:`open_tree` revalidates."""
         self._skeletons.pop(tree_id, None)
-
-    def _bump_catalogue_epoch(self) -> None:
-        """Make every thread's cached handles revalidate on next use."""
-        self._catalogue_epoch += 1
+        self._deleted[name] = next(self._delete_stamps)
 
     def list_trees(self):
         """Catalogue rows of every stored tree, on this thread's reader.
@@ -507,14 +515,16 @@ class CrimsonStore:
         The catalogue row (read on this thread's primary reader) names
         the shard holding the tree's rows; the handle then binds to this
         thread's pooled reader on that shard.  Handles (and their warm
-        row caches) are cached per thread and per tree.  After any
-        ``delete_tree`` through this store, each cached handle is
-        revalidated on its next use, tree by tree: the name is looked
-        up in the catalogue again, and the handle is kept — row caches
-        and scan memo intact — when it still resolves to the same
-        ``tree_id``.  Stored rows never change and ids are never
-        re-issued, so the same id means the same rows; a re-stored
-        name gets a fresh ``tree_id`` and so a fresh handle.  Mutations
+        row caches) are cached per thread and per tree name.  A
+        ``delete_tree`` through this store stamps the name it removed;
+        a cached handle whose name was stamped since it was cached is
+        revalidated on its next use: the name is looked up in the
+        catalogue again, and the handle is kept — row caches and scan
+        memo intact — when it still resolves to the same ``tree_id``.
+        Stored rows never change and ids are never re-issued, so the
+        same id means the same rows; a re-stored name gets a fresh
+        ``tree_id`` and so a fresh handle.  Handles on other names are
+        never revalidated, and a load invalidates nothing.  Mutations
         made through *another* store or process are not observed.  Every
         handle of a tree shares the tree's index skeleton
         (:meth:`index_skeleton`).  Pass an explicit ``cache_size`` to get
@@ -538,19 +548,21 @@ class CrimsonStore:
         )
         if handles is None:
             handles = self._local.handles = {}
-        epoch = self._catalogue_epoch
+        # Read before the catalogue, so a delete racing this lookup
+        # leaves a stamp that makes the next call revalidate.
+        stamp = self._deleted.get(name, 0)
         entry = handles.get(name)
         cached = None
         if entry is not None and not entry[1].db.is_closed:
-            cached_epoch, cached = entry
-            if cached_epoch == epoch:
+            cached_stamp, cached = entry
+            if cached_stamp == stamp:
                 return cached
         info = catalogue_info(self.reader_database(), name)
         if cached is not None and cached.info.tree_id == info.tree_id:
-            handles[name] = (epoch, cached)
+            handles[name] = (stamp, cached)
             return cached
         handle = self.new_handle(self.shard_reader(info.shard), info)
-        handles[name] = (epoch, handle)
+        handles[name] = (stamp, handle)
         return handle
 
     def new_handle(
@@ -599,50 +611,6 @@ class CrimsonStore:
             f"cannot estimate a {type(request).__name__}; expected a "
             "QueryRequest or AnalyticsRequest"
         )
-
-    def _admit(self, estimate_lazily: Callable[[], CostEstimate]):
-        """Admit one request, pricing it only when a limit could refuse.
-
-        Returns the admitted slot (release it when the request
-        finishes); raises :class:`~repro.errors.ResourceError` on
-        refusal.
-        """
-        if self.admission.limits.unlimited:
-            return self.admission.admit(_FREE_ESTIMATE)
-        return self.admission.admit(estimate_lazily())
-
-    def _request_span(self, verb: str, operation: str, detail: str) -> Span:
-        """The span timing one request.
-
-        When a span is already active on this thread (the server
-        activated one around the whole connection turn), the store
-        joins it instead of opening a nested one, so admission/engine
-        phase timings land on the request the server is tracing.
-        """
-        span = current_span()
-        if span is not None:
-            span.annotate("operation", operation)
-            return span
-        return Span(verb, detail=f"{operation} {detail}".strip())
-
-    @staticmethod
-    def _priced(span: Span, estimate: CostEstimate) -> CostEstimate:
-        span.annotate("estimate_cost", round(estimate.cost, 3))
-        return estimate
-
-    def _finish_span(self, span: Span, *, error: Exception | None = None) -> None:
-        """Finish a store-owned span and offer it to the slow log.
-
-        A span the store merely joined (still active — the server owns
-        it) is left running; the activating edge finishes and logs it
-        with the socket-write phase included.
-        """
-        if error is not None:
-            span.fail(type(error).__name__)
-        if current_span() is span:
-            return
-        span.finish()
-        self.slow_log.observe(span)
 
     def _shard_statements(self) -> int:
         """Total statements executed across every shard's connections."""
@@ -793,6 +761,9 @@ class CrimsonStore:
     ) -> QueryResult:
         """Execute a typed query on this thread's reader connection.
 
+        ``duration_ms`` of the result is the engine time: the span's
+        ``engine`` phase, without handle resolution and admission.
+
         Parameters
         ----------
         request:
@@ -814,45 +785,7 @@ class CrimsonStore:
             If admission control refuses the request (over budget,
             quota exhausted, or the concurrency cap is full).
         """
-        handle = self.open_tree(request.tree)
-        span = self._request_span("query", request.operation, request.tree)
-        statements_before = handle.db.statements_executed
-        with span.phase("admission"):
-            slot = self._admit(
-                lambda: self._priced(
-                    span, estimate_query(request, handle)
-                )
-            )
-        try:
-            start = time.perf_counter()
-            with span.phase("engine"):
-                result = self._execute(handle, request)
-            duration_ms = (time.perf_counter() - start) * 1000.0
-        except Exception as error:
-            self.metrics.counter("store.query.errors").inc()
-            self._finish_span(span, error=error)
-            raise
-        finally:
-            slot.release()
-        self.metrics.histogram(
-            f"store.query.{request.operation}"
-        ).record(duration_ms / 1000.0)
-        self.metrics.counter("store.query.requests").inc()
-        self.metrics.counter("store.statements").inc(
-            handle.db.statements_executed - statements_before
-        )
-        self._finish_span(span)
-        result = dataclasses.replace(result, duration_ms=duration_ms)
-        if record:
-            with self._record_lock:
-                self.history.record(
-                    request.operation,
-                    request.params(),
-                    tree_name=request.tree,
-                    duration_ms=duration_ms,
-                    result_summary=result.summary(),
-                )
-        return result
+        return self._serve("query", request, record)
 
     def analyze(
         self, request: AnalyticsRequest, *, record: bool = False
@@ -862,7 +795,8 @@ class CrimsonStore:
         Every named tree is opened through :meth:`open_tree`, so the
         computation runs on the calling thread's pooled read-only
         connections (and warm per-thread row caches) — the writer
-        executes zero statements unless ``record`` is set.
+        executes zero statements unless ``record`` is set.  Resolving
+        the handles is part of the engine time ``duration_ms`` reports.
 
         Parameters
         ----------
@@ -883,121 +817,171 @@ class CrimsonStore:
             If admission control refuses the request (over budget,
             quota exhausted, or the concurrency cap is full).
         """
-        from repro.analytics import compare_stored, rf_matrix, stored_consensus
+        return self._serve("analyze", request, record)
 
-        span = self._request_span(
-            "analyze", request.operation, " ".join(request.trees[:4])
-        )
-        with span.phase("admission"):
-            slot = self._admit(
-                lambda: self._priced(
-                    span,
-                    estimate_analytics(
-                        request,
-                        [self.open_tree(name) for name in request.trees],
-                    ),
-                )
-            )
-        statements_before = self._shard_statements()
+    def _serve(self, verb: str, request: Any, record: bool) -> Any:
+        """The one request path behind :meth:`query` and :meth:`analyze`.
+
+        It opens a span (or joins the one the server activated, which
+        the server finishes), admits the request and runs it.  The
+        phases, the ``store.<verb>.<operation>`` histogram, the
+        counters, the slow log and the history row all come from the
+        clock stamps around admission and the engine.  A query resolves
+        its handle before admission, whose estimate prices it; an
+        analytics request resolves its handles in the engine phase.
+        Every error but an admission refusal counts once in
+        ``store.<verb>.errors`` and fails the span.
+        """
+        clock = time.perf_counter
+        operation = request.operation
+        is_query = verb == "query"
+        span = current_span()
+        owned = span is None
+        if owned:
+            target = request.tree if is_query else " ".join(request.trees[:4])
+            span = Span(verb, detail=f"{operation} {target}".strip())
+        else:
+            span.annotate("operation", operation)
+        started = clock()
         try:
-            # Resolving N handles (catalogue lookups on a cold thread)
-            # is a real part of what a cross-tree request pays, so
-            # unlike query()'s single pre-resolved handle it runs
-            # inside the timed region.
-            start = time.perf_counter()
-            with span.phase("engine"):
-                handles = [self.open_tree(name) for name in request.trees]
-                if request.operation == "compare":
-                    outcome = compare_stored(handles[0], handles[1])
-                    result = AnalyticsResult(
-                        request=request,
-                        duration_ms=0.0,
-                        comparison=outcome.splits,
-                        shared_clusters=outcome.shared_clusters,
-                    )
-                elif request.operation == "distance_matrix":
-                    matrix = rf_matrix(handles)
-                    result = AnalyticsResult(
-                        request=request,
-                        duration_ms=0.0,
-                        matrix=tuple(tuple(row) for row in matrix),
-                    )
-                else:
-                    assert request.operation == "consensus"
-                    tree, support = stored_consensus(
-                        handles,
-                        threshold=request.threshold,
-                        strict=request.strict,
-                    )
-                    result = AnalyticsResult(
-                        request=request,
-                        duration_ms=0.0,
-                        consensus=tree,
-                        support=support,
-                    )
-            duration_ms = (time.perf_counter() - start) * 1000.0
+            if is_query:
+                handle = self.open_tree(request.tree)
+                db = handle.db
+                before = db.statements_executed
+            else:
+                before = self._shard_statements()
+            estimate = _FREE_ESTIMATE
+            if not self.admission.limits.unlimited:
+                estimate = self.estimate(request)
+                span.annotate("estimate_cost", round(estimate.cost, 3))
         except Exception as error:
-            self.metrics.counter("store.analyze.errors").inc()
-            self._finish_span(span, error=error)
+            self._failed(verb, span, owned, error)
+            raise
+        try:
+            slot = self.admission.admit(estimate)
+        finally:
+            admitted = clock()
+            span.add_phase("admission", (admitted - started) * 1000.0)
+        try:
+            payload = (
+                self._execute(handle, request)
+                if is_query
+                else self._analyze(request)
+            )
+            finished = clock()
+        except Exception as error:
+            span.add_phase("engine", (clock() - admitted) * 1000.0)
+            self._failed(verb, span, owned, error)
             raise
         finally:
             slot.release()
-        self.metrics.histogram(
-            f"store.analyze.{request.operation}"
-        ).record(duration_ms / 1000.0)
-        self.metrics.counter("store.analyze.requests").inc()
-        self.metrics.counter("store.statements").inc(
-            self._shard_statements() - statements_before
+        engine_ms = (finished - admitted) * 1000.0
+        span.add_phase("engine", engine_ms)
+        latency, requests, statements = self._meters.get(
+            (verb, operation)
+        ) or self._meter(verb, operation)
+        latency.record(finished - admitted)
+        requests.inc()
+        statements.inc(
+            (db.statements_executed if is_query else self._shard_statements())
+            - before
         )
-        self._finish_span(span)
-        result = dataclasses.replace(result, duration_ms=duration_ms)
+        if owned:
+            span.finish()
+            self.slow_log.observe(span)
+        result = (QueryResult if is_query else AnalyticsResult)(
+            request, engine_ms, **payload
+        )
         if record:
             with self._record_lock:
                 self.history.record(
-                    request.operation,
+                    operation,
                     request.params(),
-                    tree_name=None,
-                    duration_ms=duration_ms,
+                    tree_name=request.tree if is_query else None,
+                    duration_ms=engine_ms,
                     result_summary=result.summary(),
                 )
         return result
 
-    def _execute(self, handle: StoredTree, request: QueryRequest) -> QueryResult:
-        """Dispatch one operation; timing and recording happen above."""
-        from repro.core.pattern import match_pattern
-        from repro.storage.projection import project_stored
-        from repro.trees.newick import parse_newick
+    def _meter(self, verb: str, operation: str) -> tuple:
+        """The instruments one verb and operation record into, looked up
+        on the operation's first success so that a snapshot shows no
+        entry for an operation that never ran."""
+        meter = (
+            self.metrics.histogram(f"store.{verb}.{operation}"),
+            self.metrics.counter(f"store.{verb}.requests"),
+            self.metrics.counter("store.statements"),
+        )
+        self._meters[(verb, operation)] = meter
+        return meter
 
-        if request.operation == "lca":
-            row = handle.lca_many(list(request.taxa))
-            return QueryResult(request=request, duration_ms=0.0, nodes=(row,))
-        if request.operation == "lca_batch":
-            rows = handle.lca_batch(list(request.pairs))
-            return QueryResult(
-                request=request, duration_ms=0.0, nodes=tuple(rows)
-            )
-        if request.operation == "clade":
-            rows = handle.clade(list(request.taxa))
-            return QueryResult(
-                request=request, duration_ms=0.0, nodes=tuple(rows)
-            )
-        if request.operation == "project":
-            projection = project_stored(handle, list(request.taxa))
-            return QueryResult(
-                request=request, duration_ms=0.0, projection=projection
-            )
-        assert request.operation == "match"
-        pattern = parse_newick(request.pattern)
+    def _failed(
+        self, verb: str, span: Span, owned: bool, error: Exception
+    ) -> None:
+        """Count a failed request once and fail its span; a store-owned
+        span is finished and offered to the slow log."""
+        self.metrics.counter(f"store.{verb}.errors").inc()
+        span.fail(type(error).__name__)
+        if owned:
+            span.finish()
+            self.slow_log.observe(span)
+
+    def _execute(
+        self, handle: StoredTree, request: QueryRequest
+    ) -> dict[str, Any]:
+        """Run one query operation; returns the result's payload fields.
+
+        The engine entry points are looked up at call time
+        (``handle`` methods, ``projection.project_stored``), so a
+        wrapper installed on them sees every query.
+        """
+        operation = request.operation
+        if operation == "lca":
+            return {"nodes": (handle.lca_many(list(request.taxa)),)}
+        if operation == "lca_batch":
+            return {"nodes": tuple(handle.lca_batch(list(request.pairs)))}
+        if operation == "clade":
+            return {"nodes": tuple(handle.clade(list(request.taxa)))}
+        if operation == "project":
+            return {
+                "projection": projection.project_stored(
+                    handle, list(request.taxa)
+                )
+            }
+        assert operation == "match"
         outcome = match_pattern(
-            handle.fetch_tree(), pattern, ordered=request.ordered
+            handle.fetch_tree(),
+            parse_newick(request.pattern),
+            ordered=request.ordered,
         )
-        return QueryResult(
-            request=request,
-            duration_ms=0.0,
-            projection=outcome.projection,
-            matched=outcome.matched,
-            similarity=outcome.similarity,
+        return {
+            "projection": outcome.projection,
+            "matched": outcome.matched,
+            "similarity": outcome.similarity,
+        }
+
+    def _analyze(self, request: AnalyticsRequest) -> dict[str, Any]:
+        """Run one analytics operation; returns the result's payload
+        fields.  Like :meth:`_execute`, it calls the analytics entry
+        points through their module, imported here because it pulls in
+        numpy, which a query-only process never needs."""
+        import repro.analytics as analytics
+
+        handles = [self.open_tree(name) for name in request.trees]
+        if request.operation == "compare":
+            outcome = analytics.compare_stored(handles[0], handles[1])
+            return {
+                "comparison": outcome.splits,
+                "shared_clusters": outcome.shared_clusters,
+            }
+        if request.operation == "distance_matrix":
+            matrix = analytics.rf_matrix(handles)
+            return {"matrix": tuple(tuple(row) for row in matrix)}
+        assert request.operation == "consensus"
+        tree, support = analytics.stored_consensus(
+            handles, threshold=request.threshold, strict=request.strict
         )
+        return {"consensus": tree, "support": support}
 
     def __repr__(self) -> str:
         pool = f", readers={self.pool.size}" if self.pool is not None else ""

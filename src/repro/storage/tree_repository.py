@@ -410,8 +410,7 @@ class TreeRepository:
             with data_db.transaction() as connection:
                 for statement in sql.DELETE_TREE_DATA:
                     connection.execute(statement, (info.tree_id,))
-        self.store.drop_index_skeleton(info.tree_id)
-        self.store._bump_catalogue_epoch()
+        self.store.forget_tree(name, info.tree_id)
 
     def __repr__(self) -> str:
         return f"TreeRepository({self.db!r})"

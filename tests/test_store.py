@@ -2,7 +2,8 @@
 
 Covers the session-API redesign: one store handle owning the writer
 connection and a pool of read-only WAL readers, the typed
-``QueryRequest``/``QueryResult`` surface, the threaded stress contract
+``QueryRequest``/``QueryResult`` surface and the one request path
+behind ``query`` and ``analyze``, the threaded stress contract
 (no ``database is locked``, per-thread results equal to single-threaded
 ground truth), sharded placement and the tree-id allocator, and that
 the store is the only owner its repositories, loader and ``verify_*``
@@ -11,19 +12,26 @@ take.
 
 from __future__ import annotations
 
+import sys
 import threading
 import warnings
 
 import pytest
 
+import repro.analytics
+import repro.storage.projection
+from repro.admission import AdmissionController, AdmissionLimits
 from repro.analytics.bipartitions import scan_tree
-from repro.errors import CrimsonError, QueryError, StorageError
-from repro.storage.api import QueryRequest, QueryResult
+from repro.errors import CrimsonError, QueryError, ResourceError, StorageError
+from repro.obs import SlowQueryLog, Span, activate
+from repro.storage import sql
+from repro.storage.api import AnalyticsRequest, QueryRequest, QueryResult
 from repro.storage.cache import LRUCache
 from repro.storage.database import CrimsonDatabase
 from repro.storage.pool import ReaderPool
-from repro.storage.sanitize import statement_budget
+from repro.storage.sanitize import record_statements, statement_budget
 from repro.storage.store import CrimsonStore
+from repro.storage.tree_repository import StoredTree
 from repro.trees.build import caterpillar, sample_tree
 from repro.trees.newick import write_newick
 
@@ -269,6 +277,230 @@ class TestTypedQuerySurface:
     def test_unknown_taxon_is_query_error(self, pooled_store):
         with pytest.raises(QueryError):
             pooled_store.query(QueryRequest.lca("fig1", "Lla", "nope"))
+
+
+def _requests():
+    """One request of every query operation and two analytics ones, on
+    the trees of the ``pooled_store`` fixture."""
+    return [
+        QueryRequest.lca("fig1", "Lla", "Syn"),
+        QueryRequest.lca_batch("deep", [("t1", "t60"), ("t5", "t6")]),
+        QueryRequest.clade("fig1", "Lla", "Syn"),
+        QueryRequest.project("deep", "t1", "t10", "t20"),
+        QueryRequest.match("fig1", "(Lla,Syn);", ordered=False),
+        AnalyticsRequest.compare("fig1", "fig1"),
+        AnalyticsRequest.consensus("deep", "deep"),
+    ]
+
+
+def _serve(store, request, **kwargs):
+    if isinstance(request, QueryRequest):
+        return store.query(request, **kwargs)
+    return store.analyze(request, **kwargs)
+
+
+def _verb(request):
+    return "query" if isinstance(request, QueryRequest) else "analyze"
+
+
+class TestRequestPath:
+    """The one request path behind ``query`` and ``analyze``: what it
+    times, counts, records and releases."""
+
+    @pytest.mark.parametrize(
+        "request_", _requests(), ids=lambda r: r.operation
+    )
+    def test_duration_is_the_store_owned_spans_engine_phase(
+        self, pooled_store, request_
+    ):
+        pooled_store.slow_log = SlowQueryLog(threshold_ms=0.0)
+        result = _serve(pooled_store, request_)
+        [entry] = pooled_store.slow_log.entries()
+        assert entry["verb"] == _verb(request_)
+        assert entry["outcome"] == "ok"
+        assert set(entry["phases"]) == {"admission", "engine"}
+        assert entry["phases"]["engine"] == round(result.duration_ms, 4)
+        assert entry["duration_ms"] >= result.duration_ms
+
+    @pytest.mark.parametrize(
+        "request_", _requests(), ids=lambda r: r.operation
+    )
+    def test_an_active_span_is_joined_and_left_running(
+        self, pooled_store, request_
+    ):
+        pooled_store.slow_log = SlowQueryLog(threshold_ms=0.0)
+        span = Span("server")
+        with activate(span):
+            result = _serve(pooled_store, request_)
+        assert set(span.phases) == {"admission", "engine"}
+        assert span.phases["engine"] == result.duration_ms
+        assert span.annotations["operation"] == request_.operation
+        assert span.duration_ms is None
+        assert span.error_kind is None
+        assert pooled_store.slow_log.entries() == []
+
+    @pytest.mark.parametrize(
+        "request_", _requests(), ids=lambda r: r.operation
+    )
+    def test_counts_the_request_and_its_statements(self, request_):
+        with CrimsonStore.open() as store:
+            store.load_tree(sample_tree(), name="fig1")
+            store.load_tree(caterpillar(60), name="deep")
+            store.open_tree("fig1")
+            store.open_tree("deep").clear_cache()
+            before = store.db.statements_executed
+            _serve(store, request_)
+            sent = store.db.statements_executed - before
+            snapshot = store.metrics.snapshot()
+        counters, histograms = snapshot["counters"], snapshot["histograms"]
+        verb = _verb(request_)
+        assert sent > 0
+        assert counters["store.statements"] == sent
+        assert counters[f"store.{verb}.requests"] == 1
+        assert histograms[f"store.{verb}.{request_.operation}"]["count"] == 1
+        assert f"store.{verb}.errors" not in counters
+        assert [name for name in histograms if name.startswith("store.")] == [
+            f"store.{verb}.{request_.operation}"
+        ]
+
+    @pytest.mark.parametrize(
+        "request_", _requests(), ids=lambda r: r.operation
+    )
+    def test_record_writes_the_history_row(self, pooled_store, request_):
+        result = _serve(pooled_store, request_, record=True)
+        [entry] = pooled_store.history.recent(limit=1)
+        assert entry.operation == request_.operation
+        assert entry.params == request_.params()
+        expected_tree = (
+            request_.tree if isinstance(request_, QueryRequest) else None
+        )
+        assert entry.tree_name == expected_tree
+        assert entry.duration_ms == pytest.approx(result.duration_ms)
+        assert entry.result_summary == result.summary()
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            QueryRequest.lca("fig1", "Lla", "nope"),
+            AnalyticsRequest.compare("fig1", "deep"),
+        ],
+        ids=["query", "analyze"],
+    )
+    def test_an_engine_error_releases_the_slot(self, store_path, request_):
+        limits = AdmissionLimits(max_concurrent=1)
+        with CrimsonStore.open(store_path, limits=limits) as store:
+            store.load_tree(sample_tree(), name="fig1")
+            store.load_tree(caterpillar(60), name="deep")
+            store.slow_log = SlowQueryLog(threshold_ms=0.0)
+            for _ in range(2):
+                with pytest.raises(QueryError):
+                    _serve(store, request_)
+                assert store.admission.snapshot()["active"] == 0
+            verb = _verb(request_)
+            counters = store.metrics.snapshot()["counters"]
+            assert counters[f"store.{verb}.errors"] == 2
+            assert f"store.{verb}.requests" not in counters
+            entries = store.slow_log.entries()
+            assert [e["error_kind"] for e in entries] == ["QueryError"] * 2
+            assert all("engine" in e["phases"] for e in entries)
+
+    def test_an_unknown_tree_counts_as_one_error_and_fails_the_span(
+        self, pooled_store
+    ):
+        """Regression: the handle was resolved before the counted region,
+        so this error reached no counter and no span."""
+        pooled_store.slow_log = SlowQueryLog(threshold_ms=0.0)
+        request = QueryRequest.lca("nope", "a", "b")
+        with pytest.raises(StorageError, match="no tree named"):
+            pooled_store.query(request)
+        [entry] = pooled_store.slow_log.entries()
+        assert entry["outcome"] == "error"
+        assert entry["error_kind"] == "StorageError"
+        span = Span("server")
+        with activate(span):
+            with pytest.raises(StorageError):
+                pooled_store.query(request)
+        assert span.error_kind == "StorageError"
+        counters = pooled_store.metrics.snapshot()["counters"]
+        assert counters["store.query.errors"] == 2
+        with pytest.raises(StorageError):
+            pooled_store.analyze(AnalyticsRequest.consensus("fig1", "nope"))
+        counters = pooled_store.metrics.snapshot()["counters"]
+        assert counters["store.analyze.errors"] == 1
+
+    def test_an_admission_refusal_is_not_an_error(self, pooled_store):
+        pooled_store.admission = AdmissionController(
+            AdmissionLimits(max_cost=1e-9)
+        )
+        with pytest.raises(ResourceError):
+            pooled_store.query(QueryRequest.lca("fig1", "Lla", "Syn"))
+        with pytest.raises(ResourceError):
+            pooled_store.analyze(AnalyticsRequest.consensus("fig1", "fig1"))
+        counters = pooled_store.metrics.snapshot()["counters"]
+        assert not any(name.endswith(".errors") for name in counters)
+        assert pooled_store.admission.snapshot()["refused"] == {"cost": 2}
+
+
+class TestTracerPatchPoints:
+    """The end-to-end tracer (``benchmarks/e2e/tracer.py``) times the
+    layers by replacing module and class attributes; the request path
+    must look each of them up at call time, or its ledger rows go
+    silent."""
+
+    @staticmethod
+    def _spy(monkeypatch, owner, attribute):
+        calls = []
+        original = getattr(owner, attribute)
+
+        def spy(*args, **kwargs):
+            calls.append(attribute)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attribute, spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "owner, attribute, request_",
+        [
+            (StoredTree, "lca_many", QueryRequest.lca("fig1", "Lla", "Syn")),
+            (
+                StoredTree,
+                "lca_batch",
+                QueryRequest.lca_batch("deep", [("t1", "t2")]),
+            ),
+            (StoredTree, "clade", QueryRequest.clade("fig1", "Lla", "Syn")),
+            (
+                repro.storage.projection,
+                "project_stored",
+                QueryRequest.project("deep", "t1", "t10", "t20"),
+            ),
+            (
+                repro.analytics,
+                "stored_consensus",
+                AnalyticsRequest.consensus("deep", "deep"),
+            ),
+            (
+                repro.analytics,
+                "compare_stored",
+                AnalyticsRequest.compare("fig1", "fig1"),
+            ),
+            (
+                AdmissionController,
+                "admit",
+                QueryRequest.lca("fig1", "Lla", "Syn"),
+            ),
+        ],
+        ids=[
+            "lca_many", "lca_batch", "clade", "project_stored",
+            "stored_consensus", "compare_stored", "admit",
+        ],
+    )
+    def test_a_patched_entry_point_is_called(
+        self, pooled_store, monkeypatch, owner, attribute, request_
+    ):
+        calls = self._spy(monkeypatch, owner, attribute)
+        _serve(pooled_store, request_)
+        assert calls == [attribute]
 
 
 class TestReaderPool:
@@ -730,6 +962,99 @@ class TestHandleRevalidation:
             assert new.info.tree_id == store.trees.info("gold").tree_id
             assert new.lca("a", "b").node_id == 0
             assert store.open_tree("gold") is new
+
+    def test_replacing_two_of_24_trees_rereads_only_their_names(
+        self, sanitized
+    ):
+        """A delete stamps only its own name.  The store-wide epoch this
+        replaced made all 24 handles read the catalogue again (24
+        catalogue reads and 2 scans per consensus)."""
+        names = [f"rep{k:02d}" for k in range(24)]
+        with CrimsonStore.open() as store:
+            for name in names:
+                store.load_tree(caterpillar(16), name=name)
+            consensus = AnalyticsRequest.consensus(*names)
+            store.analyze(consensus)
+            for name in names[:2]:
+                store.trees.delete_tree(name)
+                store.load_tree(caterpillar(16), name=name)
+            with record_statements() as recorded:
+                store.analyze(consensus)
+            texts = [text for _, text in recorded]
+            assert texts.count(sql.TREE_BY_NAME) == 2
+            assert texts.count(sql.SCAN_COLUMNS) == 2
+            assert len(texts) == 4
+
+    def test_another_names_replacement_revalidates_no_handle(
+        self, sanitized
+    ):
+        with CrimsonStore.open() as store:
+            store.load_tree(caterpillar(20), name="a")
+            handle = store.open_tree("a")
+            store.load_tree(caterpillar(30), name="b")
+            store.trees.delete_tree("b")
+            store.load_tree(caterpillar(30), name="b")
+            with statement_budget(0):
+                assert store.open_tree("a") is handle
+
+    def test_concurrent_replacements_leave_no_stale_handle(self, store_path):
+        """Four threads replace their own name over and over while two
+        readers query every name; afterwards each reader's cached handle
+        on each name is the catalogue's current tree.  A delete whose
+        stamp was lost would leave a reader on a deleted tree."""
+        names = [f"slot{k}" for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with CrimsonStore.open(store_path, readers=2) as store:
+                for name in names:
+                    store.load_tree(caterpillar(12), name=name)
+                done = threading.Event()
+                problems: list[object] = []
+
+                def replace(name):
+                    try:
+                        for _ in range(15):
+                            store.trees.delete_tree(name)
+                            store.load_tree(caterpillar(12), name=name)
+                    except BaseException as error:  # noqa: BLE001
+                        problems.append(error)
+
+                def read():
+                    try:
+                        while not done.is_set():
+                            for name in names:
+                                try:
+                                    store.query(
+                                        QueryRequest.lca(name, "t1", "t2")
+                                    )
+                                except StorageError:
+                                    pass  # deleted under us: expected
+                        done.wait()
+                        for name in names:
+                            current = store.trees.info(name).tree_id
+                            if store.open_tree(name).info.tree_id != current:
+                                problems.append(name)
+                    except BaseException as error:  # noqa: BLE001
+                        problems.append(error)
+
+                replacers = [
+                    threading.Thread(target=replace, args=(name,))
+                    for name in names
+                ]
+                readers = [threading.Thread(target=read) for _ in range(2)]
+                for thread in replacers + readers:
+                    thread.start()
+                for thread in replacers:
+                    thread.join(timeout=60)
+                done.set()
+                for thread in readers:
+                    thread.join(timeout=60)
+                threads = replacers + readers
+                assert not any(thread.is_alive() for thread in threads)
+                assert problems == []
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestDeprecationShims:
