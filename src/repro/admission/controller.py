@@ -25,11 +25,15 @@ it — the client can tell "narrow your request" from "slow down" from
 
 All state lives under one :class:`threading.Condition` (a single lock:
 no acquisition order to get wrong), and the controller never blocks
-while holding it except in ``Condition.wait``.
+while holding it except in ``Condition.wait``.  An unlimited
+controller never takes it on the request path: its admissions are
+counted by an ``itertools.count`` (``next`` on one is atomic), and its
+slot's release does nothing.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -129,11 +133,15 @@ class _Bucket:
 
 
 class _Slot:
-    """Context manager releasing one admitted request's concurrency slot."""
+    """Context manager releasing one admitted request's concurrency slot.
 
-    def __init__(self, controller: "AdmissionController") -> None:
+    The slot of an unlimited controller (``controller=None``) holds
+    nothing, so one shared instance serves every admission.
+    """
+
+    def __init__(self, controller: "AdmissionController | None") -> None:
         self._controller = controller
-        self._released = False
+        self._released = controller is None
 
     def __enter__(self) -> "_Slot":
         return self
@@ -144,7 +152,11 @@ class _Slot:
     def release(self) -> None:
         if not self._released:
             self._released = True
+            assert self._controller is not None
             self._controller._release()
+
+
+_FREE_SLOT = _Slot(None)
 
 
 class AdmissionController:
@@ -167,6 +179,11 @@ class AdmissionController:
         self._waiting = 0
         self._buckets: dict[object, _Bucket] = {}
         self._admitted = 0
+        # Admissions of an unlimited controller, counted without the
+        # condition; snapshot() reads the count by drawing from it, and
+        # subtracts its own draws.
+        self._free_admits = itertools.count()
+        self._free_reads = 0
         self._refused: dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -186,9 +203,8 @@ class AdmissionController:
         """
         limits = self.limits
         if limits.unlimited:
-            with self._cond:
-                self._admitted += 1
-            return _Slot(self)
+            next(self._free_admits)
+            return _FREE_SLOT
         if key is None:
             key = threading.get_ident()
         if limits.max_cost is not None and estimate.cost > limits.max_cost:
@@ -318,10 +334,11 @@ class AdmissionController:
             self._admitted += 1
 
     def _release(self) -> None:
+        if self.limits.max_concurrent is None:
+            return
         with self._cond:
-            if self.limits.max_concurrent is not None:
-                self._active -= 1
-                self._cond.notify()
+            self._active -= 1
+            self._cond.notify()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -339,8 +356,10 @@ class AdmissionController:
             if tokens:
                 quota["min_tokens"] = round(min(tokens), 3)
                 quota["mean_tokens"] = round(sum(tokens) / len(tokens), 3)
+            free = next(self._free_admits) - self._free_reads
+            self._free_reads += 1
             return {
-                "admitted": self._admitted,
+                "admitted": self._admitted + free,
                 "refused": dict(self._refused),
                 "active": self._active,
                 "waiting": self._waiting,

@@ -34,9 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.benchmark.consensus import mask_bits
 from repro.errors import QueryError
 from repro.storage.tree_repository import StoredTree
+from repro.trees.splits import mask_bits
 
 Split = frozenset[str]
 

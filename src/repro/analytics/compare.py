@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.analytics.bipartitions import scan_tree
-from repro.benchmark.metrics import (
+from repro.storage.tree_repository import StoredTree
+from repro.trees.splits import (
     SplitComparison,
     check_same_leaf_sets,
     comparison_from_splits,
 )
-from repro.storage.tree_repository import StoredTree
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class StoredComparison:
     """One pairwise comparison of two stored trees.
 
     ``splits`` carries the unrooted Robinson–Foulds figures
-    (:class:`~repro.benchmark.metrics.SplitComparison`); the rooted
+    (:class:`~repro.trees.splits.SplitComparison`); the rooted
     cluster counts sit beside it because consensus workloads reason in
     rooted clusters.
     """

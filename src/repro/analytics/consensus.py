@@ -8,7 +8,7 @@ bitmasks over the sorted leaf names, from the handle's memoised
 cluster table (:func:`~repro.analytics.bipartitions.scan_tree`) — to a
 running counter, so peak memory is the counter plus the tables the
 handles already hold, never N trees.  Tree assembly is shared with the
-in-memory path (:func:`repro.benchmark.consensus.build_tree_from_masks`
+in-memory path (:func:`repro.trees.splits.build_tree_from_masks`
 is the builder behind ``build_tree_from_clusters``), so the returned
 topology is identical — byte-identical as Newick — to
 :func:`~repro.benchmark.consensus.majority_rule_consensus` /
@@ -22,9 +22,9 @@ from collections import Counter
 from typing import Sequence
 
 from repro.analytics.bipartitions import Split, TreeScan, scan_tree
-from repro.benchmark.consensus import build_tree_from_masks
 from repro.errors import QueryError
 from repro.storage.tree_repository import StoredTree
+from repro.trees.splits import build_tree_from_masks
 from repro.trees.tree import PhyloTree
 
 

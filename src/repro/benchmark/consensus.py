@@ -15,11 +15,11 @@ across replicate samples into one summary topology.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.benchmark.metrics import clusters
 from repro.errors import QueryError
-from repro.trees.node import Node
+from repro.trees.splits import build_tree_from_masks, mask_bits  # re-exported
 from repro.trees.tree import PhyloTree
 
 
@@ -117,78 +117,3 @@ def build_tree_from_clusters(
             raise QueryError("cluster escapes the root leaf set")
         masks.append(sum(1 << bit[name] for name in cluster))
     return build_tree_from_masks(names, masks)
-
-
-def build_tree_from_masks(
-    names: Sequence[str], masks: Iterable[int]
-) -> PhyloTree:
-    """Assemble the rooted tree realizing compatible clusters given as
-    bitmasks over the sorted distinct ``names`` (bit *i* is
-    ``names[i]``); the empty and full masks are ignored.
-
-    Big clusters go in first, the lowest bit (smallest name) breaking
-    ties, so children are attached in the same order whatever order the
-    clusters came in, and each node's leaves follow them in name order.
-    A cluster's parent is the current owner of its lowest leaf; it is
-    incompatible when it is not inside that parent or overlaps a sibling
-    already placed.
-
-    Raises
-    ------
-    QueryError
-        If two clusters are incompatible, or a mask has a bit beyond
-        ``names``.
-    """
-    size = len(names)
-    full = (1 << size) - 1
-    root = Node()
-    nodes = [root]  # placed interior nodes
-    spans = [full]  # their clusters
-    taken = [0]  # the union of each one's placed interior children
-    owner = [0] * size  # innermost placed node holding each leaf
-    ordered = sorted(
-        set(masks) - {0, full},
-        key=lambda mask: (-mask.bit_count(), mask & -mask),
-    )
-    for mask in ordered:
-        if mask >> size:
-            raise QueryError("cluster escapes the root leaf set")
-        parent = owner[(mask & -mask).bit_length() - 1]
-        if mask & ~spans[parent] or mask & taken[parent]:
-            other = next(
-                span
-                for span in spans
-                if span & mask and span & mask not in (span, mask)
-            )
-            raise QueryError(
-                "incompatible clusters: "
-                f"{[names[i] for i in mask_bits(other)]} vs "
-                f"{[names[i] for i in mask_bits(mask)]}"
-            )
-        node = _attach(nodes[parent], Node(length=1.0))
-        taken[parent] |= mask
-        for index in mask_bits(mask):
-            owner[index] = len(nodes)
-        nodes.append(node)
-        spans.append(mask)
-        taken.append(0)
-    for index, name in enumerate(names):
-        _attach(nodes[owner[index]], Node(name, 1.0))
-    return PhyloTree(root, name="consensus")
-
-
-def _attach(parent: Node, child: Node) -> Node:
-    """``parent.add_child`` without its cycle walk: ``child`` is fresh."""
-    child.parent = parent
-    parent.children.append(child)
-    return child
-
-
-def mask_bits(mask: int) -> list[int]:
-    """The set bit positions of ``mask``, lowest first."""
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low.bit_length() - 1)
-        mask ^= low
-    return bits

@@ -20,13 +20,15 @@ in linear time" remark.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Hashable
-from dataclasses import dataclass
-from typing import AbstractSet
 
 import numpy as np
 
 from repro.errors import QueryError
+from repro.trees.splits import (
+    SplitComparison,
+    check_same_leaf_sets,
+    comparison_from_splits,
+)
 from repro.trees.tree import PhyloTree
 
 Split = frozenset[str]
@@ -89,70 +91,8 @@ def bipartitions(tree: PhyloTree) -> set[Split]:
     return result
 
 
-def check_same_leaf_sets(leaves_a: set[str], leaves_b: set[str]) -> None:
-    """Raise :class:`QueryError` when two leaf-name sets differ.
-
-    Shared with the stored-tree analytics so in-memory and stored
-    comparisons refuse mismatched inputs with the same message.
-    """
-    if leaves_a != leaves_b:
-        only_a = sorted(leaves_a - leaves_b)[:5]
-        only_b = sorted(leaves_b - leaves_a)[:5]
-        raise QueryError(
-            f"trees have different leaf sets (e.g. {only_a} vs {only_b})"
-        )
-
-
 def _check_same_leaves(a: PhyloTree, b: PhyloTree) -> None:
     check_same_leaf_sets(set(a.leaf_names()), set(b.leaf_names()))
-
-
-@dataclass(frozen=True)
-class SplitComparison:
-    """Robinson–Foulds-style comparison of two trees."""
-
-    rf_distance: int
-    normalized_rf: float
-    false_positives: int
-    false_negatives: int
-    n_splits_reference: int
-    n_splits_estimate: int
-
-    @property
-    def false_positive_rate(self) -> float:
-        if self.n_splits_estimate == 0:
-            return 0.0
-        return self.false_positives / self.n_splits_estimate
-
-    @property
-    def false_negative_rate(self) -> float:
-        if self.n_splits_reference == 0:
-            return 0.0
-        return self.false_negatives / self.n_splits_reference
-
-
-def comparison_from_splits(
-    splits_ref: AbstractSet[Hashable], splits_est: AbstractSet[Hashable]
-) -> SplitComparison:
-    """Assemble a :class:`SplitComparison` from two extracted split sets.
-
-    Shared by :func:`compare_splits` and the stored-tree analytics
-    (:mod:`repro.analytics.compare`, whose splits are ``int`` bitmasks),
-    so the two paths cannot drift.
-    """
-    false_neg = len(splits_ref - splits_est)
-    false_pos = len(splits_est - splits_ref)
-    rf = false_neg + false_pos
-    denominator = len(splits_ref) + len(splits_est)
-    normalized = rf / denominator if denominator else 0.0
-    return SplitComparison(
-        rf_distance=rf,
-        normalized_rf=normalized,
-        false_positives=false_pos,
-        false_negatives=false_neg,
-        n_splits_reference=len(splits_ref),
-        n_splits_estimate=len(splits_est),
-    )
 
 
 def compare_splits(reference: PhyloTree, estimate: PhyloTree) -> SplitComparison:

@@ -11,24 +11,28 @@ Crimson supports three ways of selecting species:
 
 Each strategy exists in two forms: over an in-memory
 :class:`~repro.trees.tree.PhyloTree`, and over a
-:class:`~repro.storage.tree_repository.StoredTree`.  There a small
-random sample reads a few rows by primary key, drawn at random
-pre-order ids, instead of the whole leaf table; a large one scans the
-leaves once.  The time frontier is one SQL join and the per-subtree
-draws are clade-interval range scans.
+:class:`~repro.storage.tree_repository.StoredTree`.  A stored sample
+draws pre-order leaf ids from the tree's store-wide leaf-id table
+(:meth:`~repro.storage.tree_repository.StoredTree.leaf_ids`, one read
+per tree and store) and then fetches only the ``k`` rows it keeps.
+Leaves are numbered in the same pre-order in memory and in the store,
+so for the same ``rng`` state each stored sampler returns exactly what
+its in-memory twin does.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Sequence
+from bisect import bisect_left, bisect_right
+from typing import Sequence, TypeVar
 
 import numpy as np
 
-from repro.errors import QueryError, StorageError
-from repro.storage.tree_repository import NodeRow, StoredTree
+from repro.errors import QueryError
+from repro.storage.tree_repository import StoredTree
 from repro.trees.node import Node
 from repro.trees.tree import PhyloTree
+
+T = TypeVar("T")
 
 
 def random_sample(
@@ -130,27 +134,11 @@ def random_sample_stored(
 ) -> list[str]:
     """Uniform sample of ``k`` distinct leaf names from a stored tree.
 
-    ``node_id`` is the pre-order rank, so the ids ``0 .. n_nodes - 1``
-    are all present.  A small sample draws
-    ``d = ceil(1.5 · k · n_nodes / n_leaves) + 8`` distinct ids at
-    random, fetches them in one ``IN (...)`` by primary key
+    :func:`random_sample`'s draw, over the tree's leaf-id table; the
+    ``k`` drawn rows then arrive in one ``IN (...)`` fetch
     (:meth:`~repro.storage.tree_repository.StoredTree.nodes_by_id`) and
-    keeps the first ``k`` leaves in draw order.  The drawn ids are a
-    uniform random prefix of a permutation of the nodes, within which
-    the leaves are exchangeable, so the result is a uniform ``k``-subset
-    of the leaves in uniform order.  A batch with fewer than ``k``
-    leaves is redrawn at twice the size; whether a batch falls short
-    depends only on its leaf count, so the restart keeps the draw
-    exact.  The fetched rows stay in the handle's caches, and a
-    following ``project_stored`` or ``sequences_for`` on the same
-    handle resolves the sampled names without SQL.
-
-    When ``16 · d`` exceeds ``n_nodes`` (a large ``k``, or a tree whose
-    leaves are rare, as with unary chains) one scan of the leaf table
-    costs less than the point reads; the sample then indexes a uniform
-    choice into :meth:`~repro.storage.tree_repository.StoredTree.leaf_names`.
-    For a given ``rng`` state the two paths pick different leaves, from
-    the same uniform distribution.
+    stay in the handle's caches, so a following ``project_stored`` or
+    ``sequences_for`` on the handle resolves the names without SQL.
 
     Raises
     ------
@@ -159,25 +147,11 @@ def random_sample_stored(
     StorageError
         If the tree was deleted out from under ``stored``.
     """
-    n_nodes, n_leaves = stored.info.n_nodes, stored.info.n_leaves
-    _check_k(k, n_leaves)
+    _check_k(k, stored.info.n_leaves)
     rng = rng or np.random.default_rng()
-    draw = math.ceil(1.5 * k * n_nodes / n_leaves) + 8
-    if draw * 16 > n_nodes:
-        names = stored.leaf_names()
-        chosen = rng.choice(len(names), size=k, replace=False)
-        return [names[int(index)] for index in chosen]
-    while True:
-        ids = rng.choice(n_nodes, size=draw, replace=False).tolist()
-        leaves = [row.name for row in stored.nodes_by_id(ids) if row.is_leaf]
-        if len(leaves) >= k:
-            return leaves[:k]
-        if draw == n_nodes:
-            raise StorageError(
-                f"tree {stored.info.name!r} holds {len(leaves)} leaves, "
-                f"its catalogue row says {n_leaves}"
-            )
-        draw = min(2 * draw, n_nodes)
+    ids = stored.leaf_ids()
+    chosen = rng.choice(len(ids), size=k, replace=False)
+    return [row.name for row in stored.nodes_by_id([ids[i] for i in chosen.tolist()])]
 
 
 def sample_with_time_stored(
@@ -186,24 +160,27 @@ def sample_with_time_stored(
     k: int,
     rng: np.random.Generator | None = None,
 ) -> list[str]:
-    """Time-stratified sample over a stored tree.
+    """Time-stratified sample over a stored tree: :func:`sample_with_time`'s
+    draw.
 
     The frontier is one join over the tree's rows, each parent found by
     primary key
     (:meth:`~repro.storage.tree_repository.StoredTree.time_frontier`);
-    each frontier subtree's leaves come from a clade-interval range scan.
+    each frontier subtree's leaves are the slice of the leaf-id table
+    inside its clade interval, and only the ``k`` drawn rows are read.
     """
     rng = rng or np.random.default_rng()
-    frontier: list[NodeRow] = stored.time_frontier(time)
+    frontier = stored.time_frontier(time)
     if not frontier:
         raise QueryError(
             f"no lineage extends past time {time}; frontier is empty"
         )
+    ids = stored.leaf_ids()
     groups = [
-        [row.name for row in stored.leaves_in_subtree(node.node_id) if row.name]
-        for node in frontier
+        ids[bisect_left(ids, row.node_id) : bisect_right(ids, row.pre_order_end)]
+        for row in frontier
     ]
-    return _stratified_draw(groups, k, rng)
+    return [row.name for row in stored.nodes_by_id(_stratified_draw(groups, k, rng))]
 
 
 # ----------------------------------------------------------------------
@@ -221,8 +198,8 @@ def _check_k(k: int, available: int) -> None:
 
 
 def _stratified_draw(
-    groups: list[list[str]], k: int, rng: np.random.Generator
-) -> list[str]:
+    groups: Sequence[Sequence[T]], k: int, rng: np.random.Generator
+) -> list[T]:
     total = sum(len(group) for group in groups)
     _check_k(k, total)
 
@@ -253,7 +230,7 @@ def _stratified_draw(
             quotas[index] += take
             shortfall -= take
 
-    sample: list[str] = []
+    sample: list[T] = []
     for quota, group in zip(quotas, groups):
         if quota == 0:
             continue

@@ -54,11 +54,11 @@ from typing import TYPE_CHECKING, Any, Mapping, Protocol, Sequence, runtime_chec
 from repro.errors import QueryError
 from repro.storage.maintenance import IntegrityReport
 from repro.storage.tree_repository import NodeRow, TreeInfo
+from repro.trees.splits import SplitComparison
 from repro.trees.tree import PhyloTree
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid an import cycle
     from repro.admission.estimator import CostEstimate
-    from repro.benchmark.metrics import SplitComparison
 
 OPERATIONS: tuple[str, ...] = ("lca", "lca_batch", "clade", "project", "match")
 """Operations the store's query dispatcher understands."""

@@ -46,7 +46,8 @@ cheap in four ways:
    survives adversarial scan loads.  Every lookup that may hit a
    skeleton row reads the skeleton's dict first, with no lock, and a
    hit writes nothing, so a warm walk writes nothing to either
-   structure.
+   structure.  The skeleton also carries the tree's leaf-id table,
+   which the first sample fills with one ``LEAF_IDS`` read.
 4. **A narrow scan beside the caches.**  The analytics subsystem needs
    four columns of every row, once per tree.  :meth:`scan_table` reads
    them with one primary-key range statement as plain tuples, without
@@ -68,7 +69,8 @@ tree, store-wide (in practice only the
 handle's LRU caches instead), plus one scan table of a tree of at most
 ``cache_size`` nodes (for analytics, the distinct non-trivial cluster
 bitmasks and two tuples of leaf names: about 570 KB for a 2,000-leaf
-Yule tree, below the four-column rows it is built from).  The caches,
+Yule tree, below the four-column rows it is built from), plus 8 B
+per leaf of each sampled tree, store-wide.  The caches,
 the scan table and the store's skeletons are the only state: there is
 no module-level memo, so nothing outlives the store, and a file
 re-created at the same path starts from empty skeletons.  A cached row
@@ -88,7 +90,7 @@ per-cache ``hits`` / ``misses`` / ``evictions`` and a ``skeleton``
 entry so the benchmarks (``benchmarks/bench_stored_lca.py``) can verify
 the warm path, and ``clear_cache()`` restores cold-start behaviour for
 measurements — for every handle of the tree, as it drops the shared
-skeleton too.
+skeleton and leaf-id table too.
 
 Concurrency
 -----------
@@ -104,6 +106,7 @@ lock, taken only around inserts, is a leaf in the lock order.
 from __future__ import annotations
 
 import threading
+from array import array
 from typing import Callable, Iterable, Sequence, TypeVar, cast
 
 from repro.core.dewey import DeweyLabel, label_to_string
@@ -150,11 +153,14 @@ class IndexSkeleton:
     holds at most ``maxsize`` rows (the handle's ``cache_size``): a row
     past the cap is refused and the handle keeps it in its own LRU
     cache instead.
+    ``leaf_ids`` holds the pre-order ids of the tree's leaves once
+    :meth:`~repro.storage.tree_repository.StoredTree.leaf_ids` has read
+    them; racing fills publish equal tables.
     """
 
     __slots__ = (
-        "maxsize", "blocks", "inodes", "inode_at", "_lock", "_climbable",
-        "_checked_at",
+        "maxsize", "blocks", "inodes", "inode_at", "leaf_ids", "_lock",
+        "_climbable", "_checked_at",
     )
 
     def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE) -> None:
@@ -164,6 +170,7 @@ class IndexSkeleton:
         self.blocks: dict[int, BlockRow] = {}
         self.inodes: dict[int, InodeRow] = {}
         self.inode_at: dict[tuple[int, DeweyLabel], InodeRow] = {}
+        self.leaf_ids: array | None = None
         self._lock = threading.Lock()
         # Memo of holds_climb: True once proven, else the row count
         # the last failed check saw.
@@ -228,11 +235,12 @@ class IndexSkeleton:
             return self._climbable
 
     def clear(self) -> None:
-        """Drop every row (the tree's handles start cold again)."""
+        """Drop every row and leaf id (the tree's handles start cold again)."""
         with self._lock:
             self.blocks.clear()
             self.inodes.clear()
             self.inode_at.clear()
+            self.leaf_ids = None
             self._climbable = False
             self._checked_at = -1
 
@@ -658,8 +666,8 @@ class StoredQueryEngine:
         return resident / len(probed)
 
     def clear_cache(self) -> None:
-        """Drop all cached rows, the tree's shared skeleton and the
-        scan table (cold-start; counters are kept)."""
+        """Drop all cached rows, the tree's shared skeleton (leaf ids
+        included) and the scan table (cold-start; counters are kept)."""
         for cache in self._caches().values():
             cache.clear()
         self.skeleton.clear()

@@ -360,6 +360,10 @@ LEAF_NAMES = (
     "SELECT name FROM nodes WHERE tree_id = ? AND is_leaf = 1 "
     "ORDER BY node_id"
 )
+LEAF_IDS = (
+    "SELECT node_id FROM nodes WHERE tree_id = ? AND is_leaf = 1 "
+    "ORDER BY node_id"
+)
 CHILDREN = (
     "SELECT * FROM nodes WHERE tree_id = ? "
     "AND node_id BETWEEN ? AND ? AND parent_id = ? ORDER BY node_id"
@@ -367,14 +371,6 @@ CHILDREN = (
 CLADE = (
     "SELECT * FROM nodes WHERE tree_id = ? AND node_id BETWEEN ? AND ? "
     "ORDER BY node_id"
-)
-CLADE_LEAVES = (
-    "SELECT * FROM nodes WHERE tree_id = ? AND node_id BETWEEN ? AND ? "
-    "AND is_leaf = 1 ORDER BY node_id"
-)
-CLADE_LEAF_COUNT = (
-    "SELECT COUNT(*) AS n FROM nodes WHERE tree_id = ? "
-    "AND node_id BETWEEN ? AND ? AND is_leaf = 1"
 )
 TIME_FRONTIER = """
     SELECT child.* FROM nodes AS child
@@ -558,6 +554,9 @@ WHOLE_TREE_READS: frozenset[str] = frozenset(
         LEAF_NAMES,
         TIME_FRONTIER,
         TREE_SHAPE,
+        # The leaf-id table a sample draws from: it runs once per tree
+        # per store, and every later sample reads it from memory.
+        LEAF_IDS,
         # The stale-handle probe: its plan walks the tree's key range,
         # and LIMIT 1 stops it at the first row.
         TREE_HAS_NODES,

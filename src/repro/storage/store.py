@@ -77,6 +77,7 @@ import weakref
 from pathlib import Path
 from typing import Any
 
+import repro.analytics as analytics
 from repro.admission import (
     AdmissionController,
     AdmissionLimits,
@@ -448,8 +449,9 @@ class CrimsonStore:
     def index_skeleton(self, tree_id: int) -> IndexSkeleton:
         """The index skeleton every handle of tree ``tree_id`` shares.
 
-        Created empty on first use and filled by the handles' walks.
-        Stored rows never change and a ``tree_id`` is never re-issued
+        Created empty on first use and filled by the handles' walks;
+        the first sample of the tree fills its leaf-id table.  Stored
+        rows never change and a ``tree_id`` is never re-issued
         in a file, so one copy is right for every handle and thread of
         this store.  It holds at most the store's ``cache_size`` rows
         per kind; a handle keeps skeleton rows past that cap in its own
@@ -464,8 +466,9 @@ class CrimsonStore:
 
     def forget_tree(self, name: str, tree_id: int) -> None:
         """Drop what the store caches for a deleted tree: its index
-        skeleton, and (by stamping its name) every thread's cached
-        handle on ``name``, which :meth:`open_tree` revalidates."""
+        skeleton with its leaf-id table, and (by stamping its name)
+        every thread's cached handle on ``name``, which
+        :meth:`open_tree` revalidates."""
         self._skeletons.pop(tree_id, None)
         self._deleted[name] = next(self._delete_stamps)
 
@@ -679,7 +682,9 @@ class CrimsonStore:
 
     def _stats_caches(self) -> dict[str, Any]:
         """Row-cache stats aggregated over every live query handle, with
-        the store's shared skeletons counted once."""
+        the store's shared skeletons counted once, and the ids held in
+        their leaf-id tables once per tree (``leaf_ids``, outside
+        ``total``, which counts rows)."""
         with self._handles_lock:
             handles = list(self._live_handles)
         totals: dict[str, CacheStats] = {}
@@ -701,6 +706,8 @@ class CrimsonStore:
             maxsize=sum(2 * skeleton.maxsize for skeleton in skeletons),
         )
         totals["total"] = sum(totals.values(), CacheStats())
+        held = sum(len(skeleton.leaf_ids or ()) for skeleton in skeletons)
+        totals["leaf_ids"] = CacheStats(size=held, maxsize=held)
         for name in sorted(totals):
             out[name] = totals[name].as_dict()
         return out
@@ -963,10 +970,8 @@ class CrimsonStore:
     def _analyze(self, request: AnalyticsRequest) -> dict[str, Any]:
         """Run one analytics operation; returns the result's payload
         fields.  Like :meth:`_execute`, it calls the analytics entry
-        points through their module, imported here because it pulls in
-        numpy, which a query-only process never needs."""
-        import repro.analytics as analytics
-
+        points through their module, so a wrapper installed on them
+        sees every request."""
         handles = [self.open_tree(name) for name in request.trees]
         if request.operation == "compare":
             outcome = analytics.compare_stored(handles[0], handles[1])

@@ -32,6 +32,7 @@ here.
 from __future__ import annotations
 
 import datetime as _datetime
+from array import array
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
 from operator import attrgetter
@@ -425,7 +426,7 @@ class StoredTree:
     free, and its ``IN (...)`` batch fills back :meth:`lca_batch` and
     :meth:`nodes_by_name`.  Cached ``NodeRow`` records are returned as they
     are; scan-shaped reads (:meth:`clade`, :meth:`leaves`,
-    :meth:`leaves_in_subtree`, ...) build theirs by position from plain
+    :meth:`children`, ...) build theirs by position from plain
     tuples.  ``cache_size`` bounds each row cache; :meth:`cache_stats`
     exposes the counters.  ``skeleton`` is the tree's
     :class:`~repro.storage.engine.IndexSkeleton`, which the store shares
@@ -609,6 +610,25 @@ class StoredTree:
                 f"({len(rows)} of {self.info.n_leaves})"
             )
         return [name for (name,) in rows]
+
+    def leaf_ids(self) -> Sequence[int]:
+        """Pre-order ids of all leaves, ascending: one statement the
+        first time per tree and store, then the table every handle of
+        the tree shares (in its :class:`IndexSkeleton`).
+
+        Raises
+        ------
+        StorageError
+            If the tree was deleted out from under this handle.
+        """
+        skeleton = self.engine.skeleton
+        table = skeleton.leaf_ids
+        if table is None:
+            rows = self.db.query_all(sql.LEAF_IDS, (self._tree_id,), plain=True)
+            if len(rows) != self.info.n_leaves:
+                self._raise_missing(f"tree {self.info.name!r} is missing leaf rows")
+            table = skeleton.leaf_ids = array("q", [i for (i,) in rows])
+        return table
 
     def children(self, node_id: int) -> list[NodeRow]:
         """Child rows of a node, in child order.
@@ -936,24 +956,6 @@ class StoredTree:
         return self._scan(
             sql.CLADE, (self._tree_id, anchor.node_id, anchor.pre_order_end)
         )
-
-    def leaves_in_subtree(self, node_id: int) -> list[NodeRow]:
-        """Leaf rows inside a node's clade interval."""
-        anchor = self.node(node_id)
-        return self._scan(
-            sql.CLADE_LEAVES,
-            (self._tree_id, anchor.node_id, anchor.pre_order_end),
-        )
-
-    def count_leaves_in_subtree(self, node_id: int) -> int:
-        """Number of leaves in a node's subtree (single aggregate query)."""
-        anchor = self.node(node_id)
-        row = self.db.query_one(
-            sql.CLADE_LEAF_COUNT,
-            (self._tree_id, anchor.node_id, anchor.pre_order_end),
-        )
-        assert row is not None
-        return row["n"]
 
     def time_frontier(self, time: float) -> list[NodeRow]:
         """Nodes whose root distance exceeds ``time`` but whose parent's

@@ -335,19 +335,9 @@ def _literal_encoder(
 
 
 def _hints(cls: type) -> dict[str, Any]:
-    """Resolved field annotations of ``cls``.
-
-    ``storage/api.py`` names :class:`CostEstimate` and
-    ``SplitComparison`` for type checkers only.  The benchmark package
-    behind ``SplitComparison`` is slow to import, so it is loaded only
-    for the one class that mentions it, the first time it crosses.
-    """
-    names: dict[str, Any] = {"CostEstimate": CostEstimate}
-    if cls is AnalyticsResult:
-        from repro.benchmark.metrics import SplitComparison
-
-        names["SplitComparison"] = SplitComparison
-    return typing.get_type_hints(cls, localns=names)
+    """Resolved field annotations of ``cls``; ``storage/api.py`` names
+    :class:`CostEstimate` for type checkers only."""
+    return typing.get_type_hints(cls, localns={"CostEstimate": CostEstimate})
 
 
 def _dataclass(cls: type) -> Codec:

@@ -20,6 +20,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -290,6 +291,39 @@ class TestController:
         with controller.admit(_free_estimate(1e9)):
             pass
         assert controller.snapshot()["admitted"] == 1
+
+    def test_unlimited_count_stays_exact_across_threads(self):
+        """The unlimited path counts without the condition; eight
+        threads admitting at once, with snapshots read between, lose no
+        admission."""
+        controller = AdmissionController()
+        estimate = _free_estimate(1.0)
+        barrier = threading.Barrier(8)
+        seen = []
+
+        def run():
+            barrier.wait(timeout=10)
+            for i in range(1000):
+                with controller.admit(estimate):
+                    pass
+                if i % 100 == 0:
+                    seen.append(controller.snapshot()["admitted"])
+
+        threads = [threading.Thread(target=run) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert controller.snapshot()["admitted"] == 8000
+        assert controller.snapshot()["admitted"] == 8000
+        assert all(0 < value <= 8000 for value in seen)
+        assert controller.snapshot()["active"] == 0
 
     def test_cost_budget_refusal_carries_context(self):
         controller = AdmissionController(AdmissionLimits(max_cost=5.0))

@@ -11,7 +11,11 @@ disjoint leaf sets, unnamed/duplicate leaves, threshold boundaries).
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -689,3 +693,25 @@ def test_stored_analytics_match_in_memory(trees, threshold):
             assert rf_matrix(handles) == [
                 [robinson_foulds(a, b) for b in trees] for a in trees
             ]
+
+
+def test_the_analytics_path_imports_no_numpy():
+    """The split helpers analytics shares with the in-memory metrics
+    live outside ``repro.benchmark``, whose package pulls in numpy and
+    the reconstruction code."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).parents[1] / "src"),
+                      env.get("PYTHONPATH")])
+    )
+    code = (
+        "import sys, repro.storage.store, repro.analytics\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'"
+        " or m.startswith('repro.benchmark')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import itertools
-import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from repro.benchmark.sampling import (
 )
 from repro.errors import QueryError, StorageError
 from repro.simulation.birth_death import yule_tree
+from repro.storage import sql
 from repro.storage.projection import project_stored
 from repro.storage.store import CrimsonStore
 from repro.trees.node import Node
@@ -206,16 +208,6 @@ def chained_tree(n_leaves: int, seed: int, chain_lengths=(0, 0, 1, 3)) -> PhyloT
     return PhyloTree(build(n_leaves))
 
 
-def draw_size(stored, k: int) -> int:
-    """The sampler's first batch size for ``k``."""
-    info = stored.info
-    return math.ceil(1.5 * k * info.n_nodes / info.n_leaves) + 8
-
-
-def takes_draw_path(stored, k: int) -> bool:
-    return draw_size(stored, k) * 16 <= stored.info.n_nodes
-
-
 def read_log(db, monkeypatch) -> list[tuple[str, int]]:
     """``(sql, rows)`` of every ``query_all`` on ``db`` from now on."""
     log: list[tuple[str, int]] = []
@@ -239,7 +231,6 @@ class TestRandomSampleStored:
         """Chi-square over how often each leaf is drawn, on a tree whose
         interior nodes are named and whose edges carry unary chains."""
         k, trials = 4, 2000
-        assert takes_draw_path(chained, k)
         leaves = chained.leaf_names()
         counts = dict.fromkeys(leaves, 0)
         rng = np.random.default_rng(11)
@@ -251,63 +242,43 @@ class TestRandomSampleStored:
         assert sum(counts.values()) == k * trials
         assert chisquare(list(counts.values())).pvalue > 0.001
 
-    def test_draw_path_reads_only_the_drawn_rows(
-        self, store, chained, monkeypatch
-    ):
-        k = 8
-        handle = store.trees.open("chain")
-        log = read_log(handle.db, monkeypatch)
-        with handle.db.count_statements() as counter:
-            sample = random_sample_stored(handle, k, np.random.default_rng(5))
-        assert counter.count == 1
-        assert sum(rows for _sql, rows in log) <= draw_size(handle, k)
-        assert len(set(sample)) == k
-        log.clear()
-        projection = project_stored(handle, sample)
-        assert set(projection.leaf_names()) == set(sample)
-        assert not any("name IN" in sql for sql, _rows in log)
-
-    def test_scan_path_matches_the_leaf_scan(self, chained):
-        k = 120
-        assert not takes_draw_path(chained, k)
-        names = chained.leaf_names()
-        expected = np.random.default_rng(8).choice(len(names), size=k, replace=False)
-        sample = random_sample_stored(chained, k, np.random.default_rng(8))
-        assert sample == [names[int(index)] for index in expected]
-
     def test_k_equal_to_leaf_count_takes_every_leaf(self, chained, rng):
         sample = random_sample_stored(chained, chained.info.n_leaves, rng)
         assert sorted(sample) == sorted(chained.leaf_names())
 
     def test_leaf_sparse_tree(self, store, monkeypatch):
-        """Long unary chains make leaves rare: a one-leaf draw often
-        holds no leaf and is redrawn, and the result stays uniform."""
+        """Long unary chains make leaves rare; the draw indexes the
+        leaf-id table, so it stays uniform and reads no interior row."""
         tree = chained_tree(40, seed=4, chain_lengths=(30,))
         stored = store.trees.store_tree(tree, name="sparse")
         assert stored.info.n_nodes > 30 * stored.info.n_leaves
-        assert takes_draw_path(stored, 1)
-        assert not takes_draw_path(stored, 3)
-        log = read_log(store.db, monkeypatch)
         rng = np.random.default_rng(6)
         leaves = stored.leaf_names()
         counts = dict.fromkeys(leaves, 0)
-        restarts = 0
+        log = read_log(store.db, monkeypatch)
         for _ in range(800):
             handle = store.trees.open("sparse")
             log.clear()
             (name,) = random_sample_stored(handle, 1, rng)
+            assert [rows for text, rows in log if text != sql.LEAF_IDS] == [1]
             counts[name] += 1
-            restarts += len(log) > 1
-        assert restarts > 0
         assert chisquare(list(counts.values())).pvalue > 0.001
         assert len(set(random_sample_stored(stored, 3, rng))) == 3
 
-    @pytest.mark.parametrize("k", [8, 300])
-    def test_stale_handle_raises_storage_error(self, store, chained, k):
+    @pytest.mark.parametrize("filled", [False, True])
+    def test_stale_handle_raises_storage_error(self, store, chained, filled):
+        """Whether or not the leaf-id table was read before the delete,
+        the first fetch of a deleted tree's rows reports a stale
+        handle."""
+        if filled:
+            random_sample_stored(store.trees.open("chain"), 3, np.random.default_rng(2))
         handle = store.trees.open("chain")
+        assert (handle.engine.skeleton.leaf_ids is not None) == filled
         store.trees.delete_tree("chain")
         with pytest.raises(StorageError, match="stale"):
-            random_sample_stored(handle, k, np.random.default_rng(1))
+            random_sample_stored(handle, 8, np.random.default_rng(1))
+        with pytest.raises(StorageError, match="stale"):
+            sample_with_time_stored(handle, 0.5, 8, np.random.default_rng(1))
 
     def test_out_of_range_k(self, chained, rng):
         n = chained.info.n_leaves
@@ -324,7 +295,151 @@ class TestRandomSampleStored:
             store.load_tree(chained_tree(200, seed=9), name="second")
             second = store.trees.open("second")
             assert second.info.shard == 1
-            assert takes_draw_path(second, 5)
             sample = random_sample_stored(second, 5, rng)
             assert len(set(sample)) == 5
             assert set(sample) <= set(second.leaf_names())
+
+
+class TestLeafIdTable:
+    """The store-wide leaf-id table both stored samplers draw from."""
+
+    @pytest.mark.parametrize(
+        "tree",
+        [chained_tree(90, seed=5), yule_tree(70, rng=np.random.default_rng(8))],
+        ids=["chained", "yule"],
+    )
+    def test_stored_samplers_equal_their_in_memory_twins(self, store, tree):
+        """Same ``rng`` state, same sample, for every ``k``."""
+        handle = store.trees.store_tree(tree, name="twin")
+        n = handle.info.n_leaves
+        for seed in range(3):
+            for k in range(1, n + 1):
+                assert random_sample_stored(
+                    handle, k, np.random.default_rng(seed)
+                ) == random_sample(tree, k, np.random.default_rng(seed))
+        horizon = max(tree.distances_from_root().values())
+        for seed, fraction in itertools.product(range(3), (0.1, 0.3, 0.6)):
+            time = horizon * fraction
+            available = sum(
+                len(list(node.leaves())) for node in time_frontier(tree, time)
+            )
+            for k in sorted({1, 2, 7, available // 2, available} - {0}):
+                assert sample_with_time_stored(
+                    handle, time, k, np.random.default_rng(seed)
+                ) == sample_with_time(tree, time, k, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("k", [1, 8, "all"])
+    def test_a_filled_table_costs_one_statement_of_k_rows(
+        self, store, k, monkeypatch
+    ):
+        store.trees.store_tree(chained_tree(300, seed=6), name="gold")
+        random_sample_stored(store.trees.open("gold"), 2, np.random.default_rng(0))
+        handle = store.trees.open("gold")
+        k = handle.info.n_leaves if k == "all" else k
+        log = read_log(handle.db, monkeypatch)
+        with handle.db.count_statements() as counter:
+            sample = random_sample_stored(handle, k, np.random.default_rng(5))
+        assert counter.count == 1
+        assert [rows for _sql, rows in log] == [k]
+        assert len(set(sample)) == k
+        # The fetched rows warm the handle: projecting the sample looks
+        # up no name.
+        log.clear()
+        projection = project_stored(handle, sample)
+        assert set(projection.leaf_names()) == set(sample)
+        assert not any("name IN" in text for text, _rows in log)
+
+    def test_the_first_sample_in_a_store_reads_the_table_once(
+        self, store, monkeypatch
+    ):
+        store.trees.store_tree(chained_tree(120, seed=7), name="gold")
+        log = read_log(store.db, monkeypatch)
+        first = store.trees.open("gold")
+        random_sample_stored(first, 4, np.random.default_rng(1))
+        assert [rows for text, rows in log if text == sql.LEAF_IDS] == [120]
+        log.clear()
+        second = store.trees.open("gold")
+        assert second is not first
+        sample_with_time_stored(second, 1.0, 4, np.random.default_rng(2))
+        random_sample_stored(second, 4, np.random.default_rng(2))
+        assert not any(text == sql.LEAF_IDS for text, _rows in log)
+        assert second.engine.skeleton.leaf_ids is first.engine.skeleton.leaf_ids
+
+    def test_a_restored_name_never_returns_an_old_leaf(self, store):
+        old = chained_tree(60, seed=1)
+        store.trees.store_tree(old, name="gold")
+        held = store.open_tree("gold")
+        random_sample_stored(held, 60, np.random.default_rng(0))
+        store.trees.delete_tree("gold")
+        new = yule_tree(80, rng=np.random.default_rng(2))
+        store.trees.store_tree(new, name="gold")
+        fresh = set(new.leaf_names())
+        assert not fresh & set(old.leaf_names())
+        for seed in range(5):
+            for handle in (store.open_tree("gold"), store.trees.open("gold")):
+                rng = np.random.default_rng(seed)
+                assert set(random_sample_stored(handle, 80, rng)) == fresh
+                assert set(sample_with_time_stored(handle, 0.2, 5, rng)) <= fresh
+
+    def test_eight_threads_fill_one_cold_table(self, tmp_path):
+        tree = yule_tree(500, rng=np.random.default_rng(9))
+        leaves = set(tree.leaf_names())
+        with CrimsonStore.open(tmp_path / "s.db", readers=8) as store:
+            store.load_tree(tree, name="gold", f=8)
+            barrier = threading.Barrier(8)
+            results, errors, handles = [], [], []
+
+            def run(seed: int) -> None:
+                try:
+                    handle = store.open_tree("gold")
+                    handles.append(handle)
+                    barrier.wait(timeout=10)
+                    rng = np.random.default_rng(seed)
+                    for k in (1, 16, 500):
+                        results.append((k, random_sample_stored(handle, k, rng)))
+                except BaseException as error:  # noqa: BLE001 - recorded
+                    errors.append(error)
+
+            threads = [
+                threading.Thread(target=run, args=(seed,)) for seed in range(8)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert len(results) == 24
+            for k, sample in results:
+                assert len(sample) == len(set(sample)) == k
+                assert set(sample) <= leaves
+            table = handles[0].engine.skeleton.leaf_ids
+            assert all(h.engine.skeleton.leaf_ids == table for h in handles)
+            assert list(table) == [
+                row.node_id for row in handles[0].nodes_by_name(tree.leaf_names())
+            ]
+
+    def test_store_stats_report_the_leaf_ids(self, store, monkeypatch):
+        store.trees.store_tree(chained_tree(50, seed=2), name="a")
+        store.trees.store_tree(chained_tree(30, seed=3), name="b")
+        handles = [store.open_tree("a"), store.trees.open("a"), store.open_tree("b")]
+        assert store.stats().caches["leaf_ids"]["size"] == 0
+        for handle in handles:
+            random_sample_stored(handle, 3, np.random.default_rng(0))
+        # Counted once per tree, however many handles share it.
+        assert store.stats().caches["leaf_ids"]["size"] == 80
+        # clear_cache() drops the table; the next sample re-reads it.
+        handles[0].clear_cache()
+        assert store.stats().caches["leaf_ids"]["size"] == 30
+        log = read_log(handles[1].db, monkeypatch)
+        random_sample_stored(handles[1], 3, np.random.default_rng(0))
+        assert [rows for text, rows in log if text == sql.LEAF_IDS] == [50]
+        assert store.stats().caches["leaf_ids"]["size"] == 80
+        # A delete forgets the tree's table.
+        store.trees.delete_tree("b")
+        assert store.stats().caches["leaf_ids"]["size"] == 50

@@ -169,16 +169,16 @@ class TestCladeAndFrontier:
         names = [row.name for row in stored.clade(["Lla", "Bha"])]
         assert names == ["A", "x", "Lla", "Spy", "Bha"]
 
-    def test_leaves_in_subtree(self, stored):
-        x = stored.node_by_name("x")
-        assert [row.name for row in stored.leaves_in_subtree(x.node_id)] == [
-            "Lla",
-            "Spy",
-        ]
+    def test_leaf_ids_are_the_preorder_leaves(self, stored):
+        rows = stored.nodes_by_id(list(stored.leaf_ids()))
+        assert [row.name for row in rows] == ["Syn", "Lla", "Spy", "Bha", "Bsu"]
 
-    def test_count_leaves(self, stored):
-        a = stored.node_by_name("A")
-        assert stored.count_leaves_in_subtree(a.node_id) == 3
+    def test_leaf_ids_slice_a_clade(self, stored):
+        ids = stored.leaf_ids()
+        for name, leaves in (("x", ["Lla", "Spy"]), ("A", ["Lla", "Spy", "Bha"])):
+            anchor = stored.node_by_name(name)
+            inside = [i for i in ids if anchor.contains(i)]
+            assert [row.name for row in stored.nodes_by_id(inside)] == leaves
 
     def test_time_frontier_matches_paper(self, stored):
         names = {row.name for row in stored.time_frontier(1.0)}
