@@ -8,9 +8,19 @@ query problems.
 
 from __future__ import annotations
 
+from typing import Any, ClassVar
+
 
 class CrimsonError(Exception):
-    """Base class for all errors raised by the Crimson library."""
+    """Base class for all errors raised by the Crimson library.
+
+    ``wire_fields`` maps the instance attributes that cross the wire
+    beside the message to their wire types, in encoding order; the
+    codec (:func:`repro.storage.wire.encode_error`) reads it, so a
+    kind declares its context once.
+    """
+
+    wire_fields: ClassVar[dict[str, Any]] = {}
 
 
 class TreeStructureError(CrimsonError):
@@ -94,10 +104,17 @@ class ResourceError(CrimsonError):
     :meth:`repro.admission.estimator.CostEstimate.as_dict`), ``limit``
     (the numeric bound that was hit), and ``resource`` (``"cost"``,
     ``"quota"``, ``"concurrency"``, or ``"shutdown"``) carry the
-    refusal's context across the wire so clients can budget retries.
-    All three are optional: the error stays constructible from its
-    message alone, as the wire codec requires.
+    refusal's context across the wire so clients can budget retries;
+    :attr:`wire_fields` declares them.  All three are optional: the
+    error stays constructible from its message alone, as the wire
+    codec requires.
     """
+
+    wire_fields = {
+        "estimate": dict[str, Any],
+        "limit": float,
+        "resource": str,
+    }
 
     def __init__(
         self,
@@ -111,31 +128,3 @@ class ResourceError(CrimsonError):
         self.estimate = dict(estimate) if estimate is not None else None
         self.limit = limit
         self.resource = resource
-
-    def wire_details(self) -> dict:
-        """JSON-friendly context the wire codec ships beside the message."""
-        details: dict = {}
-        if self.estimate is not None:
-            details["estimate"] = self.estimate
-        if self.limit is not None:
-            details["limit"] = self.limit
-        if self.resource is not None:
-            details["resource"] = self.resource
-        return details
-
-    def apply_wire_details(self, details: dict) -> None:
-        """Restore :meth:`wire_details` output on the decoded instance.
-
-        Lenient by design: a peer speaking the same protocol but built
-        from slightly different source may omit or malform fields, and
-        a decode must never fail over optional context.
-        """
-        estimate = details.get("estimate")
-        if isinstance(estimate, dict):
-            self.estimate = dict(estimate)
-        limit = details.get("limit")
-        if isinstance(limit, (int, float)) and not isinstance(limit, bool):
-            self.limit = float(limit)
-        resource = details.get("resource")
-        if isinstance(resource, str):
-            self.resource = resource

@@ -31,11 +31,7 @@ from repro.lint.rules_concurrency import (
     ReaderEscape,
     SameThreadGuard,
 )
-from repro.lint.rules_errors import (
-    RegistrySync,
-    SwallowedExceptions,
-    TypedRaises,
-)
+from repro.lint.rules_errors import SwallowedExceptions, TypedRaises
 from repro.lint.rules_layering import (
     NoCliImports,
     ReadOnlyImports,
@@ -43,7 +39,6 @@ from repro.lint.rules_layering import (
 )
 from repro.lint.rules_resources import ManagedResources
 from repro.lint.rules_sql import SqlInterpolation, build_census
-from repro.lint.rules_wire import WireErrorDetails
 
 __all__ = [
     "ALL_RULES",
@@ -63,13 +58,11 @@ ALL_RULES: tuple[Rule, ...] = (
     NoCliImports(),
     TypedRaises(),
     SwallowedExceptions(),
-    RegistrySync(),
     ReaderEscape(),
     LockOrder(),
     SameThreadGuard(),
     ManagedResources(),
     SqlInterpolation(),
-    WireErrorDetails(),
 )
 
 

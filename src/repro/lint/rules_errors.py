@@ -4,10 +4,11 @@ a :class:`~repro.errors.CrimsonError`.
 The session protocol's contract (PR 4) is that both transports raise
 the *same typed* errors, and the wire codec re-raises them client-side
 by class name.  That only holds while (a) public API modules raise
-registered ``CrimsonError`` subclasses, (b) nothing silently swallows
-the escape hatch ``except Exception``, and (c) the class registry in
-``errors.py`` and the wire registry in ``storage/wire.py`` agree.
-These rules check all three statically.
+registered ``CrimsonError`` subclasses, and (b) nothing silently
+swallows the escape hatch ``except Exception``.  These rules check both
+statically.  The wire registry is built from ``errors.py`` at import,
+and ``tests/test_error_roundtrip.py`` checks that no subclass lives
+anywhere else.
 """
 
 from __future__ import annotations
@@ -15,17 +16,11 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.framework import (
-    Finding,
-    Module,
-    Project,
-    Rule,
-)
+from repro.lint.framework import Finding, Project, Rule
 
 ERRORS_MODULE = "errors.py"
-WIRE_MODULE = "storage/wire.py"
 
-PUBLIC_API_MODULES = ("storage/api.py", "storage/store.py", WIRE_MODULE)
+PUBLIC_API_MODULES = ("storage/api.py", "storage/store.py", "storage/wire.py")
 PUBLIC_API_PREFIXES = ("server/", "analytics/", "admission/")
 
 #: Functions that *return* a typed CrimsonError (so ``raise f(...)`` is
@@ -159,117 +154,3 @@ class SwallowedExceptions(Rule):
                     "it to a typed error, or justify it with "
                     "`# crimson: allow[errors-no-swallow] <why>`",
                 )
-
-
-class RegistrySync(Rule):
-    """errors.py and the wire error-kind registry cannot drift."""
-
-    rule_id = "errors-registry"
-    description = (
-        "every CrimsonError subclass lives in errors.py and is carried "
-        "by storage/wire.py's ERROR_KINDS, so each kind round-trips the "
-        "wire as itself"
-    )
-
-    def check(self, project: Project) -> Iterator[Finding]:
-        registry = error_registry(project)
-        if not registry and project.module(ERRORS_MODULE) is None:
-            yield self.finding(
-                ERRORS_MODULE, 1, "errors.py is missing; no error registry"
-            )
-            return
-
-        # (a) No error subclass may hide outside errors.py: the wire
-        # registry is built from errors.py, so a subclass declared
-        # elsewhere would decode as the base CrimsonError client-side.
-        names = set(registry) | {ROOT_ERROR}
-        for module in project:
-            if module.path == ERRORS_MODULE:
-                continue
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.ClassDef):
-                    continue
-                for base in node.bases:
-                    base_name = (
-                        base.attr
-                        if isinstance(base, ast.Attribute)
-                        else base.id
-                        if isinstance(base, ast.Name)
-                        else None
-                    )
-                    if base_name in names:
-                        yield self.finding(
-                            module.path,
-                            node,
-                            f"error class {node.name!r} is defined outside "
-                            f"{ERRORS_MODULE}; it will not be in the wire "
-                            "registry and decodes as the base CrimsonError",
-                        )
-
-        # (b) The wire registry itself: either derived from the errors
-        # module (a dict comprehension — in sync by construction) or an
-        # explicit literal whose keys must match errors.py exactly.
-        wire = project.module(WIRE_MODULE)
-        if wire is None:
-            yield self.finding(
-                WIRE_MODULE, 1, "storage/wire.py is missing; no wire registry"
-            )
-            return
-        yield from self._check_error_kinds(wire, registry)
-
-    def _check_error_kinds(
-        self, wire: Module, registry: dict[str, int]
-    ) -> Iterator[Finding]:
-        value: ast.expr | None = None
-        line = 1
-        for node in wire.tree.body:
-            target: ast.expr | None = None
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target, candidate = node.targets[0], node.value
-            elif isinstance(node, ast.AnnAssign):
-                target, candidate = node.target, node.value
-            else:
-                continue
-            if isinstance(target, ast.Name) and target.id == "ERROR_KINDS":
-                value, line = candidate, node.lineno
-                break
-        if value is None:
-            yield self.finding(
-                wire.path,
-                line,
-                "no ERROR_KINDS registry found; the codec cannot "
-                "re-raise typed errors",
-            )
-            return
-        if isinstance(value, ast.DictComp):
-            # Derived registry (iterating the errors module): in sync
-            # with errors.py by construction.
-            return
-        if isinstance(value, ast.Dict):
-            keys = {
-                key.value
-                for key in value.keys
-                if isinstance(key, ast.Constant) and isinstance(key.value, str)
-            }
-            expected = set(registry) | {ROOT_ERROR}
-            for missing in sorted(expected - keys):
-                yield self.finding(
-                    wire.path,
-                    line,
-                    f"ERROR_KINDS is missing {missing!r}; that kind "
-                    "would decode as the base CrimsonError",
-                )
-            for extra in sorted(keys - expected):
-                yield self.finding(
-                    wire.path,
-                    line,
-                    f"ERROR_KINDS names {extra!r}, which errors.py does "
-                    "not define",
-                )
-            return
-        yield self.finding(
-            wire.path,
-            line,
-            "ERROR_KINDS has an unrecognized shape; use a dict "
-            "comprehension over the errors module or an explicit dict",
-        )

@@ -40,10 +40,10 @@ cheap in four ways:
    opens on the tree, in every thread, so a fresh handle's cold walk
    (one per trial of ``BenchmarkManager.run_trial``) re-reads none of
    the rows an earlier handle fetched.  The skeleton only grows and is
-   never evicted, so a layer-0 scan (a whole-tree batch fetch such as
-   :meth:`~repro.storage.tree_repository.StoredTree.preorder_rows`)
-   churns only the LRU caches and the warm-path statement bound
-   survives adversarial scan loads.  Every lookup that may hit a
+   never evicted, so a layer-0 scan (a whole-tree batch fetch through
+   :meth:`StoredQueryEngine.node_rows_many`) churns only the LRU
+   caches and the warm-path statement bound survives adversarial scan
+   loads.  Every lookup that may hit a
    skeleton row reads the skeleton's dict first, with no lock, and a
    hit writes nothing, so a warm walk writes nothing to either
    structure.  The skeleton also carries the tree's leaf-id table,

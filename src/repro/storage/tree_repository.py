@@ -546,30 +546,6 @@ class StoredTree:
         """The root row (pre-order id 0)."""
         return self.node(0)
 
-    def preorder_rows(self) -> list[NodeRow]:
-        """Every node row in pre-order, through the engine's batch fetch.
-
-        Cold it costs ``ceil(n / chunk)`` ``IN (...)`` statements and
-        fills the node-row cache; a warm repeat (``cache_size >= n``)
-        costs **zero** — and the scan cannot evict the index rows the
-        point-query warm path depends on, which live in the tree's
-        shared :class:`~repro.storage.engine.IndexSkeleton`, not in the
-        handle's row caches.  Analytics reads the narrower
-        :meth:`scan_table` instead.
-
-        Raises
-        ------
-        StorageError
-            If the tree was deleted out from under this handle.
-        """
-        found = self.engine.node_rows_many(range(self.info.n_nodes))
-        if len(found) != self.info.n_nodes:
-            self._raise_missing(
-                f"tree {self.info.name!r} is missing node rows "
-                f"({len(found)} of {self.info.n_nodes})"
-            )
-        return [found[node_id] for node_id in range(self.info.n_nodes)]
-
     def scan_table(self, build: Callable[[list[tuple]], T]) -> T:
         """``build`` over every node's ``(node_id, pre_order_end,
         is_leaf, name)`` in pre-order — the four columns cluster

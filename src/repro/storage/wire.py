@@ -20,7 +20,9 @@ generic shape does not fit:
   with a ``kind`` discriminator;
 * :class:`~repro.errors.CrimsonError` payloads go through the
   :data:`ERROR_KINDS` registry (:func:`encode_error` /
-  :func:`decode_error`).
+  :func:`decode_error`); a kind's ``wire_fields`` declare the context
+  it carries beside the message, each field crossing through the codec
+  of its declared wire type, and a malformed field decodes as absent.
 
 The RPC server and client (:mod:`repro.server`) frame the encoded data
 as JSON lines and never reach into its fields.
@@ -492,19 +494,20 @@ def encode_error(error: BaseException) -> dict[str, Any]:
     """Encode an exception as ``{"kind": ..., "message": ...}``.
 
     Crimson errors keep their class name so the far side re-raises the
-    same type; anything else is reported as the base ``CrimsonError``
-    (the message still names the original class).
+    same type, plus a ``details`` object holding each of the kind's
+    ``wire_fields`` that is set, in declared order; anything else is
+    reported as the base ``CrimsonError`` (the message still names the
+    original class).
     """
     if isinstance(error, CrimsonError):
-        payload = {"kind": type(error).__name__, "message": str(error)}
-        # Errors that carry structured context (ResourceError's
-        # estimate/limit/resource) expose it via wire_details(); the
-        # hook keeps the codec ignorant of each class's fields.
-        details_of = getattr(error, "wire_details", None)
-        if callable(details_of):
-            details = details_of()
-            if details:
-                payload["details"] = details
+        payload: dict[str, Any] = {"kind": type(error).__name__, "message": str(error)}
+        details = {
+            name: codec(wire_type).encode(value)
+            for name, wire_type in error.wire_fields.items()
+            if (value := getattr(error, name)) is not None
+        }
+        if details:
+            payload["details"] = details
         return stamp(payload)
     return stamp(
         {
@@ -528,8 +531,15 @@ def decode_error(payload: Mapping[str, Any]) -> CrimsonError:
         )
     error = ERROR_KINDS.get(kind, CrimsonError)(payload["message"])
     details = payload.get("details")
-    apply = getattr(error, "apply_wire_details", None)
-    if isinstance(details, Mapping) and callable(apply):
-        # Lenient restore: optional context never fails a decode.
-        apply(dict(details))
+    if isinstance(details, Mapping):
+        for name, wire_type in error.wire_fields.items():
+            if name not in details:
+                continue
+            # Lenient: a peer built from other source may malform its
+            # optional context, and that never fails the decode.
+            try:
+                value = codec(wire_type).decode(details[name], name)
+            except ProtocolError:
+                continue
+            setattr(error, name, value)
     return error

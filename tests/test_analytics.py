@@ -55,6 +55,7 @@ from repro.trees.build import balanced, caterpillar, sample_tree
 from repro.trees.newick import write_newick
 from repro.trees.node import Node
 from repro.trees.tree import PhyloTree
+from reference_rows import preorder_rows
 
 N_PROFILE = 8
 
@@ -434,7 +435,7 @@ def _row_scan(handle) -> TreeScan:
     return TreeScan.from_rows(
         [
             (row.node_id, row.pre_order_end, row.is_leaf, row.name)
-            for row in handle.preorder_rows()
+            for row in preorder_rows(handle)
         ]
     )
 

@@ -27,6 +27,7 @@ from repro.storage.sanitize import record_statements, statement_budget
 from repro.storage.store import CrimsonStore
 from repro.trees.build import balanced, caterpillar, sample_tree
 from repro.trees.traversal import naive_lca
+from reference_rows import preorder_rows
 
 
 @pytest.fixture
@@ -132,7 +133,7 @@ class TestSegmentedAdmission:
         # evicted.
         assert handle.info.n_nodes > 256
         for _round in range(2):
-            handle.preorder_rows()
+            preorder_rows(handle)
             handle.engine.canonical_inodes_many(range(handle.info.n_nodes))
         assert (skeleton.blocks, skeleton.inodes) == resident
 

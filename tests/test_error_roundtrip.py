@@ -1,16 +1,21 @@
 """Registry audit: every CrimsonError kind round-trips a live server.
 
 The wire codec re-raises errors client-side by class name, looked up in
-``storage/wire.py``'s ``ERROR_KINDS``.  Two ways that can silently rot:
-a class added to ``errors.py`` but missing from the registry (decodes
-as the base ``CrimsonError``), or a registry entry with no class.  The
-static ``errors-registry`` lint rule guards the source shape; these
-tests guard the runtime behaviour, kind by kind, over a real socket.
+``storage/wire.py``'s ``ERROR_KINDS``, which is built from the classes
+of ``errors.py``.  A subclass declared in any other module is missing
+from the registry and decodes as the base ``CrimsonError``: the closure
+test imports every ``repro`` module to catch one.  The rest guard the
+runtime behaviour, kind by kind, over a real socket.
 """
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
+
+import repro
 
 from repro import errors as errors_module
 from repro.errors import CrimsonError
@@ -31,6 +36,25 @@ def registered_error_classes() -> dict[str, type]:
 
 def test_wire_registry_carries_every_error_class():
     assert wire.ERROR_KINDS == registered_error_classes()
+
+
+def test_no_error_class_lives_outside_the_registry():
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not module.name.endswith(".__main__"):
+            importlib.import_module(module.name)
+
+    def closure(cls: type) -> set[type]:
+        found = {cls}
+        for sub in cls.__subclasses__():
+            found |= closure(sub)
+        return found
+
+    declared = {
+        cls
+        for cls in closure(CrimsonError)
+        if cls.__module__.split(".")[0] == "repro"
+    }
+    assert declared == set(wire.ERROR_KINDS.values())
 
 
 def test_every_kind_is_instantiable_from_a_message_alone():

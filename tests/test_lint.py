@@ -23,11 +23,7 @@ from repro.lint.rules_concurrency import (
     ReaderEscape,
     SameThreadGuard,
 )
-from repro.lint.rules_errors import (
-    RegistrySync,
-    SwallowedExceptions,
-    TypedRaises,
-)
+from repro.lint.rules_errors import SwallowedExceptions, TypedRaises
 from repro.lint.rules_layering import (
     NoCliImports,
     ReadOnlyImports,
@@ -38,7 +34,7 @@ from repro.lint.rules_resources import ManagedResources
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
 
 LAYERING = (SqliteLayering(), ReadOnlyImports(), NoCliImports())
-ERRORS = (TypedRaises(), SwallowedExceptions(), RegistrySync())
+ERRORS = (TypedRaises(), SwallowedExceptions())
 CONCURRENCY = (ReaderEscape(), LockOrder(), SameThreadGuard())
 
 
@@ -66,7 +62,7 @@ class TestRepoIsClean:
         assert len(ids) == len(set(ids))
         for rule_id in ids:
             assert rule_id == rule_id.lower() and " " not in rule_id
-        assert len(ids) == 12
+        assert len(ids) == 10
 
 
 class TestLayeringRules:
@@ -100,23 +96,9 @@ class TestErrorRules:
     def test_seeded_violations_are_found(self):
         findings = lint_fixture("errors_bad", ERRORS)
         rules = sorted(f.rule for f in findings)
-        assert rules == [
-            "errors-no-swallow",
-            "errors-registry",
-            "errors-registry",
-            "errors-registry",
-            "errors-registry",
-            "errors-typed-raise",
-        ]
+        assert rules == ["errors-no-swallow", "errors-typed-raise"]
         typed = next(f for f in findings if f.rule == "errors-typed-raise")
         assert typed.path == "server/views.py" and "ValueError" in typed.message
-        registry_messages = " | ".join(
-            f.message for f in findings if f.rule == "errors-registry"
-        )
-        assert "'QueryError'" in registry_messages  # missing from wire
-        assert "'ResourceError'" in registry_messages  # PR 7 kind, missing
-        assert "'ParseError'" in registry_messages  # unknown to errors.py
-        assert "'AnalyticsError'" in registry_messages  # defined elsewhere
 
     def test_real_package_raise_and_registry_shapes_pass(self):
         project, findings = lint_project(default_root(), ERRORS)

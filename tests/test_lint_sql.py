@@ -1,5 +1,4 @@
-"""crimson-lint's SQL rule, the catalogue checker on seeded faults, and
-the wire rule.
+"""crimson-lint's SQL rule and the catalogue checker on seeded faults.
 
 - The real package is clean: every statement a sink receives is a
   catalogue name, and the rule follows statements through the helpers
@@ -22,7 +21,6 @@ import pytest
 
 from repro.lint import default_root, lint_project, main
 from repro.lint.rules_sql import SqlInterpolation, build_census, normalize_sql
-from repro.lint.rules_wire import WireErrorDetails
 from repro.storage import sql
 from repro.storage.schema import create_schema
 from test_sql_catalogue import prepare_error
@@ -30,7 +28,6 @@ from test_sql_catalogue import prepare_error
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
 
 SQL = (SqlInterpolation(),)
-WIRE = (WireErrorDetails(),)
 
 
 def lint_fixture(name: str, rules):
@@ -40,8 +37,8 @@ def lint_fixture(name: str, rules):
 
 
 class TestRealPackageIsClean:
-    def test_sql_and_wire_rules_have_no_findings(self):
-        _, findings = lint_project(default_root(), SQL + WIRE)
+    def test_sql_rule_has_no_findings(self):
+        _, findings = lint_project(default_root(), SQL)
         assert not findings, "\n".join(f.render() for f in findings)
 
 
@@ -130,25 +127,6 @@ class TestCatalogueChecker:
         assert prepare_error(
             primary, "SELECT * FROM nodes INDEXED BY idx_gone WHERE tree_id = ?"
         ) == "OperationalError: no such index: idx_gone"
-
-
-class TestWireRules:
-    def test_seeded_violations_are_found(self):
-        findings = lint_fixture("wire_drift", WIRE)
-        rules = sorted(f.rule for f in findings)
-        assert rules == [
-            "wire-error-details",
-            "wire-error-details",
-            "wire-error-details",
-        ]
-        details = " | ".join(
-            f.message for f in findings if f.rule == "wire-error-details"
-        )
-        assert "DriftError defines wire_details but no apply_wire_details" \
-            in details
-        assert "DriftError.__init__ requires ['code']" in details
-        assert "HalfError defines apply_wire_details but no wire_details" \
-            in details
 
 
 class TestStatementCensus:

@@ -26,6 +26,7 @@ from repro.trees.build import caterpillar
 from repro.trees.node import Node
 from repro.trees.traversal import naive_lca
 from repro.trees.tree import PhyloTree
+from reference_rows import preorder_rows
 
 SETTINGS = settings(
     max_examples=25,
@@ -88,7 +89,7 @@ def test_lca_batch_equals_pairwise_lca(tree, f, data):
     with CrimsonStore.open() as store:
         repo = store.trees
         reference = repo.store_tree(tree, name="prop", f=f)
-        rows = reference.preorder_rows()
+        rows = preorder_rows(reference)
         names = [row.name for row in rows if row.name is not None]
         item = st.one_of(
             st.integers(0, len(rows) - 1), st.sampled_from(names)

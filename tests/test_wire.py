@@ -8,6 +8,7 @@ unicode, quoted Newick labels) can hide in the encoded dicts.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import types
 import typing
@@ -23,6 +24,7 @@ from repro.errors import (
     CrimsonError,
     ProtocolError,
     QueryError,
+    ResourceError,
     StorageError,
 )
 from repro.storage import wire
@@ -449,6 +451,74 @@ class TestErrorRoundTrip:
         assert payload["kind"] == "CrimsonError"
         assert "ValueError" in payload["message"]
         assert "out of range" in payload["message"]
+
+
+ESTIMATE = {"statements": 12, "rows": 3.5}
+
+#: ``details`` a peer might send with a ResourceError, and the
+#: ``(estimate, limit, resource)`` the decode keeps: a malformed field
+#: is dropped, the rest survive, and the decode never fails.
+LENIENT_DETAILS = [
+    (None, (None, None, None)),
+    ([], (None, None, None)),
+    ("x", (None, None, None)),
+    ({}, (None, None, None)),
+    ({"limit": True}, (None, None, None)),
+    ({"limit": 5}, (None, 5.0, None)),
+    ({"limit": "5"}, (None, None, None)),
+    ({"limit": 2.5}, (None, 2.5, None)),
+    ({"estimate": [1]}, (None, None, None)),
+    ({"estimate": ESTIMATE}, (ESTIMATE, None, None)),
+    ({"resource": 3}, (None, None, None)),
+    ({"resource": "cost"}, (None, None, "cost")),
+    ({"retry_after": 2, "limit": 1.0}, (None, 1.0, None)),
+    (
+        {"estimate": None, "limit": None, "resource": None},
+        (None, None, None),
+    ),
+]
+
+
+class TestErrorDetails:
+    @pytest.mark.parametrize("details, expected", LENIENT_DETAILS, ids=repr)
+    def test_malformed_details_decode_leniently(self, details, expected):
+        payload = wire.stamp(
+            {"kind": "ResourceError", "message": "refused", "details": details}
+        )
+        error = wire.decode_error(payload)
+        assert type(error) is ResourceError
+        assert str(error) == "refused"
+        decoded = (error.estimate, error.limit, error.resource)
+        assert decoded == expected
+        assert [type(value) for value in decoded] == [
+            type(value) for value in expected
+        ]
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            subset
+            for size in range(4)
+            for subset in itertools.combinations(
+                ("estimate", "limit", "resource"), size
+            )
+        ],
+        ids=lambda fields: "+".join(fields) or "none",
+    )
+    def test_set_fields_round_trip_in_declared_order(self, fields):
+        values = {"estimate": ESTIMATE, "limit": 100.0, "resource": "quota"}
+        error = ResourceError(
+            "refused", **{name: values[name] for name in fields}
+        )
+        payload = over_json(wire.encode_error(error))
+        if fields:
+            assert list(payload["details"]) == list(fields)
+        else:
+            assert "details" not in payload
+        decoded = wire.decode_error(payload)
+        assert {name: getattr(decoded, name) for name in values} == {
+            name: values[name] if name in fields else None for name in values
+        }
 
 
 class TestProtocolVersionGate:
