@@ -14,11 +14,12 @@ Two phases over one store:
    warm LCA/clade workload against a limited server; their per-request
    p95 is the reference.
 2. **Hostile** — the same polite workload plus one abuser process
-   flooding, unpaced, with (a) a whole-tree ``match`` on a bulk tree
-   whose estimate exceeds the per-request budget (cost refusals — the
-   ``match`` estimate never warms, so the refusal is deterministic)
-   and (b) mid-size ``clade`` requests whose worst-case estimate
-   drains the abuser's own token bucket (quota refusals).
+   flooding, unpaced, with (a) a ``match`` on a bulk tree whose
+   estimate exceeds the per-request budget (cost refusals — it is
+   priced as a cold projection of its leaves, and a refused request
+   never runs, so nothing warms the bulk tree and the refusal is
+   deterministic) and (b) mid-size ``clade`` requests whose worst-case
+   estimate drains the abuser's own token bucket (quota refusals).
 
 Figures are emitted as JSON (committed as ``BENCH_admission.json``)::
 
@@ -64,9 +65,12 @@ PACE_S = 0.05       # polite inter-request gap
 # and still refuse the bulk ``match``.)
 F = 256
 
-# The ``match`` estimate is warmth-independent (fetch_tree bypasses the
-# row cache), so a budget of 25 refuses the bulk tree deterministically
-# (match(bulk, n~12000) costs ~29) while admitting every polite request.
+# A ``match`` is priced as a ``project`` over its pattern's leaves.  On
+# the 6,000-deep bulk caterpillar a cold projection of two leaves costs
+# ~53 (53 statements: its skeleton climb is priced through all 25 index
+# blocks), and no admitted request touches the bulk tree, so it stays
+# cold: a budget of 25 refuses every bulk ``match`` while admitting
+# every polite request.
 # The flood fodder is a ``clade`` on the mid tree: its estimate keeps a
 # whole-tree worst-case floor (~19 warm, never discounted below the
 # n-row bound) but the actual spanning clade of two adjacent leaves

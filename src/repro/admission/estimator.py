@@ -15,19 +15,20 @@ query cost by orders of magnitude.
 
 The estimate is deliberately a **worst-case bound**, not an
 expectation: a ``clade`` request is costed as if the spanning clade
-were the whole tree, a ``match`` as a full materialization, because
-admission control must refuse what *could* starve the service, not
-what probably won't.  Warmth only ever lowers the bound through
-observed cache residency, never through optimism about data the
-estimator has not seen: a skeleton that holds every row a walk can
-climb waives only the skeleton climb of a layered-LCA walk, while its
-canonical inodes, label lookups and result rows stay priced cold, and
-a partly filled skeleton waives nothing.  The walk's cold price
-follows its real structure — one recursive pair walk for ``lca`` and
-``clade``, the level-synchronous rounds of ``lca_batch`` and
-``project`` — with source chains bounded by the index shape
-(:func:`_chain_hops`), and ``tests/test_admission.py`` checks that no
-request runs more statements than its estimate.
+were the whole tree, because admission control must refuse what
+*could* starve the service, not what probably won't.  Warmth only ever
+lowers the bound through observed cache residency, never through
+optimism about data the estimator has not seen: a skeleton that holds
+every row a walk can climb waives only the skeleton climb of a
+layered-LCA walk, while its canonical inodes, label lookups and result
+rows stay priced cold, and a partly filled skeleton waives nothing.
+The walk's cold price follows its real structure — one recursive pair
+walk for ``lca`` and ``clade``, the level-synchronous rounds of
+``lca_batch`` and ``project`` (a ``match`` is a ``project`` over its
+pattern's leaves plus an in-memory comparison) — with source chains
+bounded by the index shape (:func:`_chain_hops`), and
+``tests/test_admission.py`` checks that no request runs more
+statements than its estimate.
 
 The scalar :attr:`CostEstimate.cost` combines the three raw predictions
 (SQL statements, rows touched, result bytes) into one unit so budgets
@@ -51,6 +52,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.errors import QueryError
+from repro.trees.newick import parse_newick
 
 if TYPE_CHECKING:  # type-only: keeps repro.admission importable alone
     from repro.storage.api import AnalyticsRequest, QueryRequest
@@ -273,9 +275,14 @@ def estimate_query(request: QueryRequest, handle) -> CostEstimate:
             warm,
         )
 
-    if request.operation == "project":
-        k = len(request.taxa)
-        arg_res = handle.engine.resident_fraction(list(request.taxa))
+    if request.operation in ("project", "match"):
+        taxa = (
+            list(request.taxa)
+            if request.operation == "project"
+            else parse_newick(request.pattern).leaf_names()
+        )
+        k = len(taxa)
+        arg_res = handle.engine.resident_fraction(taxa)
         cold = k * (1.0 - arg_res)
         # project_stored: the leaf rows in one batched fill, then one
         # lca_batch over the k - 1 pre-order neighbours.
@@ -289,17 +296,6 @@ def estimate_query(request: QueryRequest, handle) -> CostEstimate:
             rows,
             result_bytes,
             (arg_res + skeleton) / 2.0,
-        )
-
-    if request.operation == "match":
-        # fetch_tree() reads every node row with one direct statement,
-        # bypassing the row cache entirely — warmth never discounts it.
-        statements = 1.0
-        rows = float(n)
-        result_bytes = n * NEWICK_NODE_BYTES
-        return _estimate(
-            request.operation, (request.tree,), statements, rows,
-            result_bytes, 0.0,
         )
 
     raise QueryError(

@@ -6,6 +6,12 @@ then compare the projection against the pattern — equality for an exact
 match, a tree-distance score for an approximate match.  Comparison is
 linear in the pattern size.
 
+The two steps are separate functions.  :func:`match_pattern` projects an
+in-memory tree with :func:`~repro.core.projection.project_tree`; a stored
+``match`` projects with :func:`repro.storage.projection.project_stored`,
+which reads only the pattern's leaf rows and their LCAs.  Both hand the
+projection to :func:`compare_projection`, so they answer alike.
+
 The paper's example is order-sensitive: the Figure-2 pattern matches the
 Figure-1 tree, but swapping ``Bha`` and ``Lla`` in the pattern breaks the
 match.  :func:`match_pattern` therefore compares with ordered equality by
@@ -82,7 +88,21 @@ def match_pattern(
         raise QueryError(f"pattern leaves not in target tree: {missing}")
 
     projection = project_tree(tree, leaf_names, lca_service=lca_service)
+    return compare_projection(
+        projection, pattern, ordered, compare_lengths, tolerance
+    )
 
+
+def compare_projection(
+    projection: PhyloTree,
+    pattern: PhyloTree,
+    ordered: bool = True,
+    compare_lengths: bool = False,
+    tolerance: float = 1e-6,
+) -> MatchResult:
+    """The match's second step: compare ``projection``, the target
+    projected over ``pattern``'s leaves, with ``pattern``.  The other
+    parameters are as in :func:`match_pattern`."""
     if ordered:
         matched = projection.equals(
             pattern, compare_lengths=compare_lengths, tolerance=tolerance

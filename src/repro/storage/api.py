@@ -187,7 +187,9 @@ class QueryRequest:
     def match(
         cls, tree: str, pattern: str, ordered: bool = True
     ) -> "QueryRequest":
-        """Newick pattern match against the stored tree."""
+        """Newick pattern match against the stored tree: a ``project``
+        over the pattern's leaves, compared with the pattern
+        (:func:`repro.core.pattern.compare_projection`)."""
         return cls(operation="match", tree=tree, pattern=pattern, ordered=ordered)
 
     def params(self) -> dict[str, Any]:

@@ -386,11 +386,6 @@ TREE_SHAPE = (
     "SELECT node_id, parent_id, name, edge_length FROM nodes "
     "WHERE tree_id = ? ORDER BY node_id"
 )
-SUBTREE_SHAPE = (
-    "SELECT node_id, parent_id, name, edge_length FROM nodes "
-    "WHERE tree_id = ? AND node_id BETWEEN ? AND ? "
-    "ORDER BY node_id"
-)
 
 # ----------------------------------------------------------------------
 # Row fetches of the stored-query engine (storage/engine.py)

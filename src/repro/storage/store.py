@@ -85,7 +85,7 @@ from repro.admission import (
     estimate_analytics,
     estimate_query,
 )
-from repro.core.pattern import match_pattern
+from repro.core.pattern import compare_projection
 from repro.errors import QueryError, StorageError
 from repro.obs import (
     HealthThresholds,
@@ -956,9 +956,10 @@ class CrimsonStore:
                 )
             }
         assert operation == "match"
-        outcome = match_pattern(
-            handle.fetch_tree(),
-            parse_newick(request.pattern),
+        pattern = parse_newick(request.pattern)
+        outcome = compare_projection(
+            projection.project_stored(handle, pattern.leaf_names()),
+            pattern,
             ordered=request.ordered,
         )
         return {

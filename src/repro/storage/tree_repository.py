@@ -890,20 +890,6 @@ class StoredTree:
                 f"index corrupt: missing inode {error.args[0]}"
             ) from None
 
-    def is_ancestor_or_self(self, ancestor: int | str, descendant: int | str) -> bool:
-        """Ancestor test via the clade interval (O(1) after two lookups)."""
-        row_a = (
-            self.node_by_name(ancestor)
-            if isinstance(ancestor, str)
-            else self.node(ancestor)
-        )
-        row_d = (
-            self.node_by_name(descendant)
-            if isinstance(descendant, str)
-            else self.node(descendant)
-        )
-        return row_a.contains(row_d.node_id)
-
     # ------------------------------------------------------------------
     # Cache introspection
     # ------------------------------------------------------------------
@@ -952,31 +938,14 @@ class StoredTree:
     # ------------------------------------------------------------------
 
     def fetch_tree(self) -> PhyloTree:
-        """Reconstruct the full in-memory :class:`PhyloTree`."""
-        root = self._link_rows(
-            self.db.query_all(sql.TREE_SHAPE, (self._tree_id,))
-        )
-        return PhyloTree(root, name=self.info.name)
-
-    def fetch_subtree(self, node_id: int) -> PhyloTree:
-        """Reconstruct the subtree rooted at ``node_id`` (one range scan)."""
-        anchor = self.node(node_id)
-        root = self._link_rows(
-            self.db.query_all(
-                sql.SUBTREE_SHAPE,
-                (self._tree_id, anchor.node_id, anchor.pre_order_end),
-            )
-        )
-        return PhyloTree(root, name=None)
-
-    def _link_rows(self, rows: list[Row]) -> Node:
-        """The root of the ``Node`` tree of pre-ordered ``nodes`` rows.
+        """Reconstruct the full in-memory :class:`PhyloTree`.
 
         The first row is the root; every later row's parent came before
         it (``parent_id < node_id``), so each node is linked straight
         to its parent: ``Node.add_child``'s cycle check walks to the
         root, which is quadratic in the tree's depth.
         """
+        rows = self.db.query_all(sql.TREE_SHAPE, (self._tree_id,))
         if not rows:
             raise StorageError(f"tree {self.info.name!r} has no nodes")
         first, *rest = rows
@@ -987,7 +956,7 @@ class StoredTree:
             parent = nodes[row["parent_id"]]
             node.parent = parent
             parent.children.append(node)
-        return root
+        return PhyloTree(root, name=self.info.name)
 
     def __repr__(self) -> str:
         return f"StoredTree({self.info.name!r}, nodes={self.info.n_nodes})"

@@ -105,12 +105,32 @@ class TestEstimator:
         # perturbation from estimating.
         assert after == before
 
-    def test_match_estimate_never_warms(self, store):
-        request = QueryRequest.match("cat", "(t1,t2);")
-        cold = store.estimate(request)
-        store.query(request)
-        assert store.estimate(request).cost == cold.cost
-        assert cold.warm_fraction == 0.0
+    def test_match_is_priced_and_run_as_a_project_of_its_leaves(
+        self, store
+    ):
+        taxa = ("t3", "t40", "t17", "t80")
+        match = QueryRequest.match("cat", "((t3,t40),(t17,t80));")
+        project = QueryRequest.project("cat", *taxa)
+
+        def priced(request):
+            estimate = store.estimate(request)
+            return estimate.statements, estimate.rows, estimate.warm_fraction
+
+        cold = store.estimate(match)
+        assert priced(match) == priced(project)
+
+        handle = store.open_tree("cat")
+        counts = []
+        for request in (match, project):
+            handle.clear_cache()
+            with handle.db.count_statements() as counter:
+                store.query(request)
+            counts.append(counter.count)
+        assert counts[0] == counts[1] > 0
+
+        warm = store.estimate(match)
+        assert warm.cost < cold.cost
+        assert warm.warm_fraction > cold.warm_fraction
 
     def test_analytics_estimate_warms_after_scan(self, store):
         request = AnalyticsRequest.compare("cat", "cat")
@@ -141,6 +161,14 @@ def _soundness_tree(kind: str, random_tree_factory):
     return caterpillar(800)
 
 
+def _pattern(leaves: list[str]) -> str:
+    """A Newick pattern over ``leaves``: a caterpillar in list order."""
+    newick = leaves[-1]
+    for leaf in reversed(leaves[:-1]):
+        newick = f"({leaf},{newick})"
+    return f"{newick};"
+
+
 def _soundness_requests(handle, rng: random.Random) -> list[QueryRequest]:
     """Every priced query operation, over random leaves and nodes."""
     name = handle.info.name
@@ -156,6 +184,12 @@ def _soundness_requests(handle, rng: random.Random) -> list[QueryRequest]:
             + [tuple(rng.sample(nodes, 2)) for _ in range(10)],
         ),
         QueryRequest.project(name, *rng.sample(leaves, min(16, len(leaves)))),
+        QueryRequest.match(name, _pattern(rng.sample(leaves, min(16, len(leaves))))),
+        QueryRequest.match(
+            name,
+            _pattern(rng.sample(leaves, min(16, len(leaves)))),
+            ordered=False,
+        ),
         # Larger sets: still priced as one pair walk.
         QueryRequest.clade(name, *rng.sample(leaves, min(12, len(leaves)))),
         QueryRequest.lca(

@@ -115,6 +115,15 @@ class TestRemoteMatchesLocal:
             local.query(request_)
         )
 
+    def test_identical_errors(self, local, remote):
+        request = QueryRequest.match("fig1-sample", "(Lla,ghost);")
+        raised = []
+        for session in (local, remote):
+            with pytest.raises(QueryError, match="no node named") as caught:
+                session.query(request)
+            raised.append((type(caught.value), str(caught.value)))
+        assert raised[0] == raised[1]
+
     def test_catalogue_verbs_agree(self, local, remote):
         assert remote.list_trees() == local.list_trees()
         assert remote.describe("fig1-sample") == local.describe("fig1-sample")

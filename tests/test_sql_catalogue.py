@@ -263,7 +263,7 @@ def test_the_runtime_statements_are_the_catalogue(sanitized, tmp_path):
             assert handle.leaf_names()
             assert random_sample_stored(handle, 3, np.random.default_rng(1))
             assert handle.time_frontier(1.0) is not None
-            assert handle.fetch_tree() and handle.fetch_subtree(1)
+            assert handle.fetch_tree()
             with pytest.raises(QueryError):
                 handle.node_by_name("no such taxon")
 

@@ -6,11 +6,26 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.core.pattern import match_pattern
 from repro.core.projection import project_tree
 from repro.errors import QueryError
+from repro.reconstruction.random_tree import random_topology
 from repro.simulation.birth_death import yule_tree
+from repro.storage.api import QueryRequest
 from repro.storage.projection import project_stored
+from repro.storage.store import CrimsonStore
+from repro.trees.newick import parse_newick, write_newick
+
+from test_properties import attachment_trees
+
+yule_trees = st.builds(
+    lambda leaves, seed: yule_tree(leaves, rng=np.random.default_rng(seed)),
+    st.integers(min_value=3, max_value=150),
+    st.integers(min_value=0, max_value=2**31),
+)
 
 
 @pytest.fixture
@@ -138,3 +153,54 @@ class TestAgainstInMemory:
     def test_interior_names_preserved(self, stored, fig1):
         via_sql = project_stored(stored, ["Lla", "Bha"])
         assert via_sql.root.name == "A"
+
+
+class TestStoredMatchAgainstInMemory:
+    """A stored ``match`` (SQL projection, then comparison) answers as
+    the in-memory :func:`match_pattern` does."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        tree=st.one_of(yule_trees, attachment_trees(max_nodes=150)),
+        f=st.sampled_from([2, 4, 8]),
+        seed=st.integers(min_value=0, max_value=2**31),
+        cut=st.booleans(),
+        ordered=st.booleans(),
+    )
+    def test_random_patterns_agree(self, tree, f, seed, cut, ordered):
+        """Patterns cut from the tree match; random topologies over
+        the same leaves mostly do not, and score their similarity."""
+        rng = np.random.default_rng(seed)
+        leaves = tree.leaf_names()
+        k = int(rng.integers(1, min(16, len(leaves)) + 1))
+        sample = [str(name) for name in rng.choice(leaves, k, replace=False)]
+        if cut or k < 2:
+            pattern = project_tree(tree, sample)
+        else:
+            pattern = random_topology(sample, rng)
+        text = write_newick(pattern)
+
+        expected = match_pattern(tree, parse_newick(text), ordered=ordered)
+        with CrimsonStore.open() as store:
+            store.load_tree(tree, name="gold", f=f)
+            stored = store.query(QueryRequest.match("gold", text, ordered))
+        assert stored.matched == expected.matched
+        assert stored.similarity == expected.similarity
+        assert write_newick(stored.projection) == write_newick(
+            expected.projection
+        )
+
+    @pytest.mark.parametrize(
+        "pattern", ["(Lla,ghost);", "(x,Lla);"], ids=["unknown", "interior"]
+    )
+    def test_bad_taxa_raise_query_error_on_both_paths(
+        self, store, stored, fig1, pattern
+    ):
+        with pytest.raises(QueryError):
+            match_pattern(fig1, parse_newick(pattern))
+        with pytest.raises(QueryError):
+            store.query(QueryRequest.match("fig1-sample", pattern))

@@ -151,11 +151,6 @@ class TestSqlLca:
         with pytest.raises(QueryError):
             stored.lca_many([])
 
-    def test_is_ancestor_or_self(self, stored):
-        assert stored.is_ancestor_or_self("A", "Spy")
-        assert stored.is_ancestor_or_self("Spy", "Spy")
-        assert not stored.is_ancestor_or_self("Spy", "A")
-
     def test_deep_tree_lca(self, repo):
         tree = caterpillar(300)
         handle = repo.store_tree(tree, name="deep", f=4)
@@ -196,12 +191,6 @@ class TestMaterialization:
     def test_fetch_tree_roundtrip(self, stored, fig1):
         assert stored.fetch_tree().to_newick() == fig1.to_newick()
 
-    def test_fetch_subtree(self, stored):
-        x = stored.node_by_name("x")
-        subtree = stored.fetch_subtree(x.node_id)
-        assert subtree.root.name == "x"
-        assert sorted(subtree.leaf_names()) == ["Lla", "Spy"]
-
     def test_fetch_preserves_child_order(self, repo):
         tree = balanced(3)
         handle = repo.store_tree(tree, name="b3")
@@ -228,18 +217,6 @@ class TestMaterialization:
         fetched = handle.fetch_tree()
         assert time.perf_counter() - started < 1.0
         assert fetched.to_newick() == tree.to_newick()
-
-    def test_deep_subtree_matches_the_in_memory_extraction(self, repo):
-        tree = self.deep_caterpillar(3_000)
-        handle = repo.store_tree(tree, f=8)
-        spine = tree.root
-        for _ in range(1_000):
-            spine = spine.children[1]
-        expected = PhyloTree(spine.detach())
-        fetched = handle.fetch_subtree(2_000)
-        assert fetched.root.parent is None
-        assert fetched.to_newick() == expected.to_newick()
-        assert fetched.size() == 4_001
 
 
 # ----------------------------------------------------------------------
