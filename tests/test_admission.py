@@ -729,6 +729,26 @@ class TestEstimateCli:
         assert payload["operation"] == "consensus"
         assert payload["cost"] > 0
 
+    def test_match_estimate_prices_its_pattern_leaves(self, tmp_path, capsys):
+        from repro.cli.main import main
+
+        db = str(tmp_path / "cli.db")
+        with CrimsonStore.open(db) as store:
+            store.load_tree(caterpillar(40), name="cat", f=8)
+        assert main(["--db", db, "estimate", "match", "cat"]) == 1
+        assert "needs --pattern" in capsys.readouterr().err
+        payloads = []
+        for argv in (
+            ["match", "cat", "--pattern", "(t1,(t7,t40));", "--unordered"],
+            ["project", "cat", "--taxa", "t1", "t7", "t40"],
+        ):
+            assert main(["--db", db, "estimate", *argv, "--json"]) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        match, project = payloads
+        assert match["operation"] == "match"
+        for key in ("statements", "rows", "warm_fraction", "cost"):
+            assert match[key] == project[key]
+
     def test_query_estimate_needs_single_tree(self, tmp_path, capsys):
         from repro.cli.main import main
 

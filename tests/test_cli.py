@@ -225,6 +225,20 @@ class TestQueries:
     def test_match_failure_exit_code(self, loaded, capsys):
         assert run(loaded, "match", "demo", "((a,c),(b,d));") == 1
 
+    def test_match_unordered_exit_code(self, loaded, capsys):
+        assert run(loaded, "match", "demo", "((d,c),(b,a));") == 1
+        capsys.readouterr()
+        assert (
+            run(loaded, "match", "demo", "((d,c),(b,a));", "--unordered") == 0
+        )
+        assert "matched:    True" in capsys.readouterr().out
+
+    def test_match_unknown_taxon_exits_1_with_message(self, loaded, capsys):
+        assert run(loaded, "match", "demo", "(a,ghost);") == 1
+        captured = capsys.readouterr()
+        assert "no node named 'ghost'" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_history_records_queries(self, loaded, capsys):
         run(loaded, "lca", "demo", "a", "b")
         run(loaded, "history")

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.pattern import match_pattern
+from repro.core.pattern import compare_projection, match_pattern
+from repro.core.projection import project_tree
 from repro.errors import QueryError
 from repro.trees.newick import parse_newick
 
@@ -70,3 +71,31 @@ class TestErrors:
         pattern = parse_newick("(Syn,(Lla,Bha));")
         result = match_pattern(fig1, pattern)
         assert set(result.projection.leaf_names()) == {"Syn", "Lla", "Bha"}
+
+
+class TestCompareProjection:
+    """The comparison step alone, on a projection made elsewhere."""
+
+    @pytest.mark.parametrize(
+        "text", ["(Syn,(Lla,Bha));", "((Bha,Lla),Syn);", "((Syn,Lla),Bha);"]
+    )
+    @pytest.mark.parametrize("ordered", [True, False])
+    def test_answers_as_match_pattern(self, fig1, text, ordered):
+        pattern = parse_newick(text)
+        projection = project_tree(fig1, pattern.leaf_names())
+        compared = compare_projection(projection, pattern, ordered=ordered)
+        expected = match_pattern(fig1, pattern, ordered=ordered)
+        assert compared.matched == expected.matched
+        assert compared.similarity == expected.similarity
+        assert compared.projection is projection
+
+    def test_interior_names_never_block_and_lengths_use_tolerance(self):
+        projection = parse_newick("(a:1,(b:1,c:1)x:0.5)r;")
+        pattern = parse_newick("(a:1,(b:1,c:1.0000001):0.5);")
+        assert compare_projection(projection, pattern, compare_lengths=True).matched
+        assert not compare_projection(
+            projection, pattern, compare_lengths=True, tolerance=1e-9
+        ).matched
+        assert compare_projection(
+            projection, pattern, compare_lengths=False, tolerance=1e-9
+        ).matched
