@@ -5,9 +5,9 @@ interface across process boundaries — N client *processes* speaking
 the JSON-lines protocol through :class:`RemoteSession` drive warm
 LCA/clade/project traffic against one server with **zero lock errors**
 and answers **byte-identical** (same wire encoding) to a
-:class:`LocalSession` over the same store.  Each connection gets its
-own server thread and pooled read-only reader, so remote clients
-contend exactly as local threads do: not at all.
+:class:`LocalSession` over the same store.  One server loop thread
+owns every connection and answers their frames in turn on its pooled
+read-only reader, so remote clients never contend for a lock.
 
 This bench loads a caterpillar gold standard, starts a server on an
 ephemeral port, measures a single in-process session's warm

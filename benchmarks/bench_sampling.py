@@ -10,10 +10,15 @@ which the first sample of the tree in a store reads with one statement.
 After that a draw of ``k`` leaves reads exactly the ``k`` rows it keeps,
 by primary key, for a small ``k`` and a large one alike.  Each random
 draw runs on a fresh handle from the store, so its rows are cold.
+
+The tree's skeleton also keeps the last time frontier read, so repeated
+time-stratified draws at one time run the frontier join once; the E6
+report gives the draw time with the join re-run and with it memoised.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import numpy as np
@@ -113,6 +118,22 @@ def test_sample_with_time_sql(benchmark, gold, report):
         f"E6 — stratified draw of 64 species across {m} frontier subtrees: "
         f"per-subtree counts min={min(counts)}, max={max(counts)} "
         "(paper: k/m per subtree)"
+    )
+
+    def draw_ms(memoised: bool) -> float:
+        timings = []
+        for _ in range(15):
+            if not memoised:
+                handle.engine.skeleton.frontier = None
+            start = time.perf_counter()
+            sample_with_time_stored(handle, horizon * 0.5, 64, rng)
+            timings.append((time.perf_counter() - start) * 1e3)
+        return statistics.median(timings)
+
+    rerun, memoised = draw_ms(False), draw_ms(True)
+    report(
+        f"  median draw: {rerun:.2f} ms re-running the frontier join, "
+        f"{memoised:.2f} ms with the frontier memoised"
     )
 
 

@@ -197,9 +197,9 @@ class AdmissionController:
 
         Returns a context manager holding the request's concurrency
         slot; exiting it releases the slot.  ``key`` identifies the
-        session for quota purposes and defaults to the calling thread —
-        correct for the threaded server, where one connection is one
-        thread (and for local sessions, where it is one caller).
+        session for quota purposes — the server passes the connection's
+        ``host:port`` — and defaults to the calling thread, which is one
+        caller of a local session.
         """
         limits = self.limits
         if limits.unlimited:

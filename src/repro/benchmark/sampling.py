@@ -164,21 +164,21 @@ def sample_with_time_stored(
     draw.
 
     The frontier is one join over the tree's rows, each parent found by
-    primary key
-    (:meth:`~repro.storage.tree_repository.StoredTree.time_frontier`);
+    primary key, run once per time
+    (:meth:`~repro.storage.tree_repository.StoredTree.frontier_spans`);
     each frontier subtree's leaves are the slice of the leaf-id table
     inside its clade interval, and only the ``k`` drawn rows are read.
     """
     rng = rng or np.random.default_rng()
-    frontier = stored.time_frontier(time)
-    if not frontier:
+    spans = stored.frontier_spans(time)
+    if not spans:
         raise QueryError(
             f"no lineage extends past time {time}; frontier is empty"
         )
     ids = stored.leaf_ids()
     groups = [
-        ids[bisect_left(ids, row.node_id) : bisect_right(ids, row.pre_order_end)]
-        for row in frontier
+        ids[bisect_left(ids, spans[i]) : bisect_right(ids, spans[i + 1])]
+        for i in range(0, len(spans), 2)
     ]
     return [row.name for row in stored.nodes_by_id(_stratified_draw(groups, k, rng))]
 

@@ -30,7 +30,6 @@ import argparse
 import json
 import signal
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -134,7 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="size of the read-only connection pool behind query "
         "commands, per shard (default: 0 — reads share the writer "
-        "connection; in-memory databases cannot pool)",
+        "connection; in-memory databases cannot pool); `serve` "
+        "answers every connection on one thread, so it reads on one "
+        "pooled reader",
     )
     parser.add_argument(
         "--shards",
@@ -344,9 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-concurrent",
         type=_positive_int,
         default=None,
-        help="server-wide cap on concurrently executing requests; "
-        "excess arrivals wait briefly, then are refused "
-        "(default: unbounded)",
+        help="cap on concurrently executing requests; excess arrivals "
+        "wait briefly, then are refused (default: unbounded).  The "
+        "server answers one request at a time on its loop thread, so "
+        "the cap never binds for a served store",
     )
     serve.add_argument(
         "--drain-timeout",
@@ -1201,20 +1203,15 @@ def _describe_limits(limits) -> str:
 def _install_drain_handlers(server) -> list[tuple[int, object]]:
     """Make SIGINT/SIGTERM drain the server instead of tracebacking.
 
-    The handler hands the actual stop to a helper thread: stopping the
-    accept loop waits for the ``serve_forever`` thread to notice, and
-    that is the very thread the signal interrupts — calling
-    ``stop_accepting`` inline would deadlock.  Returns the handlers
-    being replaced so the caller can restore them; empty when not on
-    the main thread (Python only allows signal handlers there), in
-    which case the default KeyboardInterrupt path still applies.
+    The handler calls ``stop_accepting``, which never blocks, so
+    ``serve_forever`` returns and the caller's ``shutdown`` drains.
+    Returns the handlers being replaced so the caller can restore
+    them; empty when not on the main thread (Python only allows signal
+    handlers there), in which case the default KeyboardInterrupt path
+    still applies.
     """
     def _handle(signum: int, frame: object) -> None:
-        threading.Thread(
-            target=server.stop_accepting,
-            name="crimson-drain",
-            daemon=True,
-        ).start()
+        server.stop_accepting()
 
     previous: list[tuple[int, object]] = []
     for signum in (signal.SIGINT, signal.SIGTERM):

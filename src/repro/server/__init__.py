@@ -7,9 +7,10 @@ surface across process boundaries:
 
 * :mod:`repro.server.protocol` — JSON-lines framing of the envelopes
   around the :mod:`repro.storage.wire` codec,
-* :mod:`repro.server.server` — :class:`CrimsonServer`, a threaded TCP
-  server multiplexing client connections onto the store's reader pool
-  (the CLI's ``crimson serve``),
+* :mod:`repro.server.server` — :class:`CrimsonServer`, one
+  :mod:`selectors` loop thread owning the listener and every client
+  connection, answering their frames in turn on the store (the CLI's
+  ``crimson serve``),
 * :mod:`repro.server.client` — :class:`RemoteSession`, the client
   implementing :class:`~repro.storage.api.CrimsonSession`, so callers
   (and the differential test suites) cannot tell a live server from a

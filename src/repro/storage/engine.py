@@ -155,12 +155,15 @@ class IndexSkeleton:
     cache instead.
     ``leaf_ids`` holds the pre-order ids of the tree's leaves once
     :meth:`~repro.storage.tree_repository.StoredTree.leaf_ids` has read
-    them; racing fills publish equal tables.
+    them; racing fills publish equal tables.  ``frontier`` holds the
+    last ``(time, spans)`` that
+    :meth:`~repro.storage.tree_repository.StoredTree.frontier_spans`
+    read, published whole by one assignment.
     """
 
     __slots__ = (
-        "maxsize", "blocks", "inodes", "inode_at", "leaf_ids", "_lock",
-        "_climbable", "_checked_at",
+        "maxsize", "blocks", "inodes", "inode_at", "leaf_ids", "frontier",
+        "_lock", "_climbable", "_checked_at",
     )
 
     def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE) -> None:
@@ -171,6 +174,7 @@ class IndexSkeleton:
         self.inodes: dict[int, InodeRow] = {}
         self.inode_at: dict[tuple[int, DeweyLabel], InodeRow] = {}
         self.leaf_ids: array | None = None
+        self.frontier: tuple[float, array] | None = None
         self._lock = threading.Lock()
         # Memo of holds_climb: True once proven, else the row count
         # the last failed check saw.
@@ -235,12 +239,14 @@ class IndexSkeleton:
             return self._climbable
 
     def clear(self) -> None:
-        """Drop every row and leaf id (the tree's handles start cold again)."""
+        """Drop every row, leaf id and frontier (the tree's handles start
+        cold again)."""
         with self._lock:
             self.blocks.clear()
             self.inodes.clear()
             self.inode_at.clear()
             self.leaf_ids = None
+            self.frontier = None
             self._climbable = False
             self._checked_at = -1
 

@@ -466,7 +466,8 @@ class CrimsonStore:
 
     def forget_tree(self, name: str, tree_id: int) -> None:
         """Drop what the store caches for a deleted tree: its index
-        skeleton with its leaf-id table, and (by stamping its name)
+        skeleton with its leaf-id table and time frontier, and (by
+        stamping its name)
         every thread's cached handle on ``name``, which
         :meth:`open_tree` revalidates."""
         self._skeletons.pop(tree_id, None)
@@ -683,7 +684,8 @@ class CrimsonStore:
     def _stats_caches(self) -> dict[str, Any]:
         """Row-cache stats aggregated over every live query handle, with
         the store's shared skeletons counted once, and the ids held in
-        their leaf-id tables once per tree (``leaf_ids``, outside
+        their leaf-id tables and the nodes of their memoised time
+        frontiers once per tree (``leaf_ids`` and ``frontier``, outside
         ``total``, which counts rows)."""
         with self._handles_lock:
             handles = list(self._live_handles)
@@ -708,6 +710,12 @@ class CrimsonStore:
         totals["total"] = sum(totals.values(), CacheStats())
         held = sum(len(skeleton.leaf_ids or ()) for skeleton in skeletons)
         totals["leaf_ids"] = CacheStats(size=held, maxsize=held)
+        held = sum(
+            len(memo[1]) // 2
+            for skeleton in skeletons
+            if (memo := skeleton.frontier) is not None
+        )
+        totals["frontier"] = CacheStats(size=held, maxsize=held)
         for name in sorted(totals):
             out[name] = totals[name].as_dict()
         return out
@@ -865,7 +873,9 @@ class CrimsonStore:
             self._failed(verb, span, owned, error)
             raise
         try:
-            slot = self.admission.admit(estimate)
+            # A served request's quota is its connection's; a local
+            # call's (no session key) is its thread's.
+            slot = self.admission.admit(estimate, span.session_key)
         finally:
             admitted = clock()
             span.add_phase("admission", (admitted - started) * 1000.0)

@@ -933,6 +933,27 @@ class StoredTree:
             frontier.insert(0, root)
         return frontier
 
+    def frontier_spans(self, time: float) -> Sequence[int]:
+        """The clade intervals of :meth:`time_frontier`'s nodes, as flat
+        ``node_id, pre_order_end`` pairs in pre-order.
+
+        The last time's pairs are kept in the tree's shared
+        :class:`~repro.storage.engine.IndexSkeleton` (16 bytes a
+        frontier node, counted in ``stats().caches["frontier"]``), so
+        repeated draws at one time run the frontier join once.  The
+        table is shared: read it, do not change it.
+        """
+        skeleton = self.engine.skeleton
+        memo = skeleton.frontier
+        if memo is not None and memo[0] == time:
+            return memo[1]
+        spans = array("q")
+        for row in self.time_frontier(time):
+            spans.append(row.node_id)
+            spans.append(row.pre_order_end)
+        skeleton.frontier = (time, spans)
+        return spans
+
     # ------------------------------------------------------------------
     # Materialization
     # ------------------------------------------------------------------

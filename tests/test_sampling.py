@@ -443,3 +443,85 @@ class TestLeafIdTable:
         # A delete forgets the tree's table.
         store.trees.delete_tree("b")
         assert store.stats().caches["leaf_ids"]["size"] == 50
+
+
+class TestFrontierMemo:
+    """The last time frontier read is kept in the tree's skeleton."""
+
+    def frontier_reads(self, log) -> int:
+        return sum(text == sql.TIME_FRONTIER for text, _rows in log)
+
+    def test_a_second_draw_at_one_time_runs_no_frontier_join(
+        self, store, monkeypatch
+    ):
+        store.trees.store_tree(chained_tree(200, seed=4), name="gold")
+        handle = store.trees.open("gold")
+        log = read_log(handle.db, monkeypatch)
+        first = sample_with_time_stored(handle, 1.0, 8, np.random.default_rng(0))
+        assert self.frontier_reads(log) == 1
+        # Another handle of the tree shares the memo.
+        other = store.open_tree("gold")
+        second = sample_with_time_stored(other, 1.0, 8, np.random.default_rng(0))
+        assert self.frontier_reads(log) == 1
+        assert second == first
+
+    def test_a_new_time_reads_the_frontier_again(self, store, monkeypatch):
+        store.trees.store_tree(chained_tree(200, seed=4), name="gold")
+        handle = store.trees.open("gold")
+        log = read_log(handle.db, monkeypatch)
+        at_one = list(handle.frontier_spans(1.0))
+        at_two = list(handle.frontier_spans(2.0))
+        assert self.frontier_reads(log) == 2
+        assert at_one != at_two
+        assert list(handle.frontier_spans(2.0)) == at_two
+        assert self.frontier_reads(log) == 2
+        assert at_two == [
+            bound
+            for row in handle.time_frontier(2.0)
+            for bound in (row.node_id, row.pre_order_end)
+        ]
+        handle.clear_cache()
+        handle.frontier_spans(2.0)
+        assert self.frontier_reads(log) == 4
+
+    def test_store_stats_report_the_frontier(self, store):
+        store.trees.store_tree(chained_tree(200, seed=4), name="gold")
+        handle = store.trees.open("gold")
+        assert store.stats().caches["frontier"]["size"] == 0
+        sample_with_time_stored(handle, 1.0, 8, np.random.default_rng(0))
+        held = len(handle.time_frontier(1.0))
+        assert held > 1
+        assert store.stats().caches["frontier"] == {
+            **store.stats().caches["frontier"], "size": held, "maxsize": held
+        }
+        handle.clear_cache()
+        assert store.stats().caches["frontier"]["size"] == 0
+        sample_with_time_stored(handle, 1.0, 8, np.random.default_rng(0))
+        store.trees.delete_tree("gold")
+        assert store.stats().caches.get("frontier", {"size": 0})["size"] == 0
+
+    def test_memoised_draws_equal_the_in_memory_sampler(self, store):
+        tree = yule_tree(120, rng=np.random.default_rng(6))
+        handle = store.trees.store_tree(tree, name="twin")
+        time = max(tree.distances_from_root().values()) * 0.4
+        for seed in range(6):
+            assert sample_with_time_stored(
+                handle, time, 9, np.random.default_rng(seed)
+            ) == sample_with_time(tree, time, 9, np.random.default_rng(seed))
+
+    def test_a_restored_name_never_yields_an_old_frontier(self, store):
+        old = chained_tree(60, seed=1)
+        store.trees.store_tree(old, name="gold")
+        held = store.open_tree("gold")
+        sample_with_time_stored(held, 0.2, 5, np.random.default_rng(0))
+        store.trees.delete_tree("gold")
+        new = yule_tree(80, rng=np.random.default_rng(2))
+        store.trees.store_tree(new, name="gold")
+        fresh = set(new.leaf_names())
+        expected = {row.name for row in store.open_tree("gold").time_frontier(0.2)}
+        for handle in (store.open_tree("gold"), store.trees.open("gold")):
+            names = {row.name for row in handle.time_frontier(0.2)}
+            assert names == expected
+            assert not names & set(old.leaf_names())
+            sample = sample_with_time_stored(handle, 0.2, 5, np.random.default_rng(1))
+            assert set(sample) <= fresh

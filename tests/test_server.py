@@ -14,8 +14,11 @@ import json
 import socket
 import threading
 import time
+from selectors import EVENT_WRITE
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.lca import LcaService
 from repro.errors import (
@@ -30,7 +33,7 @@ from repro.storage import wire
 from repro.storage.api import CrimsonSession, QueryRequest
 from repro.storage.verbs import LocalSession
 from repro.storage.store import CrimsonStore
-from repro.trees.build import sample_tree
+from repro.trees.build import caterpillar, sample_tree
 from repro.trees.newick import write_newick
 from repro.trees.traversal import naive_lca
 
@@ -355,6 +358,16 @@ class TestRawProtocol:
             response = json.loads(stream.readline())
             assert response["ok"] is False
             # The server hangs up after a framing error.
+            assert stream.readline() == b""
+
+    def test_input_after_a_framing_error_still_ends_in_eof(self, served):
+        # The server hangs up with this input unread; the reply and a
+        # clean end of stream still reach the client.
+        _, host, port = served
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(b"this is not json\n" + b"x" * 200_000)
+            stream = sock.makefile("rb")
+            assert json.loads(stream.readline())["ok"] is False
             assert stream.readline() == b""
 
     def test_non_object_verify_payload_is_protocol_error(self, served):
@@ -698,6 +711,368 @@ class TestServerAgainstShardedStore:
                     }
                     assert len(signatures) == 1
                     assert remote.ping()["shards"] == 3
+
+
+# ----------------------------------------------------------------------
+# The event loop: framing, fairness, backpressure, metering
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def loop_served(tmp_path):
+    """A live server over the Figure-1 store; yields ``(store, server)``."""
+    path = str(tmp_path / "loop.db")
+    with CrimsonStore.open(path, readers=2) as store:
+        store.trees.store_tree(sample_tree(), f=2)
+        with CrimsonServer(store, port=0) as server:
+            yield store, server
+
+
+def frame(verb, payload=None, request_id=0) -> bytes:
+    """One request frame's exact bytes, as ``write_frame`` sends them."""
+    envelope = protocol.request_envelope(verb, payload, request_id=request_id)
+    return json.dumps(
+        envelope, ensure_ascii=False, separators=(",", ":")
+    ).encode() + b"\n"
+
+
+def lca_payload(a="Lla", b="Spy"):
+    return wire.encode_request(QueryRequest.lca("fig1-sample", a, b))
+
+
+def read_lines(sock, count) -> list[bytes]:
+    """``count`` reply lines from ``sock`` (under its timeout)."""
+    stream = sock.makefile("rb")
+    try:
+        return [stream.readline() for _ in range(count)]
+    finally:
+        stream.close()
+
+
+def wait_for(predicate, what, timeout=10.0):
+    """Poll ``predicate`` until it holds; fail naming ``what`` if not."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            pytest.fail(f"timed out waiting for {what}")
+        time.sleep(0.01)
+
+
+def stable(line: bytes) -> dict:
+    """A reply without its per-run fields (timings and minted trace)."""
+    envelope = json.loads(line)
+    envelope.pop("server_ms", None)
+    envelope.pop("trace", None)
+    result = envelope.get("result")
+    if isinstance(result, dict):
+        result.pop("duration_ms", None)
+    return envelope
+
+
+class TestEventLoop:
+    def test_pipelined_frames_answer_in_order(self, loop_served):
+        _, server = loop_served
+        frames = [
+            frame("ping", request_id=index)
+            if index % 2
+            else frame("query", lca_payload(), request_id=index)
+            for index in range(50)
+        ]
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(b"".join(frames))
+            replies = [json.loads(line) for line in read_lines(sock, 50)]
+        assert [reply["id"] for reply in replies] == list(range(50))
+        assert all(reply["ok"] for reply in replies)
+
+    def test_a_megabytes_long_pipeline_answers_in_order(self, loop_served):
+        # More than the read-ahead is in flight, so the server pauses
+        # reading this connection, and its replies back up while the
+        # client is still sending: both pauses must resume.
+        _, server = loop_served
+        count = 16_000
+        stream = b"".join(
+            frame("ping", request_id=index) for index in range(count)
+        )
+        assert len(stream) > 1024 * 1024
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sender = threading.Thread(target=sock.sendall, args=(stream,))
+            sender.start()
+            try:
+                ids = [json.loads(line)["id"] for line in read_lines(sock, count)]
+            finally:
+                sender.join(timeout=10)
+        assert not sender.is_alive()
+        assert ids == list(range(count))
+
+    def test_a_pipelining_client_does_not_starve_others(
+        self, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "fair.db")
+        log = tmp_path / "access.log"
+        with CrimsonStore.open(path, readers=2) as store:
+            store.trees.store_tree(sample_tree(), f=2)
+            with CrimsonServer(store, port=0, access_log=str(log)) as server:
+                # Hold the loop in one request while a pipeline of 200
+                # frames and another client's ping both arrive.
+                gate = threading.Event()
+                dispatch = server.dispatch
+
+                def gated(envelope):
+                    if envelope.get("id") == -1:
+                        gate.wait(timeout=10)
+                    return dispatch(envelope)
+
+                monkeypatch.setattr(server, "dispatch", gated)
+                address = server.address
+                with socket.create_connection(address, timeout=5) as holder, \
+                        socket.create_connection(address, timeout=5) as pipe, \
+                        socket.create_connection(address, timeout=5) as other:
+                    holder.sendall(frame("ping", request_id=-1))
+                    wait_for(lambda: server.inflight == 1, "the loop to hold")
+                    pipe.sendall(b"".join(
+                        frame("ping", request_id=index) for index in range(200)
+                    ))
+                    other.sendall(frame("ping", request_id=1000))
+                    gate.set()
+                    assert json.loads(read_lines(other, 1)[0])["id"] == 1000
+                    ids = [json.loads(line)["id"] for line in read_lines(pipe, 200)]
+                    assert ids == list(range(200))
+                    read_lines(holder, 1)
+                    host, port = other.getsockname()[:2]
+        keys = [
+            json.loads(line)["session_key"]
+            for line in log.read_text().splitlines()
+        ]
+        # One frame per connection per pass: the held request, the
+        # pipeline's first frame, then the other client's ping.
+        assert keys.index(f"{host}:{port}") == 2
+
+    def test_frame_sent_one_byte_per_send_is_answered(self, loop_served):
+        _, server = loop_served
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for byte in frame("ping", request_id=3):
+                sock.send(bytes([byte]))
+            (reply,) = read_lines(sock, 1)
+        assert json.loads(reply)["id"] == 3
+        assert json.loads(reply)["ok"] is True
+
+    def test_stalled_half_frame_does_not_block_others(self, loop_served):
+        _, server = loop_served
+        request = frame("ping", request_id=1)
+        with socket.create_connection(server.address, timeout=5) as stalled:
+            stalled.sendall(request[: len(request) // 2])
+            with RemoteSession(*server.address, timeout=5) as other:
+                assert other.ping()["transport"] == "tcp"
+            # The stalled frame is still answered once it completes.
+            stalled.sendall(request[len(request) // 2 :])
+            (reply,) = read_lines(stalled, 1)
+        assert json.loads(reply)["id"] == 1
+
+    def test_client_that_never_reads_does_not_block_others(self, tmp_path):
+        path = str(tmp_path / "big.db")
+        with CrimsonStore.open(path, readers=2) as store:
+            store.load_tree(caterpillar(1000), name="big", f=8)
+            big = wire.encode_request(QueryRequest.clade("big", "t1", "t1000"))
+            with CrimsonServer(store, port=0) as server:
+                with socket.create_connection(
+                    server.address, timeout=5
+                ) as probe:
+                    probe.sendall(frame("query", big, request_id=0))
+                    (one_reply,) = read_lines(probe, 1)
+                hog = socket.socket()
+                hog.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                hog.settimeout(5)
+                with hog:
+                    hog.connect(server.address)
+                    hog.sendall(b"".join(
+                        frame("query", big, request_id=index)
+                        for index in range(1, 61)
+                    ))
+                    # The hog's socket buffers fill: the server keeps the
+                    # rest of one reply and waits for the socket to drain.
+                    wait_for(
+                        lambda: any(
+                            conn.outbuf and conn.events == EVENT_WRITE
+                            for conn in list(server._connections)
+                        ),
+                        "the server to pause the hog",
+                    )
+                    with RemoteSession(*server.address, timeout=5) as other:
+                        assert other.ping()["transport"] == "tcp"
+                    held = [len(c.outbuf) for c in list(server._connections)]
+                    # Replies differ only in id, server_ms and trace.
+                    assert max(held) <= len(one_reply) + 64
+                    assert store.metrics.counter("server.requests").value < 61
+
+    def test_client_that_hangs_up_mid_request_leaves_nothing_inflight(
+        self, loop_served
+    ):
+        store, server = loop_served
+        requests = store.metrics.counter("server.requests")
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(frame("query", lca_payload(), request_id=1))
+        wait_for(lambda: requests.value >= 1, "the request to be answered")
+        assert server.inflight == 0
+        with RemoteSession(*server.address, timeout=5) as session:
+            assert session.ping()["transport"] == "tcp"
+        assert server.inflight == 0
+
+    def test_an_unencodable_id_gets_a_typed_error(self, loop_served):
+        # JSON parses a lone surrogate that UTF-8 cannot carry back:
+        # the reply falls back to an error frame without the id.
+        store, server = loop_served
+        line = b'{"id":"\\ud800","verb":"ping","protocol":%d}\n' % (
+            wire.PROTOCOL_VERSION
+        )
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(line + frame("ping", request_id=2))
+            first, second = (json.loads(r) for r in read_lines(sock, 2))
+        assert first["id"] is None and first["ok"] is False
+        assert isinstance(wire.decode_error(first["error"]), CrimsonError)
+        assert second["id"] == 2 and second["ok"] is True
+        with RemoteSession(*server.address, timeout=5) as other:
+            assert other.ping()["transport"] == "tcp"
+        assert server.inflight == 0
+
+    def test_a_bug_in_serving_closes_only_its_connection(
+        self, loop_served, monkeypatch, capsys
+    ):
+        store, server = loop_served
+        observe = server._observe
+
+        def broken(span):
+            if span.verb == "list_trees":
+                raise RuntimeError("observer bug")
+            observe(span)
+
+        monkeypatch.setattr(server, "_observe", broken)
+        with RemoteSession(*server.address, timeout=5) as bystander:
+            with socket.create_connection(server.address, timeout=5) as sock:
+                sock.sendall(frame("list_trees", request_id=1))
+                # The reply went out before the observer failed; then
+                # the server hangs up.
+                (reply,) = sock.makefile("rb").read().splitlines()
+                assert json.loads(reply)["id"] == 1
+            assert bystander.ping()["transport"] == "tcp"
+        assert store.metrics.counter("server.errors.RuntimeError").value == 1
+        assert "observer bug" in capsys.readouterr().err
+        assert server.inflight == 0
+
+    def test_byte_counters_meter_the_exact_frames(self, loop_served):
+        store, server = loop_served
+        bytes_in = store.metrics.counter("server.bytes_in")
+        bytes_out = store.metrics.counter("server.bytes_out")
+        assert (bytes_in.value, bytes_out.value) == (0, 0)
+        request = frame("query", lca_payload(), request_id=5)
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(request)
+            (reply,) = read_lines(sock, 1)
+        assert json.loads(reply)["ok"] is True
+        assert bytes_in.value == len(request)
+        assert bytes_out.value == len(reply)
+
+    def test_quota_is_per_connection(self, tmp_path):
+        # One loop thread serves every connection, so the admission
+        # quota must key on the connection, not the thread.
+        from repro.admission import AdmissionController, AdmissionLimits
+        from repro.errors import ResourceError
+
+        path = str(tmp_path / "quota.db")
+        with CrimsonStore.open(path, readers=2) as store:
+            store.trees.store_tree(sample_tree(), f=2)
+            cost = store.estimate(
+                QueryRequest.lca("fig1-sample", "Lla", "Spy")
+            ).cost
+            store.admission = AdmissionController(
+                AdmissionLimits(quota_rate=1e-6, quota_burst=cost * 1.5)
+            )
+            request = QueryRequest.lca("fig1-sample", "Lla", "Spy")
+            with CrimsonServer(store, port=0) as server:
+                with RemoteSession(*server.address, timeout=5) as first:
+                    first.query(request)
+                    with pytest.raises(ResourceError) as refused:
+                        first.query(request)
+                    assert refused.value.resource == "quota"
+                    with RemoteSession(*server.address, timeout=5) as second:
+                        assert second.query(request).node.name == "x"
+
+
+class TestFramingFuzz:
+    """Random chunkings and hostile bytes against a live server."""
+
+    def test_chunking_never_changes_the_replies(self, loop_served):
+        store, server = loop_served
+        frames = [
+            frame("ping", request_id=1),
+            frame("query", lca_payload(), request_id=2),
+            frame("list_trees", request_id=3),
+            frame("no-such-verb", request_id=4),
+            frame("query", lca_payload("Lla", "Syn"), request_id=5),
+        ]
+        stream = b"".join(frames)
+
+        def exchange(pieces) -> list[dict]:
+            with socket.create_connection(server.address, timeout=5) as sock:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                for piece in pieces:
+                    sock.sendall(piece)
+                return [stable(line) for line in read_lines(sock, len(frames))]
+
+        expected = exchange([stream])
+        assert [reply["id"] for reply in expected] == [1, 2, 3, 4, 5]
+
+        @settings(max_examples=40, deadline=None)
+        @given(st.lists(st.integers(1, len(stream) - 1), max_size=12))
+        def chunked(cuts):
+            bounds = [0, *sorted(set(cuts)), len(stream)]
+            pieces = [stream[a:b] for a, b in zip(bounds, bounds[1:])]
+            assert exchange(pieces) == expected
+
+        chunked()
+        assert server.inflight == 0
+
+    def test_hostile_bytes_get_a_typed_error_or_a_close(
+        self, loop_served, monkeypatch
+    ):
+        _, server = loop_served
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 256)
+        valid = frame("ping", request_id=1)
+        hostile = st.one_of(
+            st.binary(max_size=600),
+            st.binary(min_size=257, max_size=1024).map(
+                lambda data: data.replace(b"\n", b" ")
+            ),
+            st.sampled_from(
+                [b"[1, 2]\n", b'"frame"\n', b"3\n", b"null\n", b"\n"]
+            ),
+            st.integers(1, len(valid) - 2).map(lambda cut: valid[:cut]),
+        )
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.lists(hostile, min_size=1, max_size=3).map(b"".join))
+        def survives(data):
+            with socket.create_connection(server.address, timeout=5) as sock:
+                sock.sendall(data)
+                sock.shutdown(socket.SHUT_WR)
+                received = b""
+                try:
+                    while chunk := sock.recv(65536):
+                        received += chunk
+                except ConnectionResetError:
+                    pass  # a close with our bytes unread: still a close
+            for line in received.splitlines():
+                reply = json.loads(line)
+                assert isinstance(reply, dict)
+                if not reply["ok"]:
+                    assert isinstance(
+                        wire.decode_error(reply["error"]), CrimsonError
+                    )
+
+        survives()
+        assert server.inflight == 0
+        with RemoteSession(*server.address, timeout=5) as session:
+            assert session.ping()["transport"] == "tcp"
 
 
 class TestCliServe:
